@@ -20,7 +20,7 @@
 //! allocation delta, so the "no stored trace" claim is visible as a
 //! number: the inline run's peak should sit near bare + linter bytes,
 //! nowhere near the hundreds of MiB a million-send trace would cost.
-//! At n ≤ 10⁴ the inline report is also pinned to the batch engine's
+//! At n ≤ 10⁴ the inline report is also pinned to `lint_schedule`'s
 //! report over the recorded trace — the speed ladder doubles as a
 //! correctness sweep.
 
@@ -149,7 +149,7 @@ fn main() {
         );
 
         // Correctness anchor: on the small rungs, record the trace and
-        // pin the inline report to the batch engine byte for byte.
+        // pin the inline report to `lint_schedule` byte for byte.
         if n <= 10_000 {
             let full = Simulation::new(n, &uni)
                 .run(bcast_programs(n, lam))

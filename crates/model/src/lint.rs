@@ -39,7 +39,7 @@
 //! λ sub-interval in [`Diagnostic::witness`]. `P0017`–`P0019` are
 //! *topology-grounded* properties checked against a sparse
 //! [`crate::topology::Topology`] oracle by [`lint_schedule_with_topology`]
-//! (and the streaming equivalent); on the complete graph they are
+//! and [`StreamingLint::with_topology`]; on the complete graph they are
 //! vacuous by construction, so complete-graph output is byte-identical
 //! to the plain linter.
 //!
@@ -50,40 +50,29 @@
 //!
 //! ## Architecture
 //!
-//! [`lint_schedule`] is a thin wrapper over the streaming, single-sweep
-//! [`PassManager`]: the schedule's sends are bucketed **once** into a
-//! shared [`ScheduleIndex`] (CSR-style per-src/per-dst slices over a
-//! single well-formed-send arena, plus first-receipt times and an `i64`
-//! fixed-point fast lane for half-integer λ), and every `P0001`–`P0007`
-//! check is a [`LintPass`] driven over that index in one sweep — no
-//! per-check `HashMap` rebuilds or cloned send vectors. The seed
-//! engine is retained verbatim as
-//! [`reference::lint_schedule_reference`]; the differential test suite
-//! asserts the two produce byte-identical diagnostics over the full
-//! acceptance grid.
+//! There is one engine: [`StreamingLint`], in the [`stream`] module,
+//! where each schedule code (`P0001`–`P0007`, `P0017`–`P0019`) is one
+//! [`StreamingLintPass`] over a send stream with O(n) memory. The simulator feeds it live and a JSONL log feeds it
+//! line by line; [`lint_schedule`] feeds it a materialized schedule's
+//! sends, which are already in the canonical `(send_start, src, dst)`
+//! order the engine finalizes in. See the [`stream`] module docs for
+//! the watermark/finalization protocol.
 //!
-//! The [`stream`] module carries the suite one step further: a
-//! [`StreamingLint`] engine runs the same `P0001`–`P0007` checks over a
-//! send *stream* — fed live by the simulator or by a JSONL log — with
-//! O(n) memory and no materialized schedule at all, again pinned
-//! byte-identical to the batch output. See the [`stream`] module docs
-//! for the watermark/finalization protocol.
+//! The seed engine is retained verbatim as
+//! [`reference::lint_schedule_reference`], the single independent
+//! oracle; the differential test suite asserts the two produce
+//! byte-identical diagnostics over the full acceptance grid.
 
 use crate::ratio::Interval;
 use crate::schedule::{Schedule, TimedSend};
 use crate::time::Time;
 use std::fmt;
 
-pub mod index;
-pub mod passes;
 pub mod reference;
 pub mod stream;
 
-pub use index::ScheduleIndex;
-pub use passes::{LintPass, PassContext, PassManager, PassStage};
 pub use stream::{
-    lint_schedule_streaming, lint_schedule_streaming_with_topology, StreamContext, StreamEvent,
-    StreamIndex, StreamingLint, StreamingLintPass,
+    PassStage, StreamContext, StreamEvent, StreamIndex, StreamingLint, StreamingLintPass,
 };
 
 /// Stable diagnostic codes, one per paper rule.
@@ -454,14 +443,16 @@ impl LintOptions {
 /// Runs every applicable lint over `schedule`, returning all findings in
 /// deterministic order (by code, then processor, then time).
 ///
-/// Equivalent to driving [`PassManager::standard`]: one
-/// [`ScheduleIndex`] build, one sweep of every `P0001`--`P0007` pass.
+/// Folds the schedule's sends through [`StreamingLint::new`].
 pub fn lint_schedule(schedule: &Schedule, opts: &LintOptions) -> Vec<Diagnostic> {
-    PassManager::standard().run(schedule, opts)
+    fold(
+        StreamingLint::new(schedule.n(), schedule.latency(), *opts),
+        schedule,
+    )
 }
 
 /// [`lint_schedule`] plus the topology-grounded passes `P0017`–`P0019`
-/// checked against `topology` (see [`PassManager::standard_with_topology`]).
+/// checked against `topology` (see [`StreamingLint::with_topology`]).
 ///
 /// On the complete graph the topology passes are vacuous, so the output
 /// is byte-identical to [`lint_schedule`] — pinned by the differential
@@ -471,7 +462,21 @@ pub fn lint_schedule_with_topology(
     opts: &LintOptions,
     topology: &crate::topology::Topology,
 ) -> Vec<Diagnostic> {
-    PassManager::standard_with_topology(topology).run(schedule, opts)
+    fold(
+        StreamingLint::with_topology(schedule.n(), schedule.latency(), *opts, topology),
+        schedule,
+    )
+}
+
+/// Feeds `schedule`'s sends, in their canonical order, through `lint`:
+/// the watermark rises to each send's start before it is observed, so
+/// every earlier send is finalized first.
+fn fold(mut lint: StreamingLint, schedule: &Schedule) -> Vec<Diagnostic> {
+    for s in schedule.sends() {
+        lint.advance_watermark(s.send_start);
+        lint.observe_send(s.src, s.dst, s.send_start);
+    }
+    lint.finish()
 }
 
 /// The deterministic report order: by code, then processor, then the

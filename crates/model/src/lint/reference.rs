@@ -1,16 +1,20 @@
-//! The retained seed lint engine, kept verbatim as a differential
-//! oracle for the single-sweep [`PassManager`](super::PassManager).
+//! The retained seed lint engine, kept verbatim as the single
+//! independent oracle for the production engine,
+//! [`StreamingLint`](super::StreamingLint).
 //!
 //! This is the original `lint_schedule` implementation: one
-//! `HashMap<u32, Vec<TimedSend>>` grouping pass per check, with the
-//! per-destination clone-and-sort the fast engine eliminates. It is
-//! O(E) extra memory per check and was never a bottleneck at the seed
-//! envelope (n ≤ 64), but it does not scale to million-send schedules.
-//! It stays in the tree for one purpose: the differential test suite
-//! (`tests/lint_differential.rs`) asserts the pass manager
-//! produces **byte-identical** diagnostics to this function over the
-//! full acceptance grid, so any behavioral drift in the fast engine is
-//! caught against a frozen, obviously-correct baseline.
+//! `HashMap<u32, Vec<TimedSend>>` grouping pass per check, with a
+//! per-destination clone-and-sort. It is O(E) extra memory per check
+//! and was never a bottleneck at the seed envelope (n ≤ 64), but it
+//! does not scale to million-send schedules. It stays in the tree for
+//! one purpose: the differential test suites
+//! (`tests/lint_differential.rs`, `crates/model/tests/fast_time_props.rs`)
+//! assert that [`lint_schedule`](super::lint_schedule) produces
+//! **byte-identical** diagnostics to this function over the full
+//! acceptance grid and random schedules, so any behavioral drift in the
+//! streaming engine is caught against a frozen, obviously-correct
+//! baseline. It covers `P0001`–`P0007`; the topology codes
+//! `P0017`–`P0019` are checked against the topology oracle directly.
 //!
 //! Do not optimize this module; its value is that it never changes.
 

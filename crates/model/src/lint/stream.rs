@@ -1,34 +1,37 @@
-//! The streaming lint engine: the `P0001`–`P0007` suite as an
-//! online analysis over a send stream, with bounded memory and no
-//! materialized schedule.
+//! The lint engine: every schedule code (`P0001`–`P0007`, plus the
+//! topology codes `P0017`–`P0019`) as an online analysis over a send
+//! stream, with bounded memory and no materialized schedule.
 //!
-//! The batch [`PassManager`](super::PassManager) needs the whole
-//! [`Schedule`] in memory before it can build
-//! its [`ScheduleIndex`](super::ScheduleIndex). At n = 10⁶ that schedule
-//! *is* the scale bottleneck — the simulator itself runs in flat arrays.
-//! [`StreamingLint`] removes it: callers push sends one at a time
-//! ([`StreamingLint::observe_send`]), advance a **watermark**
-//! ([`StreamingLint::advance_watermark`]) as simulated time progresses,
-//! and collect the final report from [`StreamingLint::finish`]. Memory
-//! is O(n + pending + findings), independent of the total send count.
+//! This is the only production implementation of those codes:
+//! [`lint_schedule`](super::lint_schedule) folds a materialized
+//! schedule's sends through it, `simulate --lint-inline` feeds it live
+//! from the simulator, and `lint --stream` feeds it from a JSONL log
+//! line by line, so no caller has to hold a 10⁶-send trace. Callers
+//! push sends one at a time ([`StreamingLint::observe_send`]), advance
+//! a **watermark** ([`StreamingLint::advance_watermark`]) as simulated
+//! time progresses, and collect the final report from
+//! [`StreamingLint::finish`]. Memory is O(n + pending + findings),
+//! independent of the total send count.
 //!
 //! ## How order is recovered
 //!
-//! The batch engine's output contract is tied to *canonical schedule
-//! order* — sends sorted by `(send_start, src, dst)`. A live event
-//! stream is ordered by simulation time instead, and a send is observed
-//! when it is *issued*, which can precede its start time (output-port
-//! serialization). The engine therefore parks observed sends in a
-//! pending min-heap keyed on `(send_start, src, dst)` and **finalizes**
-//! — pops and feeds to the passes — every send whose key is strictly
-//! below the watermark. As long as the caller only advances the
-//! watermark to times `t` such that every send starting before `t` has
-//! already been observed (true for the engine's clock and for
-//! timestamp-sorted logs), finalization order is exactly canonical
-//! order, and each pass sees precisely the sweep the batch engine would
-//! run. A send observed *late* — starting below the current watermark —
-//! sets [`StreamingLint::out_of_order`]; callers should treat the
-//! report as unreliable and fall back to batch mode.
+//! The report contract is tied to *canonical schedule order* — sends
+//! sorted by `(send_start, src, dst)`, the order
+//! [`Schedule::new`](crate::schedule::Schedule::new)
+//! keeps. A live event stream is ordered by simulation time instead,
+//! and a send is observed when it is *issued*, which can precede its
+//! start time (output-port serialization). The engine therefore parks
+//! observed sends in a pending min-heap keyed on
+//! `(send_start, src, dst)` and **finalizes** — pops and feeds to the
+//! passes — every send whose key is strictly below the watermark. As
+//! long as the caller only advances the watermark to times `t` such
+//! that every send starting before `t` has already been observed (true
+//! for the engine's clock, for timestamp-sorted logs, and for a
+//! schedule's own send list), finalization order is exactly canonical
+//! order. A send observed *late* — starting below the current
+//! watermark — sets [`StreamingLint::out_of_order`]; callers should
+//! treat the report as unreliable and lint the materialized schedule
+//! instead.
 //!
 //! Two pending heaps keep the hot path on machine integers: an `i64`
 //! half-unit lane for on-lattice starts (every grid the paper uses) and
@@ -50,20 +53,22 @@
 //! * `P0006` tracks one port cursor and the first idle gap per
 //!   processor online, and resolves the gap against the coverage
 //!   horizon at `finish`.
+//! * `P0017` checks each finalized send against the topology online;
+//!   `P0018`/`P0019` are `finish`-time checks against the graph's BFS
+//!   distances.
 //!
-//! The staged semantics (shape → broadcast → quality, with quality
-//! suppressed by any error) and the final stable sort replicate
-//! [`PassManager::run_with_index`](super::PassManager::run_with_index)
-//! exactly; `tests/lint_stream_differential.rs` pins the streamed
-//! diagnostics byte-identical (rendered and JSON) to the batch output
+//! [`StreamingLint::finish`] runs the passes in three [`PassStage`]s
+//! (shape → broadcast → quality, with quality suppressed by any error)
+//! and sorts once into report order. `tests/lint_differential.rs` pins
+//! the report byte-identical (rendered and JSON) to the retained seed
+//! engine, [`lint_schedule_reference`](super::reference::lint_schedule_reference),
 //! over the full acceptance grid.
 
-use super::passes::PassStage;
 use super::{diag_order, Diagnostic, LintCode, LintOptions, Severity};
 use crate::fib::GenFib;
 use crate::latency::Latency;
 use crate::runtimes;
-use crate::schedule::{Schedule, TimedSend};
+use crate::schedule::TimedSend;
 use crate::time::{FastTime, Time};
 use crate::topology::{Topology, UNREACHABLE};
 use std::cmp::Reverse;
@@ -148,7 +153,7 @@ impl TimeSlots {
 /// count, λ, per-processor first-receipt times (updated as sends are
 /// observed — the minimum is order-independent) and the running
 /// completion maximum over *all* observed sends, malformed included
-/// (mirroring [`Schedule::completion`]).
+/// (mirroring [`Schedule::completion`](crate::schedule::Schedule::completion)).
 pub struct StreamIndex {
     n: u32,
     latency: Latency,
@@ -222,7 +227,7 @@ impl StreamIndex {
 
     /// The latest receive finish over every observed send (malformed
     /// included), or zero for an empty stream — the streaming image of
-    /// [`Schedule::completion`].
+    /// [`Schedule::completion`](crate::schedule::Schedule::completion).
     pub fn completion(&self) -> Time {
         let fast =
             (self.completion_half != i64::MIN).then(|| Time::from_half_units(self.completion_half));
@@ -253,7 +258,7 @@ impl StreamIndex {
 /// One unit of streamed input, handed to every registered pass.
 pub enum StreamEvent<'a> {
     /// A well-formed send, finalized in canonical
-    /// `(send_start, src, dst)` order — the batch arena sweep order.
+    /// `(send_start, src, dst)` order.
     Send(&'a TimedSend),
     /// A structurally malformed send (`P0004` material), delivered at
     /// observation time in stream order.
@@ -269,18 +274,30 @@ pub struct StreamContext<'a> {
     pub opts: &'a LintOptions,
 }
 
-/// One incremental check over the send stream: the streaming
-/// counterpart of [`LintPass`](super::LintPass).
+/// When in [`StreamingLint::finish`] a pass's findings land.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PassStage {
+    /// Port and shape rules; always run. For non-broadcast lints
+    /// ([`LintOptions::ports_only`]) the report stops here, in emission
+    /// order.
+    Shape,
+    /// Broadcast validity rules; run when `opts.broadcast`.
+    Broadcast,
+    /// Quality lints; run only when no error was found, since a broken
+    /// schedule's completion time is meaningless.
+    Quality,
+}
+
+/// One incremental check over the send stream.
 ///
 /// `on_event` is called once per observed send — malformed sends at
 /// observation time, well-formed sends on finalization in canonical
 /// order — and `finish` once at end of stream. A pass must emit its
-/// `finish` diagnostics in the batch engine's canonical *emission*
-/// order for its code; the engine's final stable sort then reproduces
-/// the batch report byte for byte.
+/// `finish` diagnostics in canonical *emission* order for its code (by
+/// processor, then schedule order); the engine's final stable sort
+/// keeps equal-key diagnostics in that order, which is part of the
+/// byte-identical report contract.
 pub trait StreamingLintPass {
-    /// Short stable name, matching the batch pass it mirrors.
-    fn name(&self) -> &'static str;
     /// When in the staged sweep this pass's findings land.
     fn stage(&self) -> PassStage;
     /// Consumes one streamed send.
@@ -313,11 +330,10 @@ pub struct StreamingLint {
 }
 
 impl StreamingLint {
-    /// Creates an engine over `MPS(n, λ)` with the standard pass suite
-    /// — the streaming image of
-    /// [`PassManager::standard`](super::PassManager::standard). When
-    /// `opts.broadcast` is off only the shape passes are registered,
-    /// matching the batch staging.
+    /// Creates an engine over `MPS(n, λ)` with the standard pass suite:
+    /// `P0004`, `P0001`, `P0002`, `P0003`, `P0005`, `P0006`, `P0007`,
+    /// in canonical emission order. When `opts.broadcast` is off only
+    /// the shape passes are registered.
     pub fn new(n: u32, latency: Latency, opts: LintOptions) -> StreamingLint {
         let mut passes: Vec<Box<dyn StreamingLintPass + Send>> = vec![
             Box::new(StreamingMalformedPass::new()),
@@ -342,12 +358,16 @@ impl StreamingLint {
         }
     }
 
-    /// [`StreamingLint::new`] plus the topology-grounded passes — the
-    /// streaming image of
-    /// [`PassManager::standard_with_topology`](super::PassManager::standard_with_topology),
-    /// with identical registration order per stage. On the complete
-    /// graph the extra passes are vacuous and the output is
-    /// byte-identical to [`StreamingLint::new`]'s.
+    /// [`StreamingLint::new`] plus the topology-grounded passes:
+    /// `P0017` (Shape, after `P0002`), `P0019` (Broadcast, after
+    /// `P0005`, which it root-cause-suppresses) and `P0018` (Quality,
+    /// after `P0007`). On the complete graph all three are vacuous —
+    /// every pair is an edge, every processor is reachable, and the BFS
+    /// bound defers to the stronger `f_λ(n)` of `P0007` — so the output
+    /// is byte-identical to [`StreamingLint::new`]'s.
+    ///
+    /// `topology` must be instantiated for `n` processors
+    /// (out-of-range processors read as non-edges/unreachable).
     pub fn with_topology(
         n: u32,
         latency: Latency,
@@ -510,7 +530,7 @@ impl StreamingLint {
 
     /// True when a send was observed after the watermark had already
     /// passed its start: the streamed report is unreliable and the
-    /// caller should fall back to batch linting.
+    /// caller should lint the materialized schedule instead.
     pub fn out_of_order(&self) -> bool {
         self.out_of_order
     }
@@ -536,13 +556,11 @@ impl StreamingLint {
             + self.passes.iter().map(|p| p.memory_bytes()).sum::<usize>()
     }
 
-    /// Finalizes every pending send, runs each pass's `finish` in the
-    /// batch engine's staged order, and returns the report.
+    /// Finalizes every pending send, runs each pass's `finish` stage by
+    /// stage, and returns the report.
     ///
-    /// The staging replicates
-    /// [`PassManager::run_with_index`](super::PassManager::run_with_index):
-    /// shape findings first (returned unsorted when the stream is not
-    /// linted as a broadcast — the engine's historical ports-only
+    /// Shape findings come first (returned unsorted when the stream is
+    /// not linted as a broadcast — the engine's historical ports-only
     /// contract), then broadcast validity, then — only when no error
     /// was found — the quality lints, with one final stable sort into
     /// report order.
@@ -580,35 +598,6 @@ impl StreamingLint {
     }
 }
 
-/// Drives [`StreamingLint`] over a materialized schedule: the
-/// differential harness for pinning streamed output byte-identical to
-/// [`lint_schedule`](super::lint_schedule).
-pub fn lint_schedule_streaming(schedule: &Schedule, opts: &LintOptions) -> Vec<Diagnostic> {
-    let mut lint = StreamingLint::new(schedule.n(), schedule.latency(), *opts);
-    for s in schedule.sends() {
-        lint.advance_watermark(s.send_start);
-        lint.observe_send(s.src, s.dst, s.send_start);
-    }
-    lint.finish()
-}
-
-/// [`lint_schedule_streaming`] with the topology-grounded passes of
-/// [`StreamingLint::with_topology`]: the streaming counterpart of
-/// [`lint_schedule_with_topology`](super::lint_schedule_with_topology),
-/// pinned byte-identical to it by `tests/topology_differential.rs`.
-pub fn lint_schedule_streaming_with_topology(
-    schedule: &Schedule,
-    opts: &LintOptions,
-    topology: &Topology,
-) -> Vec<Diagnostic> {
-    let mut lint = StreamingLint::with_topology(schedule.n(), schedule.latency(), *opts, topology);
-    for s in schedule.sends() {
-        lint.advance_watermark(s.send_start);
-        lint.observe_send(s.src, s.dst, s.send_start);
-    }
-    lint.finish()
-}
-
 /// Whether `b` starts less than one unit after `a` — the shared
 /// `P0001`/`P0002` window condition, on machine integers whenever both
 /// starts sit on the half-unit lattice.
@@ -639,10 +628,6 @@ impl Default for StreamingMalformedPass {
 }
 
 impl StreamingLintPass for StreamingMalformedPass {
-    fn name(&self) -> &'static str {
-        "malformed-send"
-    }
-
     fn stage(&self) -> PassStage {
         PassStage::Shape
     }
@@ -654,9 +639,7 @@ impl StreamingLintPass for StreamingMalformedPass {
     }
 
     fn finish(&mut self, cx: &StreamContext<'_>, out: &mut Vec<Diagnostic>) {
-        // Schedule order: `Schedule::new` sorts by (start, src, dst)
-        // and the batch index preserves that order in its malformed
-        // partition.
+        // Schedule order: `Schedule::new` sorts by (start, src, dst).
         self.found.sort_by_key(|s| (s.send_start, s.src, s.dst));
         let n = cx.index.n();
         let lam = cx.index.latency();
@@ -708,10 +691,6 @@ impl StreamingOutputPortPass {
 }
 
 impl StreamingLintPass for StreamingOutputPortPass {
-    fn name(&self) -> &'static str {
-        "output-port"
-    }
-
     fn stage(&self) -> PassStage {
         PassStage::Shape
     }
@@ -752,9 +731,8 @@ impl StreamingLintPass for StreamingOutputPortPass {
     }
 
     fn finish(&mut self, _cx: &StreamContext<'_>, out: &mut Vec<Diagnostic>) {
-        // The batch pass emits per src in ascending order; the stable
-        // sort keeps each processor's overlaps in detection (= bucket)
-        // order.
+        // Emission order is per src ascending; the stable sort keeps
+        // each processor's overlaps in detection (= schedule) order.
         self.found.sort_by_key(|(src, _)| *src);
         out.extend(self.found.drain(..).map(|(_, d)| d));
     }
@@ -786,10 +764,6 @@ impl StreamingInputWindowPass {
 }
 
 impl StreamingLintPass for StreamingInputWindowPass {
-    fn name(&self) -> &'static str {
-        "input-window"
-    }
-
     fn stage(&self) -> PassStage {
         PassStage::Shape
     }
@@ -872,10 +846,6 @@ impl Default for StreamingCausalityPass {
 }
 
 impl StreamingLintPass for StreamingCausalityPass {
-    fn name(&self) -> &'static str {
-        "causality"
-    }
-
     fn stage(&self) -> PassStage {
         PassStage::Broadcast
     }
@@ -927,10 +897,6 @@ impl StreamingLintPass for StreamingCausalityPass {
 pub struct StreamingCoveragePass;
 
 impl StreamingLintPass for StreamingCoveragePass {
-    fn name(&self) -> &'static str {
-        "coverage"
-    }
-
     fn stage(&self) -> PassStage {
         PassStage::Broadcast
     }
@@ -959,8 +925,8 @@ impl StreamingLintPass for StreamingCoveragePass {
 /// *first* idle gap online, and resolves that gap against the coverage
 /// horizon at `finish`.
 ///
-/// Only the first gap matters: the batch pass reports the earliest gap
-/// whose hypothetical delivery beats some processor's actual receipt,
+/// Only the first gap matters: the rule reports the earliest gap whose
+/// hypothetical delivery beats some processor's actual receipt,
 /// and that test is monotone — the receipt it compares against does not
 /// depend on the gap, so if the earliest gap fails the test every later
 /// (larger) gap fails too.
@@ -987,10 +953,6 @@ impl StreamingIdlePortPass {
 }
 
 impl StreamingLintPass for StreamingIdlePortPass {
-    fn name(&self) -> &'static str {
-        "idle-port"
-    }
-
     fn stage(&self) -> PassStage {
         PassStage::Quality
     }
@@ -1111,10 +1073,6 @@ impl StreamingLintPass for StreamingIdlePortPass {
 pub struct StreamingOptimalityPass;
 
 impl StreamingLintPass for StreamingOptimalityPass {
-    fn name(&self) -> &'static str {
-        "optimality"
-    }
-
     fn stage(&self) -> PassStage {
         PassStage::Quality
     }
@@ -1177,10 +1135,11 @@ impl StreamingLintPass for StreamingOptimalityPass {
     }
 }
 
-/// `P0017`, streaming: well-formed sends arrive in canonical arena
+/// `P0017`, streaming: well-formed sends arrive in canonical schedule
 /// order (the finalization protocol's guarantee), so non-edge findings
-/// are detected online and appended verbatim at `finish` — the same
-/// order the batch pass produces by sweeping the arena.
+/// are detected online and appended verbatim at `finish`. Malformed
+/// sends (`P0004`) have no defined endpoints on the graph and are not
+/// re-reported here.
 pub struct StreamingNonEdgePass {
     topo: Topology,
     found: Vec<Diagnostic>,
@@ -1197,10 +1156,6 @@ impl StreamingNonEdgePass {
 }
 
 impl StreamingLintPass for StreamingNonEdgePass {
-    fn name(&self) -> &'static str {
-        "non-edge"
-    }
-
     fn stage(&self) -> PassStage {
         PassStage::Shape
     }
@@ -1237,20 +1192,18 @@ impl StreamingLintPass for StreamingNonEdgePass {
     }
 }
 
-/// `P0019`, streaming: a pure `finish`-time BFS over the topology,
-/// root-cause-suppressing the `P0005`s the coverage pass (registered
-/// earlier in the Broadcast stage) already emitted for partitioned
-/// processors — identical logic to the batch pass.
+/// `P0019`, streaming: a pure `finish`-time BFS over the topology. A
+/// processor with no path from the originator can never be informed,
+/// by any schedule, so the graph-level finding root-cause-suppresses
+/// the `P0005` the coverage pass (registered earlier in the Broadcast
+/// stage) already emitted for it — the way `P0012` silences downstream
+/// findings in `postal-abs`.
 pub struct StreamingTopologyReachabilityPass {
     /// The communication graph to check reachability over.
     pub topo: Topology,
 }
 
 impl StreamingLintPass for StreamingTopologyReachabilityPass {
-    fn name(&self) -> &'static str {
-        "topology-reachability"
-    }
-
     fn stage(&self) -> PassStage {
         PassStage::Broadcast
     }
@@ -1306,17 +1259,16 @@ impl StreamingLintPass for StreamingTopologyReachabilityPass {
 
 /// `P0018`, streaming: a pure `finish`-time check of the running
 /// completion maximum against the BFS bound `(m−1) + λ·ecc(originator)`
-/// — identical arithmetic to the batch pass.
+/// — a message reaching a processor at graph distance `d` traverses `d`
+/// edges at λ per hop. The sparse-graph analogue of `P0007`'s Lemma 8
+/// gap; never emitted for the complete graph, where `P0007`'s `f_λ(n)`
+/// bound is stronger.
 pub struct StreamingTopologyOptimalityPass {
     /// The communication graph whose eccentricity grounds the bound.
     pub topo: Topology,
 }
 
 impl StreamingLintPass for StreamingTopologyOptimalityPass {
-    fn name(&self) -> &'static str {
-        "topology-optimality"
-    }
-
     fn stage(&self) -> PassStage {
         PassStage::Quality
     }
@@ -1376,8 +1328,11 @@ impl StreamingLintPass for StreamingTopologyOptimalityPass {
 
 #[cfg(test)]
 mod tests {
-    use super::super::{lint_schedule, PassManager};
+    use super::super::reference::lint_schedule_reference;
+    use super::super::{lint_schedule, lint_schedule_with_topology};
     use super::*;
+    use crate::schedule::Schedule;
+    use crate::topology::TopologySpec;
 
     fn send(src: u32, dst: u32, num: i128, den: i128) -> TimedSend {
         TimedSend {
@@ -1389,6 +1344,10 @@ mod tests {
 
     fn lam52() -> Latency {
         Latency::from_ratio(5, 2)
+    }
+
+    fn codes(diags: &[Diagnostic]) -> Vec<LintCode> {
+        diags.iter().map(|d| d.code).collect()
     }
 
     /// A messy schedule exercising every pass at once.
@@ -1408,22 +1367,22 @@ mod tests {
     }
 
     #[test]
-    fn streaming_matches_batch_on_a_messy_schedule() {
+    fn engine_matches_reference_on_a_messy_schedule() {
         for opts in [
             LintOptions::default(),
             LintOptions::ports_only(),
             LintOptions::broadcast_of(3),
         ] {
             assert_eq!(
-                lint_schedule_streaming(&messy(), &opts),
-                PassManager::standard().run(&messy(), &opts),
+                lint_schedule(&messy(), &opts),
+                lint_schedule_reference(&messy(), &opts),
                 "{opts:?}"
             );
         }
     }
 
     #[test]
-    fn streaming_matches_batch_on_clean_and_lazy_broadcasts() {
+    fn engine_matches_reference_on_clean_and_lazy_broadcasts() {
         // Optimal two-hop (clean), then a lazy line (P0006 + P0007).
         for sends in [
             vec![send(0, 1, 0, 1), send(0, 2, 1, 1)],
@@ -1431,22 +1390,112 @@ mod tests {
         ] {
             let s = Schedule::new(3, lam52(), sends);
             let opts = LintOptions::default();
-            assert_eq!(lint_schedule_streaming(&s, &opts), lint_schedule(&s, &opts));
+            assert_eq!(lint_schedule(&s, &opts), lint_schedule_reference(&s, &opts));
         }
     }
 
     #[test]
-    fn streaming_matches_batch_off_the_half_unit_lattice() {
+    fn engine_matches_reference_off_the_half_unit_lattice() {
         // λ = 4/3 keeps every receive window off-lattice; the exact
-        // pending lane and exact slots must agree with batch.
+        // pending lane and exact slots must agree with the reference.
         let s = Schedule::new(
             3,
             Latency::from_ratio(4, 3),
             vec![send(0, 1, 0, 1), send(0, 2, 1, 3), send(1, 2, 2, 1)],
         );
         for opts in [LintOptions::default(), LintOptions::ports_only()] {
-            assert_eq!(lint_schedule_streaming(&s, &opts), lint_schedule(&s, &opts));
+            assert_eq!(lint_schedule(&s, &opts), lint_schedule_reference(&s, &opts));
         }
+    }
+
+    fn topo(spec: &str, n: u32) -> Topology {
+        spec.parse::<TopologySpec>()
+            .unwrap()
+            .instantiate(n)
+            .unwrap()
+    }
+
+    #[test]
+    fn topology_passes_are_vacuous_on_complete() {
+        let complete = Topology::complete(5);
+        for opts in [
+            LintOptions::default(),
+            LintOptions::ports_only(),
+            LintOptions::broadcast_of(3),
+        ] {
+            assert_eq!(
+                lint_schedule_with_topology(&messy(), &opts, &complete),
+                lint_schedule(&messy(), &opts),
+            );
+        }
+    }
+
+    #[test]
+    fn p0017_fires_on_a_ring_chord() {
+        // 0 -> 2 is a chord of the 4-ring; 0 -> 1 is an edge.
+        let s = Schedule::new(
+            4,
+            Latency::from_int(2),
+            vec![send(0, 1, 0, 1), send(0, 2, 1, 1)],
+        );
+        let diags = lint_schedule_with_topology(&s, &LintOptions::ports_only(), &topo("ring", 4));
+        assert_eq!(diags.len(), 1);
+        assert_eq!(diags[0].code, LintCode::NonEdgeSend);
+        assert_eq!(diags[0].proc, Some(0));
+        assert_eq!(
+            diags[0].message,
+            "p0 sends to p2 at t = 1, but p0-p2 is not an edge of the ring topology"
+        );
+    }
+
+    #[test]
+    fn p0018_warns_on_a_gap_and_errors_below_the_bound() {
+        // Ring of 3 = triangle, ecc = 1, bound = λ = 1; the two-hop line
+        // completes at 2 → warn with gap 1. (f_1(3) = 2, so P0007 stays
+        // silent — the graph bound is the only finding.)
+        let lam = Latency::from_int(1);
+        let ring3 = topo("ring", 3);
+        let s = Schedule::new(3, lam, vec![send(0, 1, 0, 1), send(1, 2, 1, 1)]);
+        let diags = lint_schedule_with_topology(&s, &LintOptions::default(), &ring3);
+        assert_eq!(codes(&diags), vec![LintCode::TopologyOptimalityGap]);
+        assert_eq!(diags[0].severity, Severity::Warn);
+        assert_eq!(diags[0].related_time, Some(Time::from_int(1)));
+
+        // Claiming three messages over a star that completes at t = 2
+        // beats both (m−1) + λ·ecc = 3 and (m−1) + f_1(3) = 4: each
+        // bound reports its own error, and no earlier stage suppresses
+        // the quality stage.
+        let fast = Schedule::new(3, lam, vec![send(0, 1, 0, 1), send(0, 2, 1, 1)]);
+        let diags = lint_schedule_with_topology(&fast, &LintOptions::broadcast_of(3), &ring3);
+        assert_eq!(
+            codes(&diags),
+            vec![LintCode::OptimalityGap, LintCode::TopologyOptimalityGap]
+        );
+        assert!(diags.iter().all(|d| d.severity == Severity::Error));
+        assert_eq!(diags[1].related_time, Some(Time::from_int(3)));
+        assert_eq!(
+            diags[1].message,
+            "completes at t = 2, beating the ring topology lower bound 3 for 3 \
+             message(s) from p0 — some transfer must bypass the graph"
+        );
+    }
+
+    #[test]
+    fn p0019_suppresses_p0005_for_partitioned_processors() {
+        // A 2-ring oracle against a 3-processor schedule: p2 is outside
+        // the graph entirely, the degenerate image of a partition. The
+        // timing-level P0005 must fold into the graph-level P0019.
+        let s = Schedule::new(3, Latency::from_int(2), vec![send(0, 1, 0, 1)]);
+        let diags = lint_schedule_with_topology(&s, &LintOptions::default(), &topo("ring", 2));
+        assert_eq!(codes(&diags), vec![LintCode::TopologyPartitionUnreachable]);
+        assert_eq!(diags[0].proc, Some(2));
+        assert!(
+            diags[0]
+                .message
+                .ends_with("(suppresses the timing-level P0005)"),
+            "{}",
+            diags[0].message
+        );
     }
 
     #[test]
@@ -1461,11 +1510,11 @@ mod tests {
         }
         assert_eq!(lint.pending_len(), 3);
         let streamed = lint.finish();
-        let batch = lint_schedule(
+        let sorted = lint_schedule_reference(
             &Schedule::new(4, Latency::from_int(2), sends.to_vec()),
             &LintOptions::ports_only(),
         );
-        assert_eq!(streamed, batch);
+        assert_eq!(streamed, sorted);
     }
 
     #[test]
@@ -1495,11 +1544,11 @@ mod tests {
         assert!(diags
             .iter()
             .all(|d| d.code == LintCode::UninformedProcessor));
-        let batch = lint_schedule(
+        let reference = lint_schedule_reference(
             &Schedule::new(4, lam52(), Vec::new()),
             &LintOptions::default(),
         );
-        assert_eq!(diags, batch);
+        assert_eq!(diags, reference);
         // n = 1 with nothing to inform is clean.
         assert!(StreamingLint::new(1, lam52(), LintOptions::default())
             .finish()

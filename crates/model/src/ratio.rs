@@ -486,6 +486,11 @@ impl PartialOrd for Ratio {
 
 impl Ord for Ratio {
     fn cmp(&self, other: &Ratio) -> Ordering {
+        // Denominators are reduced and positive, so a shared one (the
+        // common case: times on one lattice) compares by numerator.
+        if self.den == other.den {
+            return self.num.cmp(&other.num);
+        }
         // a/b vs c/d  ⇔  a·d vs c·b  (b, d > 0). Cross-reduce first.
         let g_num = gcd(self.num, other.num);
         let g_den = gcd(self.den, other.den);

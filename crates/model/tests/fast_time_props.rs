@@ -1,24 +1,29 @@
-//! Property tests for the `i64` fixed-point time fast path.
+//! Property tests for the time fast paths.
 //!
-//! The lint engine's hot comparisons run on [`FastTime`] (half-units in
-//! an `i64`) whenever λ and every send start sit on the half-integer
-//! lattice, with a transparent exact-`Ratio` fallback otherwise. These
-//! properties pin the contract:
+//! The lint engine's hot comparisons run on `i64` half-units (and
+//! [`FastTime`]) whenever a time sits on the half-integer lattice, with
+//! a transparent exact-`Ratio` fallback otherwise, and exact [`Ratio`]
+//! comparison short-circuits on a shared denominator. These properties
+//! pin the contract:
 //!
-//! * on random half-integer-λ schedules, the fast path agrees with the
-//!   exact path on **every** comparison, every index predicate, and
-//!   every emitted diagnostic (byte for byte);
+//! * on random half-integer-λ schedules, off-lattice schedules and
+//!   schedules with overflow-adjacent times, the lint engine agrees
+//!   with the seed reference engine on every emitted diagnostic (byte
+//!   for byte);
 //! * arithmetic on random lattice values matches [`Time`] exactly,
 //!   through `Display`;
 //! * overflow-adjacent values force the exact fallback rather than
-//!   wrapping, and results remain exact.
+//!   wrapping, and results remain exact;
+//! * `Ratio` ordering agrees with the sign of the exact difference,
+//!   with shared and distinct denominators alike.
 
 use postal_model::lint::reference::lint_schedule_reference;
-use postal_model::lint::{lint_schedule, LintOptions, ScheduleIndex};
+use postal_model::lint::{lint_schedule, LintOptions};
 use postal_model::schedule::{Schedule, TimedSend};
 use postal_model::time::FIXED_LIMIT;
-use postal_model::{FastTime, Latency, Time};
+use postal_model::{FastTime, Latency, Ratio, Time};
 use proptest::prelude::*;
+use std::cmp::Ordering;
 
 /// Random half-integer λ: k/2 with 2 ≤ k ≤ 16 (so 1 ≤ λ ≤ 8).
 fn arb_half_lambda() -> impl Strategy<Value = Latency> {
@@ -47,27 +52,6 @@ fn arb_half_schedule() -> impl Strategy<Value = Schedule> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
-
-    #[test]
-    fn fast_lane_predicates_agree_with_exact_arithmetic(s in arb_half_schedule()) {
-        let idx = ScheduleIndex::build(&s);
-        prop_assert!(idx.has_fast_lane(), "half-integer schedule must take the fast lane");
-        let arena = idx.arena();
-        for i in 0..arena.len() {
-            for j in 0..arena.len() {
-                prop_assert_eq!(
-                    idx.lt_one_apart(i, j),
-                    arena[j].send_start < arena[i].send_start + Time::ONE,
-                    "lt_one_apart({}, {})", i, j
-                );
-            }
-            let exact_informed = match idx.first_receipt(arena[i].src) {
-                Some(t) => t <= arena[i].send_start,
-                None => false,
-            };
-            prop_assert_eq!(idx.sender_informed(i), exact_informed, "sender_informed({})", i);
-        }
-    }
 
     #[test]
     fn diagnostics_agree_byte_for_byte_on_the_lattice(s in arb_half_schedule(), m in 1u64..=4) {
@@ -121,12 +105,13 @@ proptest! {
         s in arb_half_schedule(), third in 1i128..=5
     ) {
         // Push one send off the half-integer lattice (numerator chosen
-        // ≢ 0 mod 3 so the fraction never reduces): the lane must
-        // disengage and the exact path must still match the reference.
+        // ≢ 0 mod 3 so the fraction never reduces): it takes the exact
+        // lane, merged with the integer lane, and the report must still
+        // match the reference.
         let mut sends: Vec<TimedSend> = s.sends().to_vec();
         sends.push(TimedSend { src: 0, dst: 1, send_start: Time::new(3 * third + 1, 3) });
         let off = Schedule::new(s.n(), s.latency(), sends);
-        prop_assert!(!ScheduleIndex::build(&off).has_fast_lane());
+        prop_assert!(off.sends().iter().any(|t| t.send_start.to_half_units().is_none()));
         let opts = LintOptions::default();
         prop_assert_eq!(
             lint_schedule(&off, &opts),
@@ -135,9 +120,10 @@ proptest! {
     }
 
     #[test]
-    fn oversized_times_disable_the_lane_entirely(s in arb_half_schedule()) {
-        // One overflow-adjacent start disables the all-or-nothing lane;
-        // diagnostics still match the reference through the exact path.
+    fn oversized_times_take_the_exact_lane(s in arb_half_schedule()) {
+        // One start just past the fixed-point ceiling cannot use the
+        // integer lane; diagnostics still match the reference through
+        // the exact path.
         let mut sends: Vec<TimedSend> = s.sends().to_vec();
         sends.push(TimedSend {
             src: 0,
@@ -145,11 +131,41 @@ proptest! {
             send_start: Time::from_half_units(FIXED_LIMIT) + Time::ONE,
         });
         let huge = Schedule::new(s.n(), s.latency(), sends);
-        prop_assert!(!ScheduleIndex::build(&huge).has_fast_lane());
         let opts = LintOptions::default();
         prop_assert_eq!(
             lint_schedule(&huge, &opts),
             lint_schedule_reference(&huge, &opts)
         );
     }
+
+    #[test]
+    fn ratio_order_is_the_sign_of_the_difference(
+        an in arb_numer(),
+        bn in arb_numer(),
+        ad in 1i128..=12,
+        bd in 1i128..=12,
+        shared in any::<bool>(),
+    ) {
+        let a = Ratio::new(an, ad);
+        // Adding an integer keeps the reduced denominator, so `shared`
+        // pairs always take the equal-denominator comparison.
+        let b = if shared { a + Ratio::from_int(bn) } else { Ratio::new(bn, bd) };
+        prop_assert!(!shared || a.denom() == b.denom());
+        prop_assert_eq!(a.cmp(&b), (a - b).signum().cmp(&0));
+        prop_assert_eq!(b.cmp(&a), (b - a).signum().cmp(&0));
+        prop_assert_eq!(a.cmp(&a), Ordering::Equal);
+    }
+}
+
+/// A numerator near zero or near ±[`FIXED_LIMIT`], so comparisons cover
+/// negative values and magnitudes at the fixed-point ceiling.
+fn arb_numer() -> impl Strategy<Value = i128> {
+    (0u8..3, -1000i128..=1000).prop_map(|(band, offset)| {
+        let base = match band {
+            0 => 0,
+            1 => FIXED_LIMIT as i128,
+            _ => -(FIXED_LIMIT as i128),
+        };
+        base + offset
+    })
 }

@@ -151,8 +151,8 @@ impl LintStream {
         self.inner.index().sends_observed()
     }
 
-    /// Finalizes every pending send and returns the lint report, in the
-    /// batch engine's report order.
+    /// Finalizes every pending send and returns the lint report, in
+    /// `lint_schedule`'s report order.
     pub fn finish(self) -> Vec<Diagnostic> {
         self.inner.finish()
     }

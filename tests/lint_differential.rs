@@ -1,13 +1,15 @@
-//! Differential acceptance grid for the single-sweep lint engine.
+//! Differential acceptance grid for the lint engine.
 //!
-//! The pass manager behind `lint_schedule` must be **byte-identical**
-//! to the retained seed engine (`lint::reference`) — not just
+//! `lint_schedule` — a fold of the schedule's sends through the
+//! streaming engine — must be **byte-identical** to the retained seed
+//! engine (`lint::reference`), the single independent oracle: not just
 //! same-verdict but same rendered report and same `--format json`
 //! output, diagnostic for diagnostic. This suite drives both engines
 //! over the full acceptance grid (every shipped broadcast algorithm,
-//! n ≤ 64, λ ∈ {1, 2, 5/2}, m ≤ 4) and over adversarially dirtied
+//! n ≤ 64, λ ∈ {1, 2, 5/2, 7/3}, m ≤ 4) and over adversarially dirtied
 //! schedules where every code `P0001`–`P0007` actually fires, comparing
-//! the exact bytes the CLI would print.
+//! the exact bytes the CLI would print. λ = 7/3 keeps receive windows
+//! off the half-unit lattice, exercising the engine's exact lanes.
 
 use postal::algos::{
     flood_schedule, run_bcast, run_dtree, run_pack, run_pipeline, run_repeat, run_repeat_greedy,
@@ -23,6 +25,7 @@ fn lambdas() -> Vec<Latency> {
         Latency::from_int(1),
         Latency::from_int(2),
         Latency::from_ratio(5, 2),
+        Latency::from_ratio(7, 3),
     ]
 }
 

@@ -1,20 +1,32 @@
-//! Differential acceptance grid for the **streaming** lint engine.
+//! Event-level parity for the **streaming** lint path.
 //!
-//! `lint_schedule_streaming` (bounded-memory watermark engine) must be
-//! **byte-identical** to the batch pass manager `lint_schedule` — not
-//! just same-verdict but same rendered report and same `--format json`
-//! output, diagnostic for diagnostic. This suite drives both engines
-//! over the full acceptance grid (every shipped broadcast algorithm,
-//! n ≤ 64, λ ∈ {1, 2, 5/2, 7/3}, m ≤ 4), over adversarially dirtied
-//! schedules where every code `P0001`–`P0007` actually fires, and over
-//! **event-level** replays through the ring recorder — where sampling
-//! and truncation downgrades must land identically on both paths.
+//! Two halves. The first replays every schedule of the acceptance grid
+//! (every shipped broadcast algorithm, n ≤ 64, λ ∈ {1, 2, 5/2, 7/3},
+//! m ≤ 4, plus adversarially dirtied and lazy schedules) as a sorted
+//! event log through `LintStream`, and pins the report **byte-identical**
+//! to the seed oracle `lint_schedule_reference`. The replay drives the
+//! watermark from receive arrivals as well as send starts — off the
+//! half-unit lattice when λ = 7/3 — and feeds sends that share a start
+//! in reverse canonical order, so finalization order comes from the
+//! engine's pending heap, not from the feed.
+//!
+//! The second half compares the two CLI paths over recorder logs. The
+//! batch path is exactly what `postal-cli lint` does to a JSONL log:
+//! serialize, reduce to a schedule file, lint, downgrade. The streaming
+//! path is exactly what `lint --stream` does: fold the events through a
+//! `LintStream` and apply the same downgrades from the stream's own
+//! accounting. The two must stay byte-identical — same diagnostics,
+//! same rendered report, same `--format json` output — even when the
+//! log is a partial or truncated trace from the ring recorder, where
+//! sampling and truncation downgrades must land identically on both
+//! paths. (Schedule-level agreement of `lint_schedule` with the seed
+//! oracle is pinned by `tests/lint_differential.rs`.)
 
 use postal::algos::{
     flood_schedule, run_bcast, run_dtree, run_pack, run_pipeline, run_repeat, run_repeat_greedy,
     BroadcastTree, ToSchedule,
 };
-use postal::model::lint::lint_schedule_streaming;
+use postal::model::lint::reference::lint_schedule_reference;
 use postal::model::schedule::{Schedule, TimedSend};
 use postal::model::{Latency, Time};
 use postal::sim::log_from_report;
@@ -36,20 +48,64 @@ fn lambdas() -> Vec<Latency> {
     ]
 }
 
-/// Asserts the two engines emit the same bytes for `schedule`:
-/// rendered report and JSON array, plus the raw diagnostic values.
+/// `schedule` as the sorted event log a recorder snapshot holds: each
+/// send at its start, each receive at its arrival `send_start + λ − 1`.
+/// Sends sharing a start keep reverse canonical order (the sort is
+/// stable), so the engine must reorder them itself.
+fn sorted_log_events(schedule: &Schedule) -> Vec<ObsEvent> {
+    let lam = schedule.latency().as_time();
+    let mut events = Vec::with_capacity(2 * schedule.len());
+    for (seq, s) in schedule.sends().iter().enumerate().rev() {
+        let arrival = s.send_start + lam - Time::ONE;
+        events.push(ObsEvent::Send {
+            seq: seq as u64,
+            src: s.src,
+            dst: s.dst,
+            start: s.send_start,
+            finish: s.send_start + Time::ONE,
+        });
+        events.push(ObsEvent::Recv {
+            seq: seq as u64,
+            src: s.src,
+            dst: s.dst,
+            arrival,
+            start: arrival,
+            finish: arrival + Time::ONE,
+            queued: false,
+        });
+    }
+    events.sort_by_key(|e| e.at());
+    events
+}
+
+/// Asserts the `LintStream` replay of `schedule` emits the oracle's
+/// bytes: rendered report and JSON array, plus the raw diagnostic
+/// values.
 fn assert_identical(schedule: &Schedule, opts: &LintOptions, context: &str) {
-    let batch = lint_schedule(schedule, opts);
-    let streamed = lint_schedule_streaming(schedule, opts);
-    assert_eq!(streamed, batch, "diagnostics diverge: {context}");
+    let mut stream = LintStream::new(
+        schedule.n(),
+        schedule.latency(),
+        *opts,
+        StreamOrdering::SortedLog,
+    );
+    for ev in sorted_log_events(schedule) {
+        stream.on_event(&ev);
+    }
+    assert!(
+        !stream.out_of_order(),
+        "sorted replay tripped ordering: {context}"
+    );
+    let streamed = stream.finish();
+    let oracle = lint_schedule_reference(schedule, opts);
+    assert_eq!(streamed, oracle, "diagnostics diverge: {context}");
     assert_eq!(
         render::render_report(&streamed, context),
-        render::render_report(&batch, context),
+        render::render_report(&oracle, context),
         "rendered report diverges: {context}"
     );
     assert_eq!(
         json::diagnostics_to_json(&streamed),
-        json::diagnostics_to_json(&batch),
+        json::diagnostics_to_json(&oracle),
         "JSON output diverges: {context}"
     );
 }
@@ -119,8 +175,9 @@ fn corrupt_dst(schedule: &Schedule, idx: usize) -> Schedule {
 #[test]
 fn dirty_schedules_are_byte_identical() {
     // Every mutation of every tree schedule in the small grid: the
-    // engines must agree on *broken* inputs — where diagnostics exist,
-    // suppression kicks in, and finalization order actually matters.
+    // replay must match the oracle on *broken* inputs — where
+    // diagnostics exist, suppression kicks in, and finalization order
+    // actually matters.
     for lam in lambdas() {
         for n in 2..=24u64 {
             let tree = BroadcastTree::build(n, lam).to_schedule();
@@ -171,14 +228,8 @@ fn idle_and_gap_warnings_are_byte_identical() {
 }
 
 // ---------------------------------------------------------------------
-// Event-level parity: recorder logs, sampling, truncation.
-//
-// The batch path is exactly what `postal-cli lint` does to a JSONL log:
-// serialize, reduce to a schedule file, lint, downgrade. The streaming
-// path is exactly what `lint --stream` does: fold the events through a
-// `LintStream` and apply the same downgrades from the stream's own
-// accounting. The two must stay byte-identical even when the log is a
-// partial or truncated trace.
+// Log-level parity: `lint --stream` vs `lint` over recorder logs,
+// sampling, truncation.
 // ---------------------------------------------------------------------
 
 /// Batch-lints a log the way `postal-cli lint` does: via JSONL text,

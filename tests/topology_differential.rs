@@ -1,25 +1,25 @@
 //! Differential acceptance grid for the **topology-aware** lint path.
 //!
-//! `--topology complete` must be a no-op in the strongest sense: both
-//! the batch pass manager (`lint_schedule_with_topology`) and the
-//! streaming engine (`lint_schedule_streaming_with_topology`) must be
+//! `--topology complete` must be a no-op in the strongest sense:
+//! `lint_schedule_with_topology` on the complete graph must be
 //! **byte-identical** — same diagnostics, same rendered report, same
-//! `--format json` output — to their topology-free counterparts on the
-//! complete graph, over the full acceptance grid (every shipped
-//! broadcast algorithm, n ≤ 64, λ ∈ {1, 2, 5/2, 7/3}, m ≤ 4) and over
-//! adversarially dirtied schedules where `P0001`–`P0007` actually fire.
+//! `--format json` output — to plain `lint_schedule`, over the full
+//! acceptance grid (every shipped broadcast algorithm, n ≤ 64,
+//! λ ∈ {1, 2, 5/2, 7/3}, m ≤ 4) and over adversarially dirtied
+//! schedules where `P0001`–`P0007` actually fire.
 //!
 //! The property half pins the sparse graphs themselves: a BFS-tree
-//! schedule built from a ring / torus / hypercube oracle only ever
-//! sends along edges of that graph, so it must be `P0017`- and
+//! schedule built from a ring / torus / hypercube / Knödel oracle only
+//! ever sends along edges of that graph, so it must be `P0017`- and
 //! `P0019`-clean (and free of hard validity errors) for random shapes
-//! and latencies.
+//! and latencies; and on random dirty schedules the `P0017` findings
+//! are exactly the well-formed sends across a non-edge, checked against
+//! the oracle's `is_edge` directly.
 
 use postal::algos::{
     flood_schedule, run_bcast, run_dtree, run_pack, run_pipeline, run_repeat, run_repeat_greedy,
     BroadcastTree, ToSchedule,
 };
-use postal::model::lint::{lint_schedule_streaming, lint_schedule_streaming_with_topology};
 use postal::model::schedule::{Schedule, TimedSend};
 use postal::model::{Latency, Time, Topology, TopologySpec};
 use postal::verify::{
@@ -36,42 +36,22 @@ fn lambdas() -> Vec<Latency> {
     ]
 }
 
-/// Asserts that handing both engines the complete graph changes not a
-/// byte: batch-with-topology vs batch, streaming-with-topology vs
-/// streaming, rendered report and JSON array included.
+/// Asserts that handing the linter the complete graph changes not a
+/// byte: diagnostics, rendered report and JSON array included.
 fn assert_complete_identical(schedule: &Schedule, opts: &LintOptions, context: &str) {
     let complete = Topology::complete(schedule.n());
-
-    let batch = lint_schedule(schedule, opts);
-    let batch_topo = lint_schedule_with_topology(schedule, opts, &complete);
-    assert_eq!(batch_topo, batch, "batch diagnostics diverge: {context}");
-
-    let streamed = lint_schedule_streaming(schedule, opts);
-    let streamed_topo = lint_schedule_streaming_with_topology(schedule, opts, &complete);
+    let plain = lint_schedule(schedule, opts);
+    let topo = lint_schedule_with_topology(schedule, opts, &complete);
+    assert_eq!(topo, plain, "diagnostics diverge: {context}");
     assert_eq!(
-        streamed_topo, streamed,
-        "streaming diagnostics diverge: {context}"
-    );
-
-    assert_eq!(
-        render::render_report(&batch_topo, context),
-        render::render_report(&batch, context),
+        render::render_report(&topo, context),
+        render::render_report(&plain, context),
         "rendered report diverges: {context}"
     );
     assert_eq!(
-        json::diagnostics_to_json(&batch_topo),
-        json::diagnostics_to_json(&batch),
+        json::diagnostics_to_json(&topo),
+        json::diagnostics_to_json(&plain),
         "JSON output diverges: {context}"
-    );
-    assert_eq!(
-        render::render_report(&streamed_topo, context),
-        render::render_report(&streamed, context),
-        "streaming rendered report diverges: {context}"
-    );
-    assert_eq!(
-        json::diagnostics_to_json(&streamed_topo),
-        json::diagnostics_to_json(&streamed),
-        "streaming JSON output diverges: {context}"
     );
 }
 
@@ -239,9 +219,66 @@ fn assert_topology_clean(topo: &Topology, lam: Latency) -> Result<(), TestCaseEr
         topo.spec(),
         diags
     );
-    // The streaming engine agrees byte-for-byte on sparse graphs too.
-    let streamed = lint_schedule_streaming_with_topology(&schedule, &LintOptions::default(), topo);
-    prop_assert_eq!(streamed, diags);
+    Ok(())
+}
+
+/// One of the four sparse constructions, sized by `k`: a ring of
+/// `k + 1`, a torus with `k` rows, a hypercube of dimension `k − 1`, or
+/// a Knödel graph on `2k` processors.
+fn sparse_topology(kind: u8, k: u32, cols: u32) -> Topology {
+    let (spec, n) = match kind {
+        0 => (TopologySpec::Ring, k + 1),
+        1 => (TopologySpec::Torus { rows: k, cols }, k * cols),
+        2 => (TopologySpec::Hypercube { dim: k - 1 }, 1 << (k - 1)),
+        _ => (TopologySpec::Mbg { n: 2 * k }, 2 * k),
+    };
+    spec.instantiate(n).unwrap()
+}
+
+/// Random sends over `n` processors, deliberately dirty: endpoints may
+/// be out of range or equal, starts may be negative or off the
+/// half-unit lattice (thirds).
+fn dirty_sends(n: u32, raw: Vec<(u32, u32, i128, i128)>) -> Vec<TimedSend> {
+    raw.into_iter()
+        .map(|(src, dst, num, den)| TimedSend {
+            src: src % (n + 2),
+            dst: dst % (n + 2),
+            send_start: Time::new(num, den),
+        })
+        .collect()
+}
+
+/// Asserts that, with and without the broadcast stages, the `P0017`
+/// findings are exactly the well-formed sends across a non-edge of
+/// `topo`, one finding per send.
+fn assert_non_edges_exact(
+    topo: &Topology,
+    lam: Latency,
+    raw: Vec<(u32, u32, i128, i128)>,
+) -> Result<(), TestCaseError> {
+    let n = topo.n();
+    let schedule = Schedule::new(n, lam, dirty_sends(n, raw));
+    // `Schedule::new` keeps the sends in canonical order, the order the
+    // findings are sorted back into below.
+    let expected: Vec<TimedSend> = schedule
+        .sends()
+        .iter()
+        .filter(|s| s.src < n && s.dst < n && s.src != s.dst && s.send_start >= Time::ZERO)
+        .filter(|s| !topo.is_edge(s.src, s.dst))
+        .copied()
+        .collect();
+    for opts in [LintOptions::default(), LintOptions::ports_only()] {
+        let diags = lint_schedule_with_topology(&schedule, &opts, topo);
+        let mut found = Vec::new();
+        for d in diags.iter().filter(|d| d.code == LintCode::NonEdgeSend) {
+            prop_assert_eq!(d.severity, Severity::Error);
+            prop_assert_eq!(d.sends.len(), 1);
+            prop_assert_eq!(d.proc, Some(d.sends[0].src));
+            found.push(d.sends[0]);
+        }
+        found.sort_by_key(|s| (s.send_start, s.src, s.dst));
+        prop_assert_eq!(&found, &expected, "{}: {:?}", topo.spec(), opts);
+    }
     Ok(())
 }
 
@@ -278,5 +315,16 @@ proptest! {
         let n = 2 * half;
         let topo = TopologySpec::Mbg { n }.instantiate(n).unwrap();
         assert_topology_clean(&topo, lam)?;
+    }
+
+    #[test]
+    fn non_edge_findings_are_exactly_the_non_edge_sends(
+        lam in arb_latency8(),
+        kind in 0u8..4,
+        k in 1u32..=6,
+        cols in 1u32..=5,
+        raw in collection::vec((0u32..72, 0u32..72, -2i128..=40, 1i128..=3), 0..32),
+    ) {
+        assert_non_edges_exact(&sparse_topology(kind, k, cols), lam, raw)?;
     }
 }
