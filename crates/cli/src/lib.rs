@@ -463,9 +463,9 @@ fn lint_streaming(
     deny: postal_verify::Severity,
     as_json: bool,
 ) -> Result<String, CliError> {
-    use postal_obs::{JsonlParser, LintStream, StreamOrdering};
+    use postal_obs::{JsonlParser, LineReader, LintStream, StreamOrdering};
     use postal_verify::LintOptions;
-    use std::io::{BufRead as _, Cursor, Read as _};
+    use std::io::{Cursor, Read as _};
     if !is_jsonl {
         return Err(CliError::Invalid(format!(
             "{path}: --stream needs an observability JSONL event log \
@@ -481,9 +481,9 @@ fn lint_streaming(
     // still the exact batch report.
     let mut stream: Option<LintStream> = None;
     let mut header: Option<(u32, Latency, u64, u64)> = None;
-    for line in Cursor::new(first_line).chain(reader).lines() {
-        let line = line.map_err(|e| invalid(&e))?;
-        let event = parser.line(&line).map_err(|e| invalid(&e))?;
+    let mut lines = LineReader::new(Cursor::new(first_line).chain(reader));
+    while let Some(line) = lines.next_line().map_err(|e| invalid(&e))? {
+        let event = parser.line(line).map_err(|e| invalid(&e))?;
         if stream.is_none() {
             if let Some(meta) = parser.meta() {
                 let lam = meta.lambda.ok_or_else(|| {

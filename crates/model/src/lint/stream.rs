@@ -70,10 +70,11 @@ use crate::latency::Latency;
 use crate::runtimes;
 use crate::schedule::TimedSend;
 use crate::time::{FastTime, Time};
-use crate::topology::{Topology, UNREACHABLE};
+use crate::topology::{eccentricity_of, Topology, UNREACHABLE};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 use std::mem::size_of;
+use std::sync::{Arc, OnceLock};
 
 /// Sentinel for "no value" in a [`TimeSlots`] half-unit lane. Larger
 /// than any representable half-unit value.
@@ -380,12 +381,16 @@ impl StreamingLint {
             .passes
             .push(Box::new(StreamingNonEdgePass::new(topo)));
         if opts.broadcast {
+            let dist = OriginDistances::default();
             engine
                 .passes
-                .push(Box::new(StreamingTopologyReachabilityPass { topo }));
+                .push(Box::new(StreamingTopologyReachabilityPass {
+                    topo,
+                    dist: dist.clone(),
+                }));
             engine
                 .passes
-                .push(Box::new(StreamingTopologyOptimalityPass { topo }));
+                .push(Box::new(StreamingTopologyOptimalityPass { topo, dist }));
         }
         engine
     }
@@ -1192,6 +1197,18 @@ impl StreamingLintPass for StreamingNonEdgePass {
     }
 }
 
+/// The BFS distances from the originator over the topology, computed
+/// once per lint on first use and shared by `P0019` (reachability) and
+/// `P0018` (eccentricity).
+#[derive(Clone, Default)]
+struct OriginDistances(Arc<OnceLock<Vec<u32>>>);
+
+impl OriginDistances {
+    fn get(&self, topo: &Topology, origin: u32) -> &[u32] {
+        self.0.get_or_init(|| topo.bfs_distances(origin))
+    }
+}
+
 /// `P0019`, streaming: a pure `finish`-time BFS over the topology. A
 /// processor with no path from the originator can never be informed,
 /// by any schedule, so the graph-level finding root-cause-suppresses
@@ -1201,6 +1218,7 @@ impl StreamingLintPass for StreamingNonEdgePass {
 pub struct StreamingTopologyReachabilityPass {
     /// The communication graph to check reachability over.
     pub topo: Topology,
+    dist: OriginDistances,
 }
 
 impl StreamingLintPass for StreamingTopologyReachabilityPass {
@@ -1217,7 +1235,7 @@ impl StreamingLintPass for StreamingTopologyReachabilityPass {
         let n = cx.index.n();
         let orig = cx.opts.originator;
         let spec = self.topo.spec();
-        let dist = self.topo.bfs_distances(orig);
+        let dist = self.dist.get(&self.topo, orig);
         let cut: Vec<u32> = (0..n)
             .filter(|&p| {
                 p != orig && dist.get(p as usize).copied().unwrap_or(UNREACHABLE) == UNREACHABLE
@@ -1266,6 +1284,7 @@ impl StreamingLintPass for StreamingTopologyReachabilityPass {
 pub struct StreamingTopologyOptimalityPass {
     /// The communication graph whose eccentricity grounds the bound.
     pub topo: Topology,
+    dist: OriginDistances,
 }
 
 impl StreamingLintPass for StreamingTopologyOptimalityPass {
@@ -1285,7 +1304,7 @@ impl StreamingLintPass for StreamingTopologyOptimalityPass {
         let orig = cx.opts.originator;
         let completion = cx.index.completion();
         let m = cx.opts.messages.max(1);
-        let ecc = self.topo.eccentricity(orig);
+        let ecc = eccentricity_of(self.dist.get(&self.topo, orig));
         let bound = Time::from_int(m as i128 - 1) + lam.as_time().mul_int(ecc as i128);
         if completion < bound {
             out.push(Diagnostic {

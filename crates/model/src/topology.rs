@@ -362,12 +362,18 @@ impl Topology {
     /// isolated). Unreachable processors are the province of `P0019`
     /// and do not poison the bound.
     pub fn eccentricity(&self, origin: u32) -> u32 {
-        self.bfs_distances(origin)
-            .into_iter()
-            .filter(|&d| d != UNREACHABLE)
-            .max()
-            .unwrap_or(0)
+        eccentricity_of(&self.bfs_distances(origin))
     }
+}
+
+/// The largest reachable distance in a [`Topology::bfs_distances`]
+/// vector (0 when nothing but the origin is reachable).
+pub(crate) fn eccentricity_of(dist: &[u32]) -> u32 {
+    dist.iter()
+        .copied()
+        .filter(|&d| d != UNREACHABLE)
+        .max()
+        .unwrap_or(0)
 }
 
 #[cfg(test)]

@@ -20,6 +20,7 @@ use crate::event::ObsEvent;
 use crate::log::{ObsError, ObsLog, RunMeta};
 use postal_model::{Latency, Ratio, Time};
 use std::fmt::Write as _;
+use std::io::BufRead;
 
 /// Serializes a log as JSONL (header line + one line per event).
 pub fn to_jsonl(log: &ObsLog) -> String {
@@ -121,17 +122,17 @@ pub fn to_jsonl(log: &ObsLog) -> String {
     out
 }
 
-/// One parsed flat-object field value.
-#[derive(Debug, Clone, PartialEq)]
-enum Tok {
-    Str(String),
-    Num(String),
+/// One parsed flat-object field value, borrowed from its line.
+#[derive(Clone, Copy)]
+enum Tok<'a> {
+    Str(&'a str),
+    Num(&'a str),
     Bool(bool),
 }
 
 /// Parses one flat JSON object (`{"key": value, ...}`; values are
-/// strings, numbers or booleans).
-fn parse_flat(line: &str, lineno: usize) -> Result<Vec<(String, Tok)>, ObsError> {
+/// strings, numbers or booleans) into fields borrowed from `line`.
+fn parse_flat(line: &str, lineno: usize) -> Result<Fields<'_>, ObsError> {
     let err = |what: &str| ObsError(format!("line {lineno}: {what}"));
     let bytes = line.as_bytes();
     let mut pos = 0usize;
@@ -140,7 +141,7 @@ fn parse_flat(line: &str, lineno: usize) -> Result<Vec<(String, Tok)>, ObsError>
             *pos += 1;
         }
     };
-    let parse_string = |pos: &mut usize| -> Result<String, ObsError> {
+    let parse_string = |pos: &mut usize| -> Result<&str, ObsError> {
         if bytes.get(*pos) != Some(&b'"') {
             return Err(err("expected '\"'"));
         }
@@ -155,9 +156,8 @@ fn parse_flat(line: &str, lineno: usize) -> Result<Vec<(String, Tok)>, ObsError>
         if *pos >= bytes.len() {
             return Err(err("unterminated string"));
         }
-        let s = std::str::from_utf8(&bytes[start..*pos])
-            .map_err(|_| err("invalid UTF-8"))?
-            .to_string();
+        // Both ends border a '"' byte, so they are char boundaries.
+        let s = &line[start..*pos];
         *pos += 1;
         Ok(s)
     };
@@ -167,7 +167,12 @@ fn parse_flat(line: &str, lineno: usize) -> Result<Vec<(String, Tok)>, ObsError>
         return Err(err("expected '{'"));
     }
     pos += 1;
-    let mut fields = Vec::new();
+    let mut fields = Fields {
+        inline: [("", Tok::Bool(false)); INLINE_FIELDS],
+        len: 0,
+        spill: Vec::new(),
+        lineno,
+    };
     skip_ws(&mut pos);
     if bytes.get(pos) == Some(&b'}') {
         pos += 1;
@@ -199,7 +204,7 @@ fn parse_flat(line: &str, lineno: usize) -> Result<Vec<(String, Tok)>, ObsError>
                     {
                         pos += 1;
                     }
-                    Tok::Num(line[start..pos].to_string())
+                    Tok::Num(&line[start..pos])
                 }
                 _ => return Err(err("expected a string, number or boolean value")),
             };
@@ -222,22 +227,40 @@ fn parse_flat(line: &str, lineno: usize) -> Result<Vec<(String, Tok)>, ObsError>
     Ok(fields)
 }
 
+/// Fields a line holds inline, without a heap allocation. The writer
+/// emits at most eight per line (`recv` events and a full `"run"`
+/// header); a longer object spills the rest to the heap.
+const INLINE_FIELDS: usize = 8;
+
+/// The fields of one line, in order, borrowed from it.
 struct Fields<'a> {
-    fields: Vec<(String, Tok)>,
+    inline: [(&'a str, Tok<'a>); INLINE_FIELDS],
+    len: usize,
+    spill: Vec<(&'a str, Tok<'a>)>,
     lineno: usize,
-    marker: std::marker::PhantomData<&'a ()>,
 }
 
-impl Fields<'_> {
+impl<'a> Fields<'a> {
+    fn push(&mut self, field: (&'a str, Tok<'a>)) {
+        if self.len < INLINE_FIELDS {
+            self.inline[self.len] = field;
+            self.len += 1;
+        } else {
+            self.spill.push(field);
+        }
+    }
+
     fn err(&self, what: String) -> ObsError {
         ObsError(format!("line {}: {}", self.lineno, what))
     }
 
-    fn get(&self, key: &str) -> Result<&Tok, ObsError> {
-        self.fields
+    /// The value of the first field named `key`.
+    fn get(&self, key: &str) -> Result<Tok<'a>, ObsError> {
+        self.inline[..self.len]
             .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v)
+            .chain(&self.spill)
+            .find(|(k, _)| *k == key)
+            .map(|&(_, v)| v)
             .ok_or_else(|| self.err(format!("missing field {key:?}")))
     }
 
@@ -256,8 +279,7 @@ impl Fields<'_> {
 
     fn time(&self, key: &str) -> Result<Time, ObsError> {
         let text = match self.get(key)? {
-            Tok::Str(s) => s.as_str(),
-            Tok::Num(t) => t.as_str(),
+            Tok::Str(s) | Tok::Num(s) => s,
             Tok::Bool(_) => return Err(self.err(format!("{key:?} must be a time"))),
         };
         text.parse::<Ratio>()
@@ -267,12 +289,12 @@ impl Fields<'_> {
 
     fn bool(&self, key: &str) -> Result<bool, ObsError> {
         match self.get(key)? {
-            Tok::Bool(b) => Ok(*b),
+            Tok::Bool(b) => Ok(b),
             _ => Err(self.err(format!("{key:?} must be a boolean"))),
         }
     }
 
-    fn str(&self, key: &str) -> Result<&str, ObsError> {
+    fn str(&self, key: &str) -> Result<&'a str, ObsError> {
         match self.get(key)? {
             Tok::Str(s) => Ok(s),
             _ => Err(self.err(format!("{key:?} must be a string"))),
@@ -290,7 +312,9 @@ impl Fields<'_> {
 /// Because no event is retained internally, a consumer that folds
 /// events as they arrive (e.g. `postal-verify`'s JSONL-to-schedule
 /// reduction) processes a log in O(1) parser memory regardless of its
-/// length.
+/// length. A line's fields are borrowed from it, not copied, so an
+/// event line costs no heap allocation; [`LineReader`] supplies lines
+/// from any reader the same way.
 #[derive(Debug, Default)]
 pub struct JsonlParser {
     meta: Option<RunMeta>,
@@ -320,12 +344,8 @@ impl JsonlParser {
         if line.trim().is_empty() {
             return Ok(None);
         }
-        let f = Fields {
-            fields: parse_flat(line, lineno)?,
-            lineno,
-            marker: std::marker::PhantomData,
-        };
-        let kind = f.str("type")?.to_string();
+        let f = parse_flat(line, lineno)?;
+        let kind = f.str("type")?;
         if kind == "run" {
             if self.meta.is_some() {
                 return Err(f.err("duplicate \"run\" header".into()));
@@ -356,7 +376,7 @@ impl JsonlParser {
         if self.meta.is_none() {
             return Err(f.err("first line must be the \"run\" header".into()));
         }
-        let event = match kind.as_str() {
+        let event = match kind {
             "send" => ObsEvent::Send {
                 seq: f.u64("seq")?,
                 src: f.u32("src")?,
@@ -410,6 +430,50 @@ impl JsonlParser {
     pub fn finish(self) -> Result<RunMeta, ObsError> {
         self.meta
             .ok_or_else(|| ObsError("empty log: no \"run\" header".into()))
+    }
+}
+
+/// Splits a reader into lines as [`BufRead::lines`] does — each line
+/// without its `\n`, and without a `\r` just before that `\n` — but
+/// reads every line into one reused buffer instead of a fresh `String`.
+/// This is the line loop of every streaming JSONL reader: together with
+/// [`JsonlParser`], which borrows its fields from the line, a log is
+/// ingested without a heap allocation per line, and memory holds one
+/// line at a time, never the whole input.
+#[derive(Debug)]
+pub struct LineReader<R> {
+    reader: R,
+    buf: String,
+}
+
+impl<R: BufRead> LineReader<R> {
+    /// A line reader over `reader`.
+    pub fn new(reader: R) -> LineReader<R> {
+        LineReader {
+            reader,
+            buf: String::new(),
+        }
+    }
+
+    /// The next line, or `Ok(None)` at end of input.
+    ///
+    /// # Errors
+    /// [`ObsError`] reading `read error: …` when the reader fails or the
+    /// line is not valid UTF-8.
+    pub fn next_line(&mut self) -> Result<Option<&str>, ObsError> {
+        self.buf.clear();
+        let read = self
+            .reader
+            .read_line(&mut self.buf)
+            .map_err(|e| ObsError(format!("read error: {e}")))?;
+        if read == 0 {
+            return Ok(None);
+        }
+        let line = match self.buf.strip_suffix('\n') {
+            Some(line) => line.strip_suffix('\r').unwrap_or(line),
+            None => &self.buf,
+        };
+        Ok(Some(line))
     }
 }
 
@@ -544,6 +608,39 @@ mod tests {
         let mut text = to_jsonl(&sample_log());
         text.push('\n');
         assert!(from_jsonl(&text).is_ok());
+    }
+
+    #[test]
+    fn line_reader_splits_like_bufread_lines() {
+        let texts = [
+            "",
+            "a",
+            "a\n",
+            "a\r\n",
+            "a\r",
+            "\r",
+            "\n\r",
+            "\r\n\r\n",
+            "a\rb\n",
+            "a\n\nb\r\r\n",
+            "x\r\r",
+            "é\r\n→",
+        ];
+        for text in texts {
+            let want: Vec<String> = text.as_bytes().lines().map(Result::unwrap).collect();
+            let mut lines = LineReader::new(text.as_bytes());
+            let mut got = Vec::new();
+            while let Some(line) = lines.next_line().unwrap() {
+                got.push(line.to_string());
+            }
+            assert_eq!(got, want, "{text:?}");
+        }
+        let mut lines = LineReader::new(&b"ok\r\n\xe2\x86\nnext\n"[..]);
+        assert_eq!(lines.next_line().unwrap(), Some("ok"));
+        assert_eq!(
+            lines.next_line().unwrap_err().to_string(),
+            "read error: stream did not contain valid UTF-8"
+        );
     }
 
     #[test]

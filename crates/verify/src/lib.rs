@@ -152,7 +152,9 @@ pub fn schedule_from_jsonl(text: &str) -> Result<Schedule, ObsError> {
 /// observability JSONL log, line by line, directly into the schedule
 /// its send events realized — without materializing the log text or
 /// the full event list. Non-send events are parsed (so errors are still
-/// caught) and dropped; memory is O(sends), not O(events).
+/// caught) and dropped; memory is O(sends), not O(events). Lines come
+/// through [`postal_obs::LineReader`], one reused buffer, and parse
+/// without a heap allocation per line.
 ///
 /// Takes any [`BufRead`](std::io::BufRead), so both in-memory text
 /// (via [`std::io::Cursor`]) and buffered file readers feed it.
@@ -163,12 +165,12 @@ pub fn schedule_from_jsonl(text: &str) -> Result<Schedule, ObsError> {
 pub fn jsonl_to_schedule_file<R: std::io::BufRead>(
     reader: R,
 ) -> Result<json::ScheduleFile, ObsError> {
+    let mut lines = postal_obs::LineReader::new(reader);
     let mut parser = postal_obs::JsonlParser::new();
     let mut sends = Vec::new();
     let mut truncated = false;
-    for line in reader.lines() {
-        let line = line.map_err(|e| ObsError(format!("read error: {e}")))?;
-        match parser.line(&line)? {
+    while let Some(line) = lines.next_line()? {
+        match parser.line(line)? {
             Some(postal_obs::ObsEvent::Send {
                 src, dst, start, ..
             }) => {
