@@ -1,0 +1,80 @@
+//! A time or λ beyond the input bounds is a located error, exit 1: it
+//! must never overflow the linter (a panic, exit 101) or make it
+//! allocate without bound (an abort, exit 134).
+
+use std::path::PathBuf;
+use std::process::Command;
+
+/// Writes `text` to a file of this test process's own.
+fn temp_file(name: &str, text: &str) -> PathBuf {
+    let path = std::env::temp_dir().join(format!("postal-cli-{}-{name}", std::process::id()));
+    std::fs::write(&path, text).expect("write temp file");
+    path
+}
+
+/// Runs `postal-cli lint <path> [extra]`, returning its exit code and
+/// standard error.
+fn lint(path: &PathBuf, extra: &[&str]) -> (Option<i32>, String) {
+    let out = Command::new(env!("CARGO_BIN_EXE_postal-cli"))
+        .arg("lint")
+        .arg(path)
+        .args(extra)
+        .output()
+        .expect("run postal-cli");
+    (
+        out.status.code(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
+}
+
+/// Asserts exit 1 with `error: <path>: <located>…` on standard error.
+fn assert_located(path: &PathBuf, extra: &[&str], located: &str) {
+    let (code, stderr) = lint(path, extra);
+    let want = format!("error: {}: {located}", path.display());
+    assert_eq!(code, Some(1), "{extra:?}: {stderr}");
+    assert!(stderr.starts_with(&want), "{extra:?}: {stderr}");
+}
+
+#[test]
+fn a_send_start_of_i128_max_is_located_in_both_modes() {
+    let path = temp_file(
+        "huge-start.jsonl",
+        concat!(
+            r#"{"type":"run","engine":"event","n":3,"lambda":"2"}"#,
+            "\n",
+            r#"{"type":"send","seq":0,"src":0,"dst":1,"#,
+            r#""start":"170141183460469231731687303715884105727","finish":"1"}"#,
+            "\n",
+        ),
+    );
+    let located = "line 2: \"start\": 170141183460469231731687303715884105727 is out of range";
+    assert_located(&path, &[], located);
+    assert_located(&path, &["--stream"], located);
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn schedule_times_beyond_the_bounds_are_located() {
+    let path = temp_file(
+        "huge-at.json",
+        r#"{"n":3,"lambda":"2","sends":[
+            {"src":0,"dst":1,"at":"9223372036854775807/3"},
+            {"src":0,"dst":2,"at":"1/170141183460469231731687303715884105727"}]}"#,
+    );
+    assert_located(
+        &path,
+        &[],
+        "sends[0]: \"at\": 9223372036854775807/3 is out of range",
+    );
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn a_huge_lambda_is_located_not_an_abort() {
+    let path = temp_file(
+        "huge-lambda.json",
+        r#"{"n":2,"lambda":"2147483647","sends":[{"src":0,"dst":1,"at":0}]}"#,
+    );
+    assert_located(&path, &[], "invalid \"lambda\": 2147483647 is out of range");
+    let _ = std::fs::remove_file(&path);
+}

@@ -16,6 +16,10 @@ use crate::time::Time;
 use std::fmt;
 use std::str::FromStr;
 
+/// Bits of numerator and denominator a λ read from a file may have
+/// (see [`Latency::check_input`]).
+pub const INPUT_LAMBDA_BITS: u32 = 16;
+
 /// The postal-model communication latency λ ≥ 1, stored exactly.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Latency(Ratio);
@@ -55,6 +59,28 @@ impl Latency {
             Err(LatencyError::TooSmall(value))
         } else {
             Ok(Latency(value))
+        }
+    }
+
+    /// Checks a λ read from a file (schedule JSON or a JSONL log)
+    /// against the input bound: numerator and denominator at most
+    /// 2^[`INPUT_LAMBDA_BITS`]. λ = p/q in lowest terms makes
+    /// [`crate::fib::GenFib`] tabulate `F_λ` over ticks of 1/q up to
+    /// `f_λ(n)`, so the bound keeps the table behind the linter's
+    /// `P0007` bound at tens of MiB: 2²¹ ticks (32 MiB) at λ =
+    /// 65536/65535 for any n < 2³², where λ = 2³¹ − 1 asked for 32 GiB.
+    ///
+    /// # Errors
+    /// A message naming the value and the bound.
+    pub fn check_input(self) -> Result<Latency, String> {
+        let r = self.0;
+        if r.numer() <= 1 << INPUT_LAMBDA_BITS && r.denom() <= 1 << INPUT_LAMBDA_BITS {
+            Ok(self)
+        } else {
+            Err(format!(
+                "{r} is out of range (λ's numerator and denominator must be at most \
+                 2^{INPUT_LAMBDA_BITS})"
+            ))
         }
     }
 

@@ -12,6 +12,15 @@
 //! All operations normalize eagerly and panic on overflow (postal-model
 //! quantities are tiny — at most a few million ticks — so overflow indicates
 //! a logic error, not a capacity problem).
+//!
+//! Because they are tiny, every hot operation first tries 64-bit
+//! arithmetic and falls back to the `i128` form only when an operand
+//! does not fit: `gcd` runs on `u64`, [`Ratio::new`]
+//! normalises in `i64`, `+` adds numerators over a shared denominator,
+//! `cmp` compares unreduced `i128` cross-products, and `Display` formats
+//! through `i64`. The representation and every result are unchanged.
+//! `new`, `+` and `cmp` are `#[inline]` so that the simulator, linter
+//! and exporters in other crates inline these paths.
 
 use std::cmp::Ordering;
 use std::fmt;
@@ -37,6 +46,12 @@ pub struct Ratio {
 
 /// Greatest common divisor (non-negative; `gcd(0, 0) = 0`).
 pub(crate) fn gcd(mut a: i128, mut b: i128) -> i128 {
+    if let (Ok(x), Ok(y)) = (
+        u64::try_from(a.unsigned_abs()),
+        u64::try_from(b.unsigned_abs()),
+    ) {
+        return gcd_u64(x, y) as i128;
+    }
     a = a.abs();
     b = b.abs();
     while b != 0 {
@@ -45,6 +60,31 @@ pub(crate) fn gcd(mut a: i128, mut b: i128) -> i128 {
         b = t;
     }
     a
+}
+
+/// Euclid's algorithm on `u64`: one hardware division per step where
+/// `i128` pays a library call, and only a few steps, because one operand
+/// is nearly always a small denominator (a binary GCD would loop about
+/// log₂ of the other operand times instead).
+fn gcd_u64(mut a: u64, mut b: u64) -> u64 {
+    while b != 0 {
+        (a, b) = (b, a % b);
+    }
+    a
+}
+
+/// `x` as an `i64` whose negation cannot overflow (`i64::MIN` excluded).
+fn small(x: i128) -> Option<i64> {
+    i64::try_from(x).ok().filter(|&v| v != i64::MIN)
+}
+
+/// `x / y` for `y > 0`, in 64 bits when `x` and `y` fit (an `i128`
+/// division is a library call).
+fn div(x: i128, y: i128) -> i128 {
+    match (i64::try_from(x), i64::try_from(y)) {
+        (Ok(a), Ok(b)) => (a / b) as i128,
+        _ => x / y,
+    }
 }
 
 impl Ratio {
@@ -57,8 +97,18 @@ impl Ratio {
     ///
     /// # Panics
     /// Panics if `den == 0`.
+    #[inline]
     pub fn new(num: i128, den: i128) -> Ratio {
         assert!(den != 0, "Ratio denominator must be nonzero");
+        if let (Some(n), Some(d)) = (small(num), small(den)) {
+            let g = gcd_u64(n.unsigned_abs(), d.unsigned_abs()) as i64;
+            let (n, d) = if g == 1 { (n, d) } else { (n / g, d / g) };
+            let sign = if d < 0 { -1 } else { 1 };
+            return Ratio {
+                num: (sign * n) as i128,
+                den: (sign * d) as i128,
+            };
+        }
         let sign = if den < 0 { -1 } else { 1 };
         let g = gcd(num, den);
         if g == 0 {
@@ -125,7 +175,12 @@ impl Ratio {
 
     /// Converts to `f64` (approximate; for display and plotting only).
     pub fn to_f64(self) -> f64 {
-        self.num as f64 / self.den as f64
+        // An i64 converts to the same (correctly rounded) f64 as the
+        // i128 it came from, without the 128-bit conversion call.
+        match (i64::try_from(self.num), i64::try_from(self.den)) {
+            (Ok(n), Ok(d)) => n as f64 / d as f64,
+            _ => self.num as f64 / self.den as f64,
+        }
     }
 
     /// Approximates an `f64` by a rational with denominator at most
@@ -391,11 +446,20 @@ impl From<usize> for Ratio {
 
 impl Add for Ratio {
     type Output = Ratio;
+    #[inline]
     fn add(self, rhs: Ratio) -> Ratio {
+        // Times on one lattice share their denominator: add numerators.
+        if self.den == rhs.den {
+            let num = self
+                .num
+                .checked_add(rhs.num)
+                .expect("Ratio overflow in add");
+            return Ratio::new(num, self.den);
+        }
         // (a/b) + (c/d) = (a·(l/b) + c·(l/d)) / l with l = lcm(b, d).
         let g = gcd(self.den, rhs.den);
-        let lhs_scale = rhs.den / g;
-        let rhs_scale = self.den / g;
+        let lhs_scale = div(rhs.den, g);
+        let rhs_scale = div(self.den, g);
         let num = self
             .num
             .checked_mul(lhs_scale)
@@ -426,11 +490,11 @@ impl Mul for Ratio {
         // Cross-reduce before multiplying to delay overflow.
         let g1 = gcd(self.num, rhs.den);
         let g2 = gcd(rhs.num, self.den);
-        let num = (self.num / g1)
-            .checked_mul(rhs.num / g2)
+        let num = div(self.num, g1)
+            .checked_mul(div(rhs.num, g2))
             .expect("Ratio overflow in mul");
-        let den = (self.den / g2)
-            .checked_mul(rhs.den / g1)
+        let den = div(self.den, g2)
+            .checked_mul(div(rhs.den, g1))
             .expect("Ratio overflow in mul");
         Ratio::new(num, den)
     }
@@ -485,13 +549,22 @@ impl PartialOrd for Ratio {
 }
 
 impl Ord for Ratio {
+    #[inline]
     fn cmp(&self, other: &Ratio) -> Ordering {
         // Denominators are reduced and positive, so a shared one (the
         // common case: times on one lattice) compares by numerator.
         if self.den == other.den {
             return self.num.cmp(&other.num);
         }
-        // a/b vs c/d  ⇔  a·d vs c·b  (b, d > 0). Cross-reduce first.
+        // a/b vs c/d  ⇔  a·d vs c·b  (b, d > 0), directly when neither
+        // product overflows (always, for 64-bit operands).
+        if let (Some(lhs), Some(rhs)) = (
+            self.num.checked_mul(other.den),
+            other.num.checked_mul(self.den),
+        ) {
+            return lhs.cmp(&rhs);
+        }
+        // Cross-reduce first to delay overflow.
         let g_num = gcd(self.num, other.num);
         let g_den = gcd(self.den, other.den);
         let (an, ad) = (self.num / g_num.max(1), self.den / g_den);
@@ -510,10 +583,12 @@ impl fmt::Debug for Ratio {
 
 impl fmt::Display for Ratio {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.den == 1 {
-            write!(f, "{}", self.num)
-        } else {
-            write!(f, "{}/{}", self.num, self.den)
+        // 64-bit formatting avoids a 128-bit division per digit.
+        match (i64::try_from(self.num), i64::try_from(self.den)) {
+            (Ok(n), Ok(1)) => write!(f, "{n}"),
+            (Ok(n), Ok(d)) => write!(f, "{n}/{d}"),
+            _ if self.den == 1 => write!(f, "{}", self.num),
+            _ => write!(f, "{}/{}", self.num, self.den),
         }
     }
 }
@@ -637,6 +712,44 @@ mod tests {
         assert_eq!(Ratio::from_int(4).ceil(), 4);
         assert_eq!(Ratio::ZERO.floor(), 0);
         assert_eq!(Ratio::ZERO.ceil(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "Ratio overflow in add")]
+    fn add_overflow_panics_on_a_shared_denominator() {
+        let _ = Ratio::from_int(i128::MAX) + Ratio::ONE;
+    }
+
+    #[test]
+    #[should_panic(expected = "Ratio overflow in add")]
+    fn add_overflow_panics_across_denominators() {
+        let _ = ratio(i128::MAX, 2) + ratio(1, 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "Ratio overflow in mul")]
+    fn mul_overflow_panics() {
+        let _ = Ratio::from_int(i128::MAX / 2 + 1) * Ratio::from_int(2);
+    }
+
+    #[test]
+    #[should_panic(expected = "Ratio overflow in cmp")]
+    fn cmp_overflow_panics() {
+        let _ = ratio(i128::MAX, 3).cmp(&ratio(i128::MAX - 1, 5));
+    }
+
+    #[test]
+    fn fast_paths_match_the_wide_forms() {
+        // i64::MIN takes the i128 normalisation; its negation fits there.
+        assert_eq!(Ratio::new(i64::MIN as i128, -2), Ratio::from_int(1 << 62));
+        assert_eq!(gcd(i64::MIN as i128, 1 << 40), 1 << 40);
+        assert_eq!(gcd(1 << 70, 1 << 66), 1 << 66);
+        assert_eq!(ratio(1, 1 << 64).to_string(), "1/18446744073709551616");
+        assert_eq!(
+            Ratio::from_int(-(1 << 64)).to_string(),
+            "-18446744073709551616"
+        );
+        assert!(ratio(1 << 100, 3) > ratio((1 << 100) - 1, 3));
     }
 
     #[test]

@@ -93,7 +93,36 @@ impl Time {
     pub fn from_half_units(half: i64) -> Time {
         Time::new(half as i128, 2)
     }
+
+    /// Checks a time read from a file (schedule JSON or a JSONL log)
+    /// against the input bounds: numerator within ±2^[`INPUT_NUMER_BITS`]
+    /// and denominator at most 2^[`INPUT_DENOM_BITS`]. Inside them every
+    /// sum and comparison the linter forms from times and a λ within
+    /// [`crate::Latency::check_input`]'s bounds fits in `i128`, so a
+    /// file can never make it overflow.
+    ///
+    /// # Errors
+    /// A message naming the value and both bounds.
+    pub fn check_input(self) -> Result<Time, String> {
+        let r = self.0;
+        if r.numer().unsigned_abs() <= 1 << INPUT_NUMER_BITS && r.denom() <= 1 << INPUT_DENOM_BITS {
+            Ok(self)
+        } else {
+            Err(format!(
+                "{r} is out of range (a time's numerator must lie within \
+                 ±2^{INPUT_NUMER_BITS} and its denominator be at most 2^{INPUT_DENOM_BITS})"
+            ))
+        }
+    }
 }
+
+/// Bits of numerator magnitude a time read from a file may have
+/// (see [`Time::check_input`]).
+pub const INPUT_NUMER_BITS: u32 = 53;
+
+/// Bits of denominator a time read from a file may have (see
+/// [`Time::check_input`]).
+pub const INPUT_DENOM_BITS: u32 = 32;
 
 /// Largest magnitude (in half-units) [`FastTime`] keeps in fixed-point
 /// form. The headroom guarantees that adding two in-range values can

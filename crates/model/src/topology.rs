@@ -276,62 +276,58 @@ impl Topology {
     /// The neighbors of `u`, ascending and deduplicated (empty when out
     /// of range).
     pub fn neighbors(&self, u: u32) -> Vec<u32> {
-        if u >= self.n {
-            return Vec::new();
-        }
-        let mut out: Vec<u32> = match self.spec {
-            TopologySpec::Complete => (0..self.n).filter(|&v| v != u).collect(),
-            TopologySpec::Ring | TopologySpec::Torus { .. } => {
-                let mut c = self.candidate_neighbors(u);
-                c.retain(|&v| self.is_edge(u, v));
-                c
-            }
-            // Every Knödel candidate is an edge by construction (the
-            // partner formula never self-loops or leaves range), so the
-            // O(Δ) is_edge re-check per candidate — O(Δ²) per node,
-            // which dominates BFS at 10⁶ processors — is skipped.
-            TopologySpec::Mbg { .. } => self.candidate_neighbors(u),
-            TopologySpec::Hypercube { dim } => (0..dim).map(|k| u ^ (1u32 << k)).collect(),
-        };
+        let mut out = Vec::new();
+        self.for_each_neighbor(u, |v| out.push(v));
         out.sort_unstable();
         out.dedup();
         out
     }
 
-    /// Small candidate set for the formula topologies whose neighbor
-    /// lists need dedup/filtering (ring, torus, mbg).
-    fn candidate_neighbors(&self, u: u32) -> Vec<u32> {
+    /// Calls `visit` on every neighbor of `u` (none when out of range),
+    /// straight from the graph's adjacency formula, without allocating.
+    /// The order is the formula's, and a neighbor may come twice (a
+    /// ring of two, a torus side of two, coinciding Knödel partners);
+    /// [`Topology::neighbors`] sorts and dedups.
+    pub(crate) fn for_each_neighbor(&self, u: u32, mut visit: impl FnMut(u32)) {
+        if u >= self.n {
+            return;
+        }
+        let n = self.n;
+        // A ring or torus step wraps onto `u` itself in a cycle of one.
+        let mut other = |v: u32| {
+            if v != u {
+                visit(v);
+            }
+        };
         match self.spec {
+            TopologySpec::Complete => (0..n).for_each(other),
             TopologySpec::Ring => {
-                vec![(u + 1) % self.n, (u + self.n - 1) % self.n]
+                other((u + 1) % n);
+                other((u + n - 1) % n);
             }
             TopologySpec::Torus { rows, cols } => {
                 let (r, c) = (u / cols, u % cols);
-                vec![
-                    r * cols + (c + 1) % cols,
-                    r * cols + (c + cols - 1) % cols,
-                    ((r + 1) % rows) * cols + c,
-                    ((r + rows - 1) % rows) * cols + c,
-                ]
+                other(r * cols + (c + 1) % cols);
+                other(r * cols + (c + cols - 1) % cols);
+                other(((r + 1) % rows) * cols + c);
+                other(((r + rows - 1) % rows) * cols + c);
             }
+            TopologySpec::Hypercube { dim } => (0..dim).for_each(|k| other(u ^ (1u32 << k))),
             TopologySpec::Mbg { .. } => {
-                let half = self.n / 2;
-                let delta = 31 - self.n.leading_zeros();
+                let half = n / 2;
+                let delta = 31 - n.leading_zeros();
                 let j = u / 2;
-                (0..delta)
-                    .map(|k| {
-                        let step = ((1u32 << k) - 1) % half;
-                        if u.is_multiple_of(2) {
-                            // (1, j) — partners are (2, j + 2^k − 1).
-                            ((j + step) % half) * 2 + 1
-                        } else {
-                            // (2, j) — partners are (1, j − (2^k − 1)).
-                            ((j + half - step) % half) * 2
-                        }
-                    })
-                    .collect()
+                for k in 0..delta {
+                    let step = ((1u32 << k) - 1) % half;
+                    other(if u.is_multiple_of(2) {
+                        // (1, j) — partners are (2, j + 2^k − 1).
+                        ((j + step) % half) * 2 + 1
+                    } else {
+                        // (2, j) — partners are (1, j − (2^k − 1)).
+                        ((j + half - step) % half) * 2
+                    });
+                }
             }
-            TopologySpec::Complete | TopologySpec::Hypercube { .. } => unreachable!(),
         }
     }
 
@@ -347,12 +343,12 @@ impl Topology {
         let mut queue = VecDeque::from([origin]);
         while let Some(u) = queue.pop_front() {
             let d = dist[u as usize];
-            for v in self.neighbors(u) {
+            self.for_each_neighbor(u, |v| {
                 if dist[v as usize] == UNREACHABLE {
                     dist[v as usize] = d + 1;
                     queue.push_back(v);
                 }
-            }
+            });
         }
         dist
     }

@@ -15,7 +15,13 @@
 //! * overflow-adjacent values force the exact fallback rather than
 //!   wrapping, and results remain exact;
 //! * `Ratio` ordering agrees with the sign of the exact difference,
-//!   with shared and distinct denominators alike.
+//!   with shared and distinct denominators alike;
+//! * `Ratio`'s 64-bit fast paths and their `i128` fallbacks agree with
+//!   exact (256-bit) arithmetic: on operands drawn around 0, ±2³¹,
+//!   ±2⁵³, ±(2⁶³ − 1), `i64::MIN` and beyond `i64` up to ±2¹⁰⁰,
+//!   `Ratio::new` reduces exactly, `+`/`-` equal the sum over the
+//!   common denominator, `cmp` is the sign of the cross-difference and
+//!   `Display` matches the `i128` formatting.
 
 use postal_model::lint::reference::lint_schedule_reference;
 use postal_model::lint::{lint_schedule, LintOptions};
@@ -155,6 +161,175 @@ proptest! {
         prop_assert_eq!(b.cmp(&a), (b - a).signum().cmp(&0));
         prop_assert_eq!(a.cmp(&a), Ordering::Equal);
     }
+
+    #[test]
+    fn ratio_new_reduces_exactly(n in arb_band(), d in arb_band(), k in 1i128..=12) {
+        // A common factor k, when it fits, makes the reduction nontrivial.
+        let (n, d) = scaled(n, nonzero(d), k);
+        let r = Ratio::new(n, d);
+        prop_assert!(r.denom() > 0);
+        prop_assert_eq!(gcd(r.numer().unsigned_abs(), r.denom().unsigned_abs()), 1);
+        // num·d = n·den: same value.
+        prop_assert_eq!(cmp_products(r.numer(), d, n, r.denom()), Ordering::Equal);
+    }
+
+    #[test]
+    fn ratio_add_sub_equal_the_common_denominator_sum(
+        an in arb_band(), ad in arb_band(), bn in arb_band(), bd in arb_band(),
+        k in -8i128..=8, shared in any::<bool>(),
+    ) {
+        let a = Ratio::new(an, nonzero(ad));
+        // A shared denominator takes the numerator-only shortcut.
+        let b = if shared {
+            match k.checked_mul(a.denom()).and_then(|kd| kd.checked_add(a.numer())) {
+                Some(num) => Ratio::new(num, a.denom()),
+                None => a,
+            }
+        } else {
+            Ratio::new(bn, nonzero(bd))
+        };
+        if let Some(want) = common_sum(a, b, 1) {
+            prop_assert_eq!(a + b, want);
+        }
+        if let Some(want) = common_sum(a, b, -1) {
+            prop_assert_eq!(a - b, want);
+        }
+    }
+
+    #[test]
+    fn ratio_cmp_is_the_sign_of_the_cross_difference(
+        an in arb_band(), ad in arb_band(), bn in arb_band(), bd in arb_band(),
+    ) {
+        let (a, b) = (Ratio::new(an, nonzero(ad)), Ratio::new(bn, nonzero(bd)));
+        // `cmp` panics only when even the cross-reduced products overflow.
+        if reduced_cmp_fits(a, b) {
+            let want = cmp_products(a.numer(), b.denom(), b.numer(), a.denom());
+            prop_assert_eq!(a.cmp(&b), want);
+            prop_assert_eq!(b.cmp(&a), want.reverse());
+        }
+        prop_assert_eq!(a.cmp(&a), Ordering::Equal);
+    }
+
+    #[test]
+    fn ratio_cmp_falls_back_to_cross_reduction(
+        g in 0u32..=40, h in 0u32..=40,
+        x in -1000i128..=1000, y in 1i128..=1000, z in -1000i128..=1000, w in 1i128..=1000,
+    ) {
+        // Shared factors of 2⁴⁰…2⁸⁰ in the numerators and denominators:
+        // for the larger ones the unreduced cross-products overflow
+        // `i128` while the cross-reduced ones fit, so `cmp` falls back.
+        let (g, h) = (1i128 << (40 + g), (1i128 << (40 + h)) + 1);
+        let (a, b) = (Ratio::new(g * x, h * y), Ratio::new(g * z, h * w));
+        let want = cmp_products(a.numer(), b.denom(), b.numer(), a.denom());
+        prop_assert_eq!(a.cmp(&b), want);
+        prop_assert_eq!(b.cmp(&a), want.reverse());
+    }
+
+    #[test]
+    fn ratio_display_is_the_i128_formatting(n in arb_band(), d in arb_band()) {
+        let r = Ratio::new(n, nonzero(d));
+        let want = if r.denom() == 1 {
+            format!("{}", r.numer())
+        } else {
+            format!("{}/{}", r.numer(), r.denom())
+        };
+        prop_assert_eq!(r.to_string(), want);
+    }
+}
+
+/// An integer near one of the edges the `Ratio` fast paths switch on:
+/// 0, ±2³¹, ±2⁵³, ±(2⁶³ − 1), `i64::MIN`, or beyond `i64` up to ±2¹⁰⁰.
+fn arb_band() -> impl Strategy<Value = i128> {
+    (0u8..7, any::<bool>(), -8i128..=8, 64u32..=100).prop_map(|(band, neg, offset, wide)| {
+        let edge = match band {
+            0 => 0,
+            1 => 1 << 31,
+            2 => 1 << 53,
+            3 => i64::MAX as i128,
+            // Negated, 2⁶³ + 0 is `i64::MIN`.
+            4 => 1 << 63,
+            5 => 1 << wide,
+            _ => 1 << (wide - 64),
+        };
+        let v = edge + offset;
+        if neg {
+            -v
+        } else {
+            v
+        }
+    })
+}
+
+fn nonzero(d: i128) -> i128 {
+    if d == 0 {
+        1
+    } else {
+        d
+    }
+}
+
+/// `(n·k, d·k)` when both fit, else `(n, d)`.
+fn scaled(n: i128, d: i128, k: i128) -> (i128, i128) {
+    match (n.checked_mul(k), d.checked_mul(k)) {
+        (Some(nk), Some(dk)) => (nk, dk),
+        _ => (n, d),
+    }
+}
+
+fn gcd(mut a: u128, mut b: u128) -> u128 {
+    while b != 0 {
+        (a, b) = (b, a % b);
+    }
+    a
+}
+
+/// `|x|·|y|` as a 256-bit `(high, low)` pair.
+fn wide_mul(x: u128, y: u128) -> (u128, u128) {
+    const LO: u128 = u64::MAX as u128;
+    let (x1, x0, y1, y0) = (x >> 64, x & LO, y >> 64, y & LO);
+    let (p00, p01, p10, p11) = (x0 * y0, x0 * y1, x1 * y0, x1 * y1);
+    let mid = (p00 >> 64) + (p01 & LO) + (p10 & LO);
+    let low = (p00 & LO) | (mid << 64);
+    let high = p11 + (p01 >> 64) + (p10 >> 64) + (mid >> 64);
+    (high, low)
+}
+
+/// The exact order of `x·y` against `z·w`, without overflow.
+fn cmp_products(x: i128, y: i128, z: i128, w: i128) -> Ordering {
+    let (s1, s2) = (x.signum() * y.signum(), z.signum() * w.signum());
+    if s1 != s2 {
+        return s1.cmp(&s2);
+    }
+    let m1 = wide_mul(x.unsigned_abs(), y.unsigned_abs());
+    let m2 = wide_mul(z.unsigned_abs(), w.unsigned_abs());
+    if s1 < 0 {
+        m2.cmp(&m1)
+    } else {
+        m1.cmp(&m2)
+    }
+}
+
+/// `a + sign·b` over the common denominator — `a.den` when shared,
+/// else `a.den·b.den` — or `None` when that overflows `i128`.
+fn common_sum(a: Ratio, b: Ratio, sign: i128) -> Option<Ratio> {
+    if a.denom() == b.denom() {
+        let num = a.numer().checked_add(b.numer().checked_mul(sign)?)?;
+        return Some(Ratio::new(num, a.denom()));
+    }
+    let num = a
+        .numer()
+        .checked_mul(b.denom())?
+        .checked_add(b.numer().checked_mul(a.denom())?.checked_mul(sign)?)?;
+    Some(Ratio::new(num, a.denom().checked_mul(b.denom())?))
+}
+
+/// Whether `cmp`'s cross-reduced products fit in `i128`.
+fn reduced_cmp_fits(a: Ratio, b: Ratio) -> bool {
+    let g_num = gcd(a.numer().unsigned_abs(), b.numer().unsigned_abs()).max(1) as i128;
+    let g_den = gcd(a.denom().unsigned_abs(), b.denom().unsigned_abs()) as i128;
+    let lhs = (a.numer() / g_num).checked_mul(b.denom() / g_den);
+    let rhs = (b.numer() / g_num).checked_mul(a.denom() / g_den);
+    lhs.is_some() && rhs.is_some()
 }
 
 /// A numerator near zero or near ±[`FIXED_LIMIT`], so comparisons cover

@@ -21,23 +21,52 @@ use std::fmt::Write as _;
 /// Microseconds per model unit in the exported trace.
 const US_PER_UNIT: i128 = 1000;
 
-fn ts(t: Time) -> String {
-    fmt_f64((t.as_ratio() * Ratio::from_int(US_PER_UNIT)).to_f64())
-}
+/// Magnitudes below this are exact in an `f64`.
+const F64_EXACT: u64 = 1 << 53;
 
-/// Formats a nonnegative f64 without a trailing `.0` when integral.
-fn fmt_f64(x: f64) -> String {
+/// Appends `t` in trace microseconds. While `num·1000` and `den` are
+/// exact in an `f64`, one division gives the correctly rounded value,
+/// the same as converting the reduced `t·1000`.
+fn push_ts(out: &mut String, t: Time) {
+    let r = t.as_ratio();
+    let exact = r
+        .numer()
+        .checked_mul(US_PER_UNIT)
+        .and_then(|n| i64::try_from(n).ok())
+        .zip(i64::try_from(r.denom()).ok())
+        .filter(|&(n, d)| n.unsigned_abs() < F64_EXACT && d.unsigned_abs() < F64_EXACT);
+    let x = match exact {
+        Some((n, d)) => n as f64 / d as f64,
+        None => (r * Ratio::from_int(US_PER_UNIT)).to_f64(),
+    };
+    // A nonnegative f64 without a trailing `.0` when integral.
     if x.fract() == 0.0 && x.abs() < 1e15 {
-        format!("{}", x as i128)
+        let _ = write!(out, "{}", x as i64);
     } else {
-        format!("{x}")
+        let _ = write!(out, "{x}");
     }
 }
 
-/// Serializes a log as Chrome trace-event JSON.
+/// Appends `    { "ph": "<ph>", "pid": <pid>, "tid": <tid>, "ts": <t>`,
+/// the opening every event row shares.
+fn open_row(out: &mut String, ph: char, pid: u32, tid: u8, t: Time) {
+    let _ = write!(
+        out,
+        "    {{ \"ph\": \"{ph}\", \"pid\": {pid}, \"tid\": {tid}, \"ts\": "
+    );
+    push_ts(out, t);
+}
+
+/// Serializes a log as Chrome trace-event JSON, appending every line to
+/// one output string.
 pub fn to_chrome_trace(log: &ObsLog) -> String {
     let meta = log.meta();
-    let mut out = String::from("{\n  \"displayTimeUnit\": \"ms\",\n  \"otherData\": {");
+    // Sized once for the whole trace (lines run to about 95 bytes per
+    // processor-name row and 190 per event) so it is not grown by
+    // doubling, which would hold up to twice the trace in memory.
+    let rows = 3 * meta.n as usize * 96 + log.len() * 192;
+    let mut out = String::with_capacity(256 + rows);
+    out.push_str("{\n  \"displayTimeUnit\": \"ms\",\n  \"otherData\": {");
     let _ = write!(
         out,
         " \"engine\": \"{}\", \"n\": \"{}\"",
@@ -57,20 +86,17 @@ pub fn to_chrome_trace(log: &ObsLog) -> String {
     }
     out.push_str(" },\n  \"traceEvents\": [\n");
 
-    let mut lines: Vec<String> = Vec::new();
+    // Every row ends in ",\n"; the last row's comma is cut below.
     for p in 0..meta.n {
-        lines.push(format!(
+        let _ = writeln!(
+            out,
             "    {{ \"ph\": \"M\", \"pid\": {p}, \"tid\": 0, \"name\": \"process_name\", \
-             \"args\": {{ \"name\": \"p{p}\" }} }}"
-        ));
-        lines.push(format!(
-            "    {{ \"ph\": \"M\", \"pid\": {p}, \"tid\": 0, \"name\": \"thread_name\", \
-             \"args\": {{ \"name\": \"out port\" }} }}"
-        ));
-        lines.push(format!(
-            "    {{ \"ph\": \"M\", \"pid\": {p}, \"tid\": 1, \"name\": \"thread_name\", \
-             \"args\": {{ \"name\": \"in port\" }} }}"
-        ));
+             \"args\": {{ \"name\": \"p{p}\" }} }},\n    \
+             {{ \"ph\": \"M\", \"pid\": {p}, \"tid\": 0, \"name\": \"thread_name\", \
+             \"args\": {{ \"name\": \"out port\" }} }},\n    \
+             {{ \"ph\": \"M\", \"pid\": {p}, \"tid\": 1, \"name\": \"thread_name\", \
+             \"args\": {{ \"name\": \"in port\" }} }},"
+        );
     }
     for e in log.events() {
         match *e {
@@ -80,13 +106,16 @@ pub fn to_chrome_trace(log: &ObsLog) -> String {
                 dst,
                 start,
                 finish,
-            } => lines.push(format!(
-                "    {{ \"ph\": \"X\", \"pid\": {src}, \"tid\": 0, \"ts\": {}, \"dur\": {}, \
-                 \"name\": \"send #{seq} -> p{dst}\", \
-                 \"args\": {{ \"seq\": {seq}, \"dst\": {dst}, \"start\": \"{start}\" }} }}",
-                ts(start),
-                ts(finish - start),
-            )),
+            } => {
+                open_row(&mut out, 'X', src, 0, start);
+                out.push_str(", \"dur\": ");
+                push_ts(&mut out, finish - start);
+                let _ = writeln!(
+                    out,
+                    ", \"name\": \"send #{seq} -> p{dst}\", \
+                     \"args\": {{ \"seq\": {seq}, \"dst\": {dst}, \"start\": \"{start}\" }} }},"
+                );
+            }
             ObsEvent::Recv {
                 seq,
                 src,
@@ -95,51 +124,62 @@ pub fn to_chrome_trace(log: &ObsLog) -> String {
                 start,
                 finish,
                 queued,
-            } => lines.push(format!(
-                "    {{ \"ph\": \"X\", \"pid\": {dst}, \"tid\": 1, \"ts\": {}, \"dur\": {}, \
-                 \"name\": \"recv #{seq} <- p{src}\", \
-                 \"args\": {{ \"seq\": {seq}, \"src\": {src}, \"arrival\": \"{arrival}\", \
-                 \"queued\": {queued} }} }}",
-                ts(start),
-                ts(finish - start),
-            )),
-            ObsEvent::Wake { proc, at } => lines.push(format!(
-                "    {{ \"ph\": \"i\", \"pid\": {proc}, \"tid\": 0, \"ts\": {}, \"s\": \"t\", \
-                 \"name\": \"wake\" }}",
-                ts(at),
-            )),
+            } => {
+                open_row(&mut out, 'X', dst, 1, start);
+                out.push_str(", \"dur\": ");
+                push_ts(&mut out, finish - start);
+                let _ = writeln!(
+                    out,
+                    ", \"name\": \"recv #{seq} <- p{src}\", \
+                     \"args\": {{ \"seq\": {seq}, \"src\": {src}, \"arrival\": \"{arrival}\", \
+                     \"queued\": {queued} }} }},"
+                );
+            }
+            ObsEvent::Wake { proc, at } => {
+                open_row(&mut out, 'i', proc, 0, at);
+                out.push_str(", \"s\": \"t\", \"name\": \"wake\" },\n");
+            }
             ObsEvent::Violation {
                 seq,
                 dst,
                 arrival,
                 busy_until,
-            } => lines.push(format!(
-                "    {{ \"ph\": \"i\", \"pid\": {dst}, \"tid\": 1, \"ts\": {}, \"s\": \"p\", \
-                 \"name\": \"violation #{seq}\", \
-                 \"args\": {{ \"busy_until\": \"{busy_until}\" }} }}",
-                ts(arrival),
-            )),
-            ObsEvent::Drop { seq, src, dst, at } => lines.push(format!(
-                "    {{ \"ph\": \"i\", \"pid\": {dst}, \"tid\": 1, \"ts\": {}, \"s\": \"p\", \
-                 \"name\": \"drop #{seq} <- p{src}\" }}",
-                ts(at),
-            )),
-            ObsEvent::Crash { proc, at } => lines.push(format!(
-                "    {{ \"ph\": \"i\", \"pid\": {proc}, \"tid\": 0, \"ts\": {}, \"s\": \"p\", \
-                 \"name\": \"crash\" }}",
-                ts(at),
-            )),
+            } => {
+                open_row(&mut out, 'i', dst, 1, arrival);
+                let _ = writeln!(
+                    out,
+                    ", \"s\": \"p\", \"name\": \"violation #{seq}\", \
+                     \"args\": {{ \"busy_until\": \"{busy_until}\" }} }},"
+                );
+            }
+            ObsEvent::Drop { seq, src, dst, at } => {
+                open_row(&mut out, 'i', dst, 1, at);
+                let _ = writeln!(
+                    out,
+                    ", \"s\": \"p\", \"name\": \"drop #{seq} <- p{src}\" }},"
+                );
+            }
+            ObsEvent::Crash { proc, at } => {
+                open_row(&mut out, 'i', proc, 0, at);
+                out.push_str(", \"s\": \"p\", \"name\": \"crash\" },\n");
+            }
             ObsEvent::Truncated {
-                processed, limit, ..
-            } => lines.push(format!(
-                "    {{ \"ph\": \"i\", \"pid\": 0, \"tid\": 0, \"ts\": {}, \"s\": \"g\", \
-                 \"name\": \"truncated: event budget exhausted\", \
-                 \"args\": {{ \"processed\": {processed}, \"limit\": {limit} }} }}",
-                ts(e.at()),
-            )),
+                processed,
+                limit,
+                at,
+            } => {
+                open_row(&mut out, 'i', 0, 0, at);
+                let _ = writeln!(
+                    out,
+                    ", \"s\": \"g\", \"name\": \"truncated: event budget exhausted\", \
+                     \"args\": {{ \"processed\": {processed}, \"limit\": {limit} }} }},"
+                );
+            }
         }
     }
-    out.push_str(&lines.join(",\n"));
+    if out.ends_with(",\n") {
+        out.truncate(out.len() - 2);
+    }
     out.push_str("\n  ]\n}\n");
     out
 }
@@ -200,6 +240,12 @@ mod tests {
         let json = to_chrome_trace(&log);
         assert!(json.contains("\"dropped_events\": \"9\""), "{json}");
         assert!(json.contains("\"sample\": \"head,rate:4\""), "{json}");
+    }
+
+    fn ts(t: Time) -> String {
+        let mut out = String::new();
+        push_ts(&mut out, t);
+        out
     }
 
     #[test]

@@ -277,14 +277,20 @@ impl<'a> Fields<'a> {
         u32::try_from(self.u64(key)?).map_err(|_| self.err(format!("{key:?} out of range")))
     }
 
-    fn time(&self, key: &str) -> Result<Time, ObsError> {
+    fn ratio(&self, key: &str) -> Result<Ratio, ObsError> {
         let text = match self.get(key)? {
             Tok::Str(s) | Tok::Num(s) => s,
             Tok::Bool(_) => return Err(self.err(format!("{key:?} must be a time"))),
         };
         text.parse::<Ratio>()
-            .map(Time)
             .map_err(|_| self.err(format!("{key:?}: cannot parse {text:?} as a rational")))
+    }
+
+    /// A time within the input bounds ([`Time::check_input`]).
+    fn time(&self, key: &str) -> Result<Time, ObsError> {
+        Time(self.ratio(key)?)
+            .check_input()
+            .map_err(|e| self.err(format!("{key:?}: {e}")))
     }
 
     fn bool(&self, key: &str) -> Result<bool, ObsError> {
@@ -352,11 +358,11 @@ impl JsonlParser {
             }
             let mut m = RunMeta::new(f.str("engine")?, f.u32("n")?);
             if f.get("lambda").is_ok() {
-                let lam = f.time("lambda")?;
-                m.lambda = Some(
-                    Latency::new(lam.as_ratio())
-                        .map_err(|e| f.err(format!("invalid lambda: {e}")))?,
-                );
+                let lam = Latency::new(f.ratio("lambda")?)
+                    .map_err(|e| e.to_string())
+                    .and_then(Latency::check_input)
+                    .map_err(|e| f.err(format!("invalid lambda: {e}")))?;
+                m.lambda = Some(lam);
             }
             if f.get("messages").is_ok() {
                 m.messages = Some(f.u64("messages")?);

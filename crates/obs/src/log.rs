@@ -107,8 +107,16 @@ pub struct ObsLog {
 
 impl ObsLog {
     /// Wraps metadata and an event list (assumed already ordered; use
-    /// [`crate::MemoryRecorder::into_log`] for engine output).
+    /// [`ObsLog::sorted`] for engine output).
     pub fn new(meta: RunMeta, events: Vec<ObsEvent>) -> ObsLog {
+        ObsLog { meta, events }
+    }
+
+    /// Wraps metadata and events recorded in any order, sorting them by
+    /// (timestamp, kind, seq) so logs from threaded runs are
+    /// deterministic given their timestamps. The sort is stable.
+    pub fn sorted(meta: RunMeta, mut events: Vec<ObsEvent>) -> ObsLog {
+        sort_events(&mut events);
         ObsLog { meta, events }
     }
 
@@ -232,6 +240,35 @@ pub fn port_busy_times(n: usize, spans: &[PortSpan]) -> Vec<(Time, Time)> {
         }
     }
     busy
+}
+
+/// Sorts by (timestamp, kind, seq), stably. Each key is computed once
+/// (`sort_by_cached_key`), not twice per comparison.
+fn sort_events(events: &mut [ObsEvent]) {
+    events.sort_by_cached_key(|e| {
+        let seq = match *e {
+            ObsEvent::Send { seq, .. }
+            | ObsEvent::Recv { seq, .. }
+            | ObsEvent::Violation { seq, .. }
+            | ObsEvent::Drop { seq, .. } => seq,
+            _ => u64::MAX,
+        };
+        (e.at(), kind_rank(e), seq)
+    });
+}
+
+fn kind_rank(e: &ObsEvent) -> u8 {
+    match e {
+        ObsEvent::Crash { .. } => 0,
+        ObsEvent::Send { .. } => 1,
+        ObsEvent::Recv { .. } => 2,
+        ObsEvent::Violation { .. } => 3,
+        ObsEvent::Drop { .. } => 4,
+        ObsEvent::Wake { .. } => 5,
+        // Truncation ends the run; it sorts after everything else at its
+        // timestamp.
+        ObsEvent::Truncated { .. } => 6,
+    }
 }
 
 #[cfg(test)]

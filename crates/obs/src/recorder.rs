@@ -65,9 +65,8 @@ impl MemoryRecorder {
     /// metadata, sorted by (timestamp, kind, seq) so logs from threaded
     /// runs are deterministic given their timestamps.
     pub fn into_log(self, meta: RunMeta) -> ObsLog {
-        let mut events = self.events.into_inner().unwrap_or_else(|e| e.into_inner());
-        sort_events(&mut events);
-        ObsLog::new(meta, events)
+        let events = self.events.into_inner().unwrap_or_else(|e| e.into_inner());
+        ObsLog::sorted(meta, events)
     }
 
     /// Copies the events recorded so far (sorted as in
@@ -82,40 +81,12 @@ impl MemoryRecorder {
     /// of a multi-million-event buffer copies `max_events` events, not
     /// the whole log.
     pub fn snapshot_tail(&self, meta: RunMeta, max_events: usize) -> ObsLog {
-        let mut events = {
+        let events = {
             let guard = self.lock();
             let skip = guard.len().saturating_sub(max_events);
             guard[skip..].to_vec()
         };
-        sort_events(&mut events);
-        ObsLog::new(meta, events)
-    }
-}
-
-pub(crate) fn sort_events(events: &mut [ObsEvent]) {
-    events.sort_by_key(|e| {
-        let seq = match *e {
-            ObsEvent::Send { seq, .. }
-            | ObsEvent::Recv { seq, .. }
-            | ObsEvent::Violation { seq, .. }
-            | ObsEvent::Drop { seq, .. } => seq,
-            _ => u64::MAX,
-        };
-        (e.at(), kind_rank(e), seq)
-    });
-}
-
-fn kind_rank(e: &ObsEvent) -> u8 {
-    match e {
-        ObsEvent::Crash { .. } => 0,
-        ObsEvent::Send { .. } => 1,
-        ObsEvent::Recv { .. } => 2,
-        ObsEvent::Violation { .. } => 3,
-        ObsEvent::Drop { .. } => 4,
-        ObsEvent::Wake { .. } => 5,
-        // Truncation ends the run; it sorts after everything else at its
-        // timestamp.
-        ObsEvent::Truncated { .. } => 6,
+        ObsLog::sorted(meta, events)
     }
 }
 

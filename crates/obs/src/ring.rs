@@ -31,7 +31,7 @@
 
 use crate::event::ObsEvent;
 use crate::log::{ObsLog, RunMeta};
-use crate::recorder::{sort_events, Recorder};
+use crate::recorder::Recorder;
 use crate::sample::{SampleMode, SampleSpec};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -197,8 +197,7 @@ impl RingRecorder {
             events.extend_from_slice(older);
             events.extend_from_slice(newer);
         }
-        sort_events(&mut events);
-        ObsLog::new(meta, events)
+        ObsLog::sorted(meta, events)
     }
 
     /// Copies the current contents into an [`ObsLog`] without consuming
@@ -215,8 +214,7 @@ impl RingRecorder {
             events.extend_from_slice(older);
             events.extend_from_slice(newer);
         }
-        sort_events(&mut events);
-        ObsLog::new(meta, events)
+        ObsLog::sorted(meta, events)
     }
 }
 

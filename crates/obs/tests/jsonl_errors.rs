@@ -137,6 +137,16 @@ fn field_errors_name_the_field() {
             "line 2: \"finish\": cannot parse \"1/\" as a rational",
         ),
         (
+            r#"{"type":"send","seq":0,"src":0,"dst":1,"start":"9007199254740993","finish":"1"}"#,
+            "line 2: \"start\": 9007199254740993 is out of range (a time's numerator must \
+             lie within ±2^53 and its denominator be at most 2^32)",
+        ),
+        (
+            r#"{"type":"wake","proc":0,"at":"1/4294967297"}"#,
+            "line 2: \"at\": 1/4294967297 is out of range (a time's numerator must \
+             lie within ±2^53 and its denominator be at most 2^32)",
+        ),
+        (
             r#"{"type":"recv","seq":0,"src":0,"dst":1,"arrival":"1","start":"1","finish":"2","queued":1}"#,
             "line 2: \"queued\" must be a boolean",
         ),
@@ -214,6 +224,11 @@ fn header_errors() {
         (
             r#"{"type":"run","engine":"e","n":3,"lambda":0}"#,
             "line 1: invalid lambda: latency must satisfy λ ≥ 1, got 0",
+        ),
+        (
+            r#"{"type":"run","engine":"e","n":3,"lambda":"65537"}"#,
+            "line 1: invalid lambda: 65537 is out of range (λ's numerator and denominator \
+             must be at most 2^16)",
         ),
         (
             r#"{"type":"run","engine":"e","n":3,"lambda":false}"#,

@@ -1,6 +1,6 @@
 //! Bridges from simulator output to the `postal-obs` event model.
 //!
-//! Engines can stream events live through a [`Recorder`] (see
+//! Engines can stream events live through a [`postal_obs::Recorder`] (see
 //! [`crate::engine::Simulation::observe`] and
 //! [`crate::lockstep::run_lockstep_observed`]); this module additionally
 //! converts already-collected [`Trace`]s and [`RunReport`]s into
@@ -11,7 +11,7 @@
 use crate::engine::RunReport;
 use crate::trace::Trace;
 use postal_model::Latency;
-use postal_obs::{MemoryRecorder, ObsEvent, ObsLog, Recorder, RunMeta};
+use postal_obs::{ObsEvent, ObsLog, RunMeta};
 
 /// Converts one trace into the equivalent event stream (one `Send` and
 /// one `Recv` per transfer).
@@ -48,22 +48,18 @@ pub fn log_from_report<P>(
     lambda: Option<Latency>,
     messages: Option<u64>,
 ) -> ObsLog {
-    let rec = MemoryRecorder::new();
-    for e in trace_events(&report.trace) {
-        rec.record(e);
-    }
-    for v in &report.violations {
-        rec.record(ObsEvent::Violation {
-            seq: v.seq.0,
-            dst: v.dst.0,
-            arrival: v.arrival,
-            busy_until: v.port_busy_until,
-        });
-    }
+    let mut events = trace_events(&report.trace);
+    events.reserve_exact(report.violations.len());
+    events.extend(report.violations.iter().map(|v| ObsEvent::Violation {
+        seq: v.seq.0,
+        dst: v.dst.0,
+        arrival: v.arrival,
+        busy_until: v.port_busy_until,
+    }));
     let mut meta = RunMeta::new(engine, n);
     meta.lambda = lambda;
     meta.messages = messages;
-    rec.into_log(meta)
+    ObsLog::sorted(meta, events)
 }
 
 #[cfg(test)]

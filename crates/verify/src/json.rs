@@ -287,6 +287,21 @@ fn as_ratio(v: &Value, field: &str) -> Result<Ratio, JsonError> {
         .map_err(|_| JsonError(format!("\"{field}\": cannot parse {text:?} as a rational")))
 }
 
+/// λ ≥ 1 within the input bounds ([`Latency::check_input`]).
+fn latency(lam: Ratio) -> Result<Latency, JsonError> {
+    Latency::new(lam)
+        .map_err(|e| e.to_string())
+        .and_then(Latency::check_input)
+        .map_err(|e| JsonError(format!("invalid \"lambda\": {e}")))
+}
+
+/// Send `i`'s start within the input bounds ([`Time::check_input`]).
+fn send_time(at: Ratio, i: usize) -> Result<Time, JsonError> {
+    Time(at)
+        .check_input()
+        .map_err(|e| JsonError(format!("sends[{i}]: \"at\": {e}")))
+}
+
 fn as_u64(v: &Value, field: &str) -> Result<u64, JsonError> {
     if let Value::Num(t) = v {
         if let Ok(x) = t.parse::<u64>() {
@@ -314,8 +329,7 @@ pub fn parse_schedule(text: &str) -> Result<ScheduleFile, JsonError> {
         .get("lambda")
         .ok_or_else(|| JsonError("missing \"lambda\"".into()))
         .and_then(|v| as_ratio(v, "lambda"))?;
-    let latency =
-        Latency::new(lam_ratio).map_err(|e| JsonError(format!("invalid \"lambda\": {e}")))?;
+    let latency = latency(lam_ratio)?;
     let messages = match top.get("messages") {
         None => None,
         Some(v) => Some(as_u64(v, "messages")?),
@@ -351,7 +365,7 @@ pub fn parse_schedule(text: &str) -> Result<ScheduleFile, JsonError> {
         sends.push(TimedSend {
             src: src as u32,
             dst: dst as u32,
-            send_start: Time(at),
+            send_start: send_time(at, i)?,
         });
     }
     Ok(ScheduleFile {
@@ -654,7 +668,7 @@ impl<R: std::io::BufRead> StreamParser<R> {
         Ok(TimedSend {
             src: src as u32,
             dst: dst as u32,
-            send_start: Time(at),
+            send_start: send_time(at, i)?,
         })
     }
 }
@@ -755,8 +769,7 @@ pub fn parse_schedule_reader<R: std::io::BufRead>(reader: R) -> Result<ScheduleF
     let lam_ratio = lambda
         .ok_or_else(|| JsonError("missing \"lambda\"".into()))
         .and_then(|v| v.as_ratio("lambda"))?;
-    let latency =
-        Latency::new(lam_ratio).map_err(|e| JsonError(format!("invalid \"lambda\": {e}")))?;
+    let latency = latency(lam_ratio)?;
     let messages = match messages {
         None => None,
         Some(v) => Some(v.as_u64("messages")?),

@@ -6,11 +6,22 @@
 //! character or end a line in its middle. `jsonl_to_schedule_file` and
 //! `from_jsonl` must return `Ok` or a located error for every input, and
 //! agree with each other wherever both can read it.
+//!
+//! Huge integers are bounded at the readers: a time or λ beyond the
+//! documented input bounds (`Time::check_input`,
+//! `Latency::check_input`) is a located error in the JSONL reader and
+//! in both schedule-JSON readers, and values on the edge of the bounds
+//! lint, batch and streaming, without a panic.
 
+use postal_model::latency::INPUT_LAMBDA_BITS;
 use postal_model::schedule::{Schedule, TimedSend};
-use postal_model::{Latency, Time};
-use postal_obs::{from_jsonl, to_jsonl, ObsError, ObsEvent, ObsLog, RunMeta};
-use postal_verify::jsonl_to_schedule_file;
+use postal_model::time::{INPUT_DENOM_BITS, INPUT_NUMER_BITS};
+use postal_model::{Latency, Ratio, Time};
+use postal_obs::{
+    from_jsonl, to_jsonl, LintStream, ObsError, ObsEvent, ObsLog, RunMeta, StreamOrdering,
+};
+use postal_verify::json::{parse_schedule, parse_schedule_reader, schedule_to_json};
+use postal_verify::{jsonl_to_schedule_file, lint_schedule, LintOptions, TopologySpec};
 use proptest::prelude::*;
 use std::io::Cursor;
 use std::sync::mpsc;
@@ -242,5 +253,197 @@ proptest! {
         }
         let outcome = check(&input);
         prop_assert!(outcome.is_ok(), "{}", outcome.unwrap_err());
+    }
+}
+
+/// The JSONL reproducers: a send start of `i128::MAX` (which overflowed
+/// the linter's `start + 1`) and λ = 2³¹ − 1 (whose `F_λ` tick table
+/// would take 32 GiB), each with the line the error must name.
+const HUGE_JSONL: [(&str, &str); 3] = [
+    (
+        "{\"type\":\"run\",\"engine\":\"e\",\"n\":3,\"lambda\":\"2\"}\n\
+         {\"type\":\"send\",\"seq\":0,\"src\":0,\"dst\":1,\
+         \"start\":\"170141183460469231731687303715884105727\",\"finish\":\"1\"}\n",
+        "line 2: \"start\": 170141183460469231731687303715884105727 is out of range",
+    ),
+    (
+        "{\"type\":\"run\",\"engine\":\"e\",\"n\":2,\"lambda\":\"2147483647\"}\n",
+        "line 1: invalid lambda: 2147483647 is out of range",
+    ),
+    (
+        "{\"type\":\"run\",\"engine\":\"e\",\"n\":2,\"lambda\":\"2\"}\n\
+         {\"type\":\"wake\",\"proc\":0,\"at\":\"1/18446744073709551616\"}\n",
+        "line 2: \"at\": 1/18446744073709551616 is out of range",
+    ),
+];
+
+/// The schedule-JSON reproducers: sends at `(2⁶³ − 1)/3` and
+/// `1/i128::MAX` (whose comparison overflowed while sorting) and
+/// λ = 2³¹ − 1, with the start of the error each reader must give.
+const HUGE_SCHEDULES: [(&str, &str); 3] = [
+    (
+        r#"{"n":3,"lambda":"2","sends":[{"src":0,"dst":1,"at":"9223372036854775807/3"},
+            {"src":0,"dst":2,"at":"1/170141183460469231731687303715884105727"}]}"#,
+        "sends[0]: \"at\": 9223372036854775807/3 is out of range",
+    ),
+    (
+        r#"{"n":3,"lambda":"2","sends":[{"src":0,"dst":1,"at":0},
+            {"src":0,"dst":2,"at":"1/170141183460469231731687303715884105727"}]}"#,
+        "sends[1]: \"at\": 1/170141183460469231731687303715884105727 is out of range",
+    ),
+    (
+        r#"{"n":2,"lambda":"2147483647","sends":[{"src":0,"dst":1,"at":0}]}"#,
+        "invalid \"lambda\": 2147483647 is out of range",
+    ),
+];
+
+#[test]
+fn huge_integers_fail_located() {
+    for (text, want) in HUGE_JSONL {
+        let batch = jsonl_to_schedule_file(Cursor::new(text.as_bytes())).unwrap_err();
+        assert!(batch.to_string().starts_with(want), "{batch}");
+        assert!(located(&batch, text.lines().count()), "{batch}");
+        assert_eq!(from_jsonl(text).unwrap_err(), batch);
+    }
+    for (text, want) in HUGE_SCHEDULES {
+        let tree = parse_schedule(text).unwrap_err().to_string();
+        let stream = parse_schedule_reader(Cursor::new(text.as_bytes()))
+            .unwrap_err()
+            .to_string();
+        assert!(tree.starts_with(want), "{tree}");
+        assert_eq!(tree, stream);
+    }
+}
+
+#[test]
+fn values_just_past_the_bounds_fail_and_on_them_read() {
+    let (num, den, lam) = (
+        1i128 << INPUT_NUMER_BITS,
+        1i128 << INPUT_DENOM_BITS,
+        1i128 << INPUT_LAMBDA_BITS,
+    );
+    let schedule = |lambda: Ratio, at: Ratio| {
+        format!(r#"{{"n":2,"lambda":"{lambda}","sends":[{{"src":0,"dst":1,"at":"{at}"}}]}}"#)
+    };
+    for (lambda, at, ok) in [
+        (Ratio::from_int(lam), Ratio::new(num, 1), true),
+        (Ratio::from_int(lam), Ratio::new(-num, 1), true),
+        (Ratio::new(lam, lam - 1), Ratio::new(1, den), true),
+        (Ratio::from_int(lam + 1), Ratio::ZERO, false),
+        (Ratio::new(lam + 1, lam), Ratio::ZERO, false),
+        (Ratio::from_int(2), Ratio::new(num + 1, 1), false),
+        (Ratio::from_int(2), Ratio::new(-num - 1, 1), false),
+        (Ratio::from_int(2), Ratio::new(1, den + 1), false),
+    ] {
+        let text = schedule(lambda, at);
+        let tree = parse_schedule(&text);
+        let stream = parse_schedule_reader(Cursor::new(text.as_bytes()));
+        assert_eq!(tree.is_ok(), ok, "{text}: {:?}", tree.map(|_| ()));
+        assert_eq!(stream.is_ok(), ok, "{text}");
+        let jsonl = format!(
+            "{{\"type\":\"run\",\"engine\":\"e\",\"n\":2,\"lambda\":\"{lambda}\"}}\n\
+             {{\"type\":\"send\",\"seq\":0,\"src\":0,\"dst\":1,\"start\":\"{at}\",\
+             \"finish\":\"{at}\"}}\n"
+        );
+        assert_eq!(from_jsonl(&jsonl).is_ok(), ok, "{jsonl}");
+        let file = jsonl_to_schedule_file(Cursor::new(jsonl.as_bytes()));
+        assert_eq!(file.is_ok(), ok, "{jsonl}");
+        if let Err(e) = file {
+            assert!(located(&e, 2), "{e}");
+        }
+    }
+}
+
+/// A time on or near the edges of the input bounds.
+fn arb_edge_time() -> impl Strategy<Value = Time> {
+    (0u8..4, 0u8..4, 0i128..=3, any::<bool>()).prop_map(|(nb, db, off, neg)| {
+        let num = match nb {
+            0 => off,
+            1 => (1 << 31) + off,
+            2 => (1 << INPUT_NUMER_BITS) - off,
+            _ => (3 << 40) + off,
+        };
+        let den = match db {
+            0 => 1 + off,
+            1 => (1 << 16) - off,
+            2 => (1 << INPUT_DENOM_BITS) - 5 - off,
+            _ => 1 << INPUT_DENOM_BITS,
+        };
+        Time::new(if neg { -num } else { num }, den)
+    })
+}
+
+/// λ with numerator and denominator on or near the bound.
+fn arb_edge_lambda() -> impl Strategy<Value = Latency> {
+    (0u8..4, 0u8..4).prop_map(|(a, b)| {
+        let pick = |k: u8| match k {
+            0 => 1,
+            1 => 3,
+            2 => (1 << INPUT_LAMBDA_BITS) - 1,
+            _ => 1 << INPUT_LAMBDA_BITS,
+        };
+        let (p, q) = (pick(a), pick(b));
+        Latency::from_ratio(p.max(q), p.min(q))
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn values_on_the_bounds_lint_without_panic(
+        lam in arb_edge_lambda(),
+        sends in collection::vec((0u32..4, 0u32..4, arb_edge_time()), 1..8),
+        m in 1u64..=u64::MAX,
+        ring in any::<bool>(),
+    ) {
+        let n = 4;
+        let lambda = lam.as_time();
+        let mut events = Vec::new();
+        for (seq, &(src, dst, start)) in sends.iter().enumerate() {
+            let seq = seq as u64;
+            let finish = (start + Time::ONE).check_input().unwrap_or(start);
+            events.push(ObsEvent::Send { seq, src, dst, start, finish });
+            let arrival = start + lambda - Time::ONE;
+            let finish = arrival + Time::ONE;
+            if arrival.check_input().is_ok() && finish.check_input().is_ok() {
+                events.push(ObsEvent::Recv {
+                    seq, src, dst, arrival, start: arrival, finish, queued: false,
+                });
+            }
+        }
+        events.sort_by_key(|e| e.at());
+        let text = to_jsonl(&ObsLog::new(RunMeta::new("edge", n).latency(lam).messages(m), events));
+        let opts = LintOptions::broadcast_of(m);
+        let topo = TopologySpec::Ring.instantiate(n).unwrap();
+
+        // Batch lint, as `lint` runs it on a JSONL log.
+        let file = jsonl_to_schedule_file(Cursor::new(text.as_bytes())).unwrap();
+        let batch = if ring {
+            postal_verify::lint_schedule_with_topology(&file.schedule, &opts, &topo)
+        } else {
+            lint_schedule(&file.schedule, &opts)
+        };
+        // Streaming lint, as `lint --stream` runs it.
+        let log = from_jsonl(&text).unwrap();
+        let mut stream = if ring {
+            LintStream::with_topology(n, lam, opts, StreamOrdering::Live, &topo)
+        } else {
+            LintStream::new(n, lam, opts, StreamOrdering::Live)
+        };
+        for e in log.events() {
+            stream.on_event(e);
+        }
+        let streamed = stream.finish();
+        for d in batch.iter().chain(&streamed) {
+            let _ = d.to_string();
+        }
+        // Both schedule-JSON readers, on the same schedule.
+        let json = schedule_to_json(&file.schedule, Some(m));
+        let tree = parse_schedule(&json).unwrap();
+        let pulled = parse_schedule_reader(Cursor::new(json.as_bytes())).unwrap();
+        prop_assert_eq!(parts(&tree.schedule), parts(&file.schedule));
+        prop_assert_eq!(parts(&pulled.schedule), parts(&file.schedule));
+        prop_assert_eq!(lint_schedule(&tree.schedule, &opts), lint_schedule(&file.schedule, &opts));
     }
 }
