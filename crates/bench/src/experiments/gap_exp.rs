@@ -2,8 +2,8 @@
 //! (lattice) optimum vs the best Section 4 algorithm, on instances small
 //! enough for exhaustive search.
 
-use crate::optimal::{optimal_multi_broadcast_with, OrderPolicy, SearchResult};
 use crate::table::{fmt_time, Table};
+use postal_model::optimal::{optimal_multi_broadcast_with, OrderPolicy, SearchResult};
 use postal_model::{runtimes, Latency, Time};
 
 /// Best closed-form Section-4 algorithm time for an instance.

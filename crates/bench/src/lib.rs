@@ -7,8 +7,6 @@
 //! * [`experiments`] — one module per experiment id in `DESIGN.md`
 //!   (F1, T6, T7, L8, L10–L18, X1–X3 and the ablations); each asserts
 //!   the paper's claims while producing a human-readable table.
-//! * [`optimal`] — exact exhaustive search for optimal multi-message
-//!   broadcast on tiny instances (quantifying the paper's Section 5 gap);
 //! * [`report`] — `BENCH_<id>.json` machine-readable summaries every
 //!   `exp_*` binary writes for CI;
 //! * [`table`] — the minimal text-table formatter used for output.
@@ -21,6 +19,5 @@
 #![forbid(unsafe_code)]
 
 pub mod experiments;
-pub mod optimal;
 pub mod report;
 pub mod table;

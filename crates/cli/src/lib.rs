@@ -13,7 +13,7 @@ use postal_algos::{
     run_bcast, run_dtree, run_pack, run_pipeline, run_repeat, run_repeat_greedy, tree_to_svg,
     BroadcastTree, SvgOptions, ToSchedule,
 };
-use postal_bench::optimal::{optimal_multi_broadcast_with, OrderPolicy, SearchResult};
+use postal_model::optimal::{optimal_multi_broadcast_with, OrderPolicy, SearchResult};
 use postal_model::{runtimes, GenFib, Latency, Time};
 use postal_obs::{
     to_chrome_trace, to_jsonl, to_prometheus, MetricsSummary, ObsLog, Recorder, RingRecorder,

@@ -1,6 +1,7 @@
-//! A time or λ beyond the input bounds is a located error, exit 1: it
-//! must never overflow the linter (a panic, exit 101) or make it
-//! allocate without bound (an abort, exit 134).
+//! A time or λ beyond the input bounds, or a value nested past the
+//! reader's depth limit, is a located error, exit 1: it must never
+//! overflow the linter (a panic, exit 101), make it allocate without
+//! bound or overflow its stack (an abort, exit 134).
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -77,4 +78,41 @@ fn a_huge_lambda_is_located_not_an_abort() {
     );
     assert_located(&path, &[], "invalid \"lambda\": 2147483647 is out of range");
     let _ = std::fs::remove_file(&path);
+}
+
+/// Unknown keys may hold any value, but the schedule reader caps its
+/// nesting at 128 levels instead of recursing until the stack
+/// overflows (an abort, exit 134). Each case is the text before the
+/// nested value, the text after it, and how many objects and arrays
+/// enclose the value.
+#[test]
+fn nesting_200_000_deep_is_located_not_an_abort() {
+    let value = format!("{}{}", "[".repeat(200_000), "]".repeat(200_000));
+    for (name, before, after, enclosing) in [
+        (
+            "deep-top.json",
+            r#"{"n":3,"lambda":2,"x":"#,
+            r#","sends":[]}"#,
+            1,
+        ),
+        (
+            "deep-send.json",
+            r#"{"n":3,"lambda":2,"sends":[{"src":0,"dst":1,"at":0,"x":"#,
+            "}]}",
+            3,
+        ),
+        // No run header, so `lint` sniffs the log as schedule JSON.
+        (
+            "deep-headerless.jsonl",
+            r#"{"type":"send","seq":0,"src":0,"dst":1,"x":"#,
+            "}\n",
+            1,
+        ),
+    ] {
+        let path = temp_file(name, &format!("{before}{value}{after}"));
+        // The `[` that opens level 129.
+        let at = before.len() + 128 - enclosing;
+        assert_located(&path, &[], &format!("nesting deeper than 128 at byte {at}"));
+        let _ = std::fs::remove_file(&path);
+    }
 }

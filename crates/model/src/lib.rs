@@ -35,6 +35,8 @@
 //! * [`topology`] — sparse communication graphs (ring, torus, hypercube,
 //!   bounded-degree broadcast graphs per arXiv:1312.1523) with the
 //!   BFS oracle behind the topology-aware lint codes `P0017`–`P0019`;
+//! * [`optimal`] — exact exhaustive search for optimal multi-message
+//!   broadcast on tiny instances (quantifying the paper's Section 5 gap);
 //! * [`step_fn`] — the paper's generic step-function/index-function
 //!   machinery (Claims 1–2), with `F_λ` as one instance;
 //! * [`corollaries`] — the elementary upper bounds of Corollaries 11,
@@ -69,6 +71,7 @@ pub mod corollaries;
 pub mod fib;
 pub mod latency;
 pub mod lint;
+pub mod optimal;
 pub mod ratio;
 pub mod runtimes;
 pub mod schedule;

@@ -1,13 +1,13 @@
 //! The observability event vocabulary.
 //!
-//! Every engine in the workspace — the discrete-event simulator, the
-//! lockstep cross-validator and the threaded runtime — narrates a run as
-//! a stream of [`ObsEvent`]s. An event is a *fact about the realized
-//! timeline*: a send span occupying an output port, a receive span
-//! occupying an input port, a strict-mode port violation, an injected
-//! fault. Timestamps are exact rationals ([`Time`]), so the span stream
-//! carries the same precision as the engines themselves; the threaded
-//! runtime quantizes its virtual clock onto the same type.
+//! Every engine in the workspace — the discrete-event simulator and the
+//! threaded runtime — narrates a run as a stream of [`ObsEvent`]s. An
+//! event is a *fact about the realized timeline*: a send span occupying
+//! an output port, a receive span occupying an input port, a
+//! strict-mode port violation, an injected fault. Timestamps are exact
+//! rationals ([`Time`]), so the span stream carries the same precision
+//! as the engines themselves; the threaded runtime quantizes its
+//! virtual clock onto the same type.
 //!
 //! The mapping to the paper (Section 2) is direct: a `Send` span is the
 //! sender's busy interval `[t, t+1]`, a `Recv` span is the receiver's
@@ -97,8 +97,7 @@ pub enum ObsEvent {
     /// returns its truncation error — so a consumer that only sees the
     /// event stream can still tell a completed run from an aborted one.
     Truncated {
-        /// Events (or ticks, for the lockstep engine) processed before
-        /// the budget ran out.
+        /// Events processed before the budget ran out.
         processed: u64,
         /// The configured budget that was exceeded.
         limit: u64,

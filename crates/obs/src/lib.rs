@@ -3,8 +3,8 @@
 //! Unified tracing, metrics and profiling for postal-model runs.
 //!
 //! Every execution substrate in the workspace — the discrete-event
-//! engine, the lockstep tick engine, and the threaded wall-clock
-//! executor — emits the same [`ObsEvent`] stream through a [`Recorder`].
+//! engine and the threaded wall-clock executor — emits the same
+//! [`ObsEvent`] stream through a [`Recorder`].
 //! The assembled [`ObsLog`] then feeds:
 //!
 //! * [`chrome`] — Chrome trace-event JSON (`chrome://tracing`,

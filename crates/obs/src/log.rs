@@ -9,8 +9,8 @@ use std::fmt;
 /// parameters needed to re-derive schedules and bounds from the events.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RunMeta {
-    /// Which substrate produced the log: `"event"`, `"lockstep"`,
-    /// `"threaded"`, or a caller-chosen tag.
+    /// Which substrate produced the log: `"event"`, `"threaded"`, or a
+    /// caller-chosen tag.
     pub engine: String,
     /// Processor count of the run.
     pub n: u32,

@@ -26,8 +26,6 @@
 //! * [`gantt`] — ASCII Gantt charts of traces;
 //! * [`jitter`] — deterministic bounded-jitter latency, for probing the
 //!   paper's uniform-λ assumption;
-//! * [`lockstep`] — a second, time-stepped engine implementation used to
-//!   cross-validate the event-driven one;
 //! * [`faults`] — deterministic message-drop and crash injection, to
 //!   observe how the (fault-intolerant) paper algorithms fail.
 //!
@@ -67,7 +65,6 @@ pub mod gantt;
 pub mod ids;
 pub mod jitter;
 pub mod latency_model;
-pub mod lockstep;
 pub mod obs;
 pub mod program;
 pub mod trace;
@@ -92,7 +89,6 @@ pub use faults::FaultPlan;
 pub use ids::{ProcId, SendSeq};
 pub use jitter::Jittered;
 pub use latency_model::{Hierarchical, LatencyModel, TimeVarying, Uniform};
-pub use lockstep::{run_lockstep, run_lockstep_observed};
 pub use obs::{log_from_report, trace_events};
 pub use program::{Context, Idle, Program};
 pub use trace::{Trace, Transfer};

@@ -1,8 +1,7 @@
 //! Bridges from simulator output to the `postal-obs` event model.
 //!
-//! Engines can stream events live through a [`postal_obs::Recorder`] (see
-//! [`crate::engine::Simulation::observe`] and
-//! [`crate::lockstep::run_lockstep_observed`]); this module additionally
+//! The engine can stream events live through a [`postal_obs::Recorder`]
+//! (see [`crate::engine::Simulation::observe`]); this module additionally
 //! converts already-collected [`Trace`]s and [`RunReport`]s into
 //! [`ObsLog`]s, so callers that only kept the report — like `postal-cli
 //! simulate` — can still export Chrome traces, Prometheus metrics and

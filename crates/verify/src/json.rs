@@ -16,14 +16,15 @@
 //! ```
 //!
 //! Times and λ accept the same forms the CLI does: `"5/2"`, `"2.5"`, or
-//! a bare JSON number. `"messages"` is optional (default 1).
+//! a bare JSON number. `"messages"` is optional (default 1). Unknown
+//! keys are skipped, but no value may nest deeper than 128 arrays and
+//! objects (the format itself needs 3).
 
 use postal_model::latency::Latency;
 use postal_model::lint::Diagnostic;
 use postal_model::ratio::Ratio;
 use postal_model::schedule::{Schedule, TimedSend};
 use postal_model::time::Time;
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// A schedule as read from a file, with its optional message count.
@@ -72,316 +73,10 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
-/// Parsed JSON value. Numbers keep their literal text so that times can
-/// be re-parsed exactly as rationals (e.g. `2.5` → `5/2`, no binary
-/// float round-trip).
-#[derive(Debug, Clone, PartialEq)]
-enum Value {
-    Null,
-    Bool(bool),
-    Num(String),
-    Str(String),
-    Arr(Vec<Value>),
-    Obj(BTreeMap<String, Value>),
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn new(s: &'a str) -> Parser<'a> {
-        Parser {
-            bytes: s.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn err(&self, what: &str) -> JsonError {
-        JsonError(format!("{what} at byte {}", self.pos))
-    }
-
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), JsonError> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected '{}'", b as char)))
-        }
-    }
-
-    fn value(&mut self) -> Result<Value, JsonError> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Value::Str(self.string()?)),
-            Some(b't') => self.literal("true", Value::Bool(true)),
-            Some(b'f') => self.literal("false", Value::Bool(false)),
-            Some(b'n') => self.literal("null", Value::Null),
-            Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
-            _ => Err(self.err("expected a JSON value")),
-        }
-    }
-
-    fn literal(&mut self, word: &str, v: Value) -> Result<Value, JsonError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(v)
-        } else {
-            Err(self.err(&format!("expected '{word}'")))
-        }
-    }
-
-    fn number(&mut self) -> Result<Value, JsonError> {
-        let start = self.pos;
-        while let Some(b) = self.peek() {
-            if b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E') {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-        if text.is_empty() || text == "-" {
-            return Err(self.err("malformed number"));
-        }
-        Ok(Value::Num(text.to_string()))
-    }
-
-    fn string(&mut self) -> Result<String, JsonError> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    let esc = self.peek().ok_or_else(|| self.err("bad escape"))?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b't' => out.push('\t'),
-                        b'r' => out.push('\r'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .ok_or_else(|| self.err("bad \\u escape"))?;
-                            let cp = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("bad \\u escape"))?;
-                            self.pos += 4;
-                            out.push(char::from_u32(cp).unwrap_or('\u{fffd}'));
-                        }
-                        _ => return Err(self.err("unknown escape")),
-                    }
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Value, JsonError> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Value::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => {
-                    self.pos += 1;
-                }
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Value::Arr(items));
-                }
-                _ => return Err(self.err("expected ',' or ']'")),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Value, JsonError> {
-        self.expect(b'{')?;
-        let mut map = BTreeMap::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Value::Obj(map));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            let val = self.value()?;
-            map.insert(key, val);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => {
-                    self.pos += 1;
-                }
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Value::Obj(map));
-                }
-                _ => return Err(self.err("expected ',' or '}'")),
-            }
-        }
-    }
-}
-
-fn parse_value(text: &str) -> Result<Value, JsonError> {
-    let mut p = Parser::new(text);
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(p.err("trailing characters after JSON value"));
-    }
-    Ok(v)
-}
-
-fn as_ratio(v: &Value, field: &str) -> Result<Ratio, JsonError> {
-    let text = match v {
-        Value::Num(t) => t.as_str(),
-        Value::Str(s) => s.as_str(),
-        _ => return Err(JsonError(format!("\"{field}\" must be a number or string"))),
-    };
-    text.parse::<Ratio>()
-        .map_err(|_| JsonError(format!("\"{field}\": cannot parse {text:?} as a rational")))
-}
-
-/// λ ≥ 1 within the input bounds ([`Latency::check_input`]).
-fn latency(lam: Ratio) -> Result<Latency, JsonError> {
-    Latency::new(lam)
-        .map_err(|e| e.to_string())
-        .and_then(Latency::check_input)
-        .map_err(|e| JsonError(format!("invalid \"lambda\": {e}")))
-}
-
-/// Send `i`'s start within the input bounds ([`Time::check_input`]).
-fn send_time(at: Ratio, i: usize) -> Result<Time, JsonError> {
-    Time(at)
-        .check_input()
-        .map_err(|e| JsonError(format!("sends[{i}]: \"at\": {e}")))
-}
-
-fn as_u64(v: &Value, field: &str) -> Result<u64, JsonError> {
-    if let Value::Num(t) = v {
-        if let Ok(x) = t.parse::<u64>() {
-            return Ok(x);
-        }
-    }
-    Err(JsonError(format!(
-        "\"{field}\" must be a nonnegative integer"
-    )))
-}
-
-/// Parses a schedule file (see module docs for the format).
-pub fn parse_schedule(text: &str) -> Result<ScheduleFile, JsonError> {
-    let Value::Obj(top) = parse_value(text)? else {
-        return Err(JsonError("top level must be an object".into()));
-    };
-    let n = top
-        .get("n")
-        .ok_or_else(|| JsonError("missing \"n\"".into()))
-        .and_then(|v| as_u64(v, "n"))?;
-    if n == 0 || n > u32::MAX as u64 {
-        return Err(JsonError(format!("\"n\" out of range: {n}")));
-    }
-    let lam_ratio = top
-        .get("lambda")
-        .ok_or_else(|| JsonError("missing \"lambda\"".into()))
-        .and_then(|v| as_ratio(v, "lambda"))?;
-    let latency = latency(lam_ratio)?;
-    let messages = match top.get("messages") {
-        None => None,
-        Some(v) => Some(as_u64(v, "messages")?),
-    };
-    let topology = match top.get("topology") {
-        None => None,
-        Some(Value::Str(s)) => Some(s.clone()),
-        Some(_) => return Err(JsonError("\"topology\" must be a string".into())),
-    };
-    let Some(Value::Arr(raw_sends)) = top.get("sends") else {
-        return Err(JsonError("missing \"sends\" array".into()));
-    };
-    let mut sends = Vec::with_capacity(raw_sends.len());
-    for (i, item) in raw_sends.iter().enumerate() {
-        let Value::Obj(o) = item else {
-            return Err(JsonError(format!("sends[{i}] must be an object")));
-        };
-        let src = o
-            .get("src")
-            .ok_or_else(|| JsonError(format!("sends[{i}]: missing \"src\"")))
-            .and_then(|v| as_u64(v, "src"))?;
-        let dst = o
-            .get("dst")
-            .ok_or_else(|| JsonError(format!("sends[{i}]: missing \"dst\"")))
-            .and_then(|v| as_u64(v, "dst"))?;
-        let at = o
-            .get("at")
-            .ok_or_else(|| JsonError(format!("sends[{i}]: missing \"at\"")))
-            .and_then(|v| as_ratio(v, "at"))?;
-        if src > u32::MAX as u64 || dst > u32::MAX as u64 {
-            return Err(JsonError(format!("sends[{i}]: endpoint out of range")));
-        }
-        sends.push(TimedSend {
-            src: src as u32,
-            dst: dst as u32,
-            send_start: send_time(at, i)?,
-        });
-    }
-    Ok(ScheduleFile {
-        schedule: Schedule::new(n as u32, latency, sends),
-        messages,
-        dropped_events: None,
-        sample: None,
-        truncated: false,
-        topology,
-    })
-}
-
 /// A scalar field value captured during a streaming parse. Numbers and
 /// strings keep their literal text (exact-rational re-parse); anything
-/// else is recorded only by shape so the deferred validation can emit
-/// the same "must be a …" message the tree parser would.
+/// else is recorded only by shape, for the deferred validation's
+/// "must be a …" message.
 enum Scalar {
     Num(String),
     Str(String),
@@ -413,17 +108,28 @@ impl Scalar {
     }
 }
 
-/// Incremental JSON lexer over a [`BufRead`]: the streaming counterpart
-/// of the tree-building `Parser`, reading one buffered byte at a time
-/// and tracking the absolute offset for `at byte N` errors.
+/// The deepest nesting of arrays and objects a schedule file may hold:
+/// serde_json's default recursion limit. The format itself needs 3
+/// (top-level object, `"sends"` array, send object); the limit keeps a
+/// deeply nested unknown value from overflowing the stack.
+const MAX_DEPTH: usize = 128;
+
+/// Incremental JSON lexer over a [`BufRead`](std::io::BufRead), reading
+/// one buffered byte at a time and tracking the absolute offset for
+/// `at byte N` errors and the nesting depth for [`MAX_DEPTH`].
 struct StreamParser<R: std::io::BufRead> {
     inner: R,
     pos: usize,
+    depth: usize,
 }
 
 impl<R: std::io::BufRead> StreamParser<R> {
     fn new(inner: R) -> StreamParser<R> {
-        StreamParser { inner, pos: 0 }
+        StreamParser {
+            inner,
+            pos: 0,
+            depth: 0,
+        }
     }
 
     fn err(&self, what: &str) -> JsonError {
@@ -441,6 +147,22 @@ impl<R: std::io::BufRead> StreamParser<R> {
     fn bump(&mut self) {
         self.inner.consume(1);
         self.pos += 1;
+    }
+
+    /// Consumes the `[` or `{` under the cursor, one level deeper.
+    fn open(&mut self) -> Result<(), JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH}")));
+        }
+        self.depth += 1;
+        self.bump();
+        Ok(())
+    }
+
+    /// Consumes the `]` or `}` under the cursor, one level up.
+    fn close(&mut self) {
+        self.depth -= 1;
+        self.bump();
     }
 
     fn skip_ws(&mut self) -> Result<(), JsonError> {
@@ -570,10 +292,10 @@ impl<R: std::io::BufRead> StreamParser<R> {
         self.skip_ws()?;
         match self.peek()? {
             Some(b'{') => {
-                self.bump();
+                self.open()?;
                 self.skip_ws()?;
                 if self.peek()? == Some(b'}') {
-                    self.bump();
+                    self.close();
                     return Ok(());
                 }
                 loop {
@@ -586,7 +308,7 @@ impl<R: std::io::BufRead> StreamParser<R> {
                     match self.peek()? {
                         Some(b',') => self.bump(),
                         Some(b'}') => {
-                            self.bump();
+                            self.close();
                             return Ok(());
                         }
                         _ => return Err(self.err("expected ',' or '}'")),
@@ -594,10 +316,10 @@ impl<R: std::io::BufRead> StreamParser<R> {
                 }
             }
             Some(b'[') => {
-                self.bump();
+                self.open()?;
                 self.skip_ws()?;
                 if self.peek()? == Some(b']') {
-                    self.bump();
+                    self.close();
                     return Ok(());
                 }
                 loop {
@@ -606,7 +328,7 @@ impl<R: std::io::BufRead> StreamParser<R> {
                     match self.peek()? {
                         Some(b',') => self.bump(),
                         Some(b']') => {
-                            self.bump();
+                            self.close();
                             return Ok(());
                         }
                         _ => return Err(self.err("expected ',' or ']'")),
@@ -625,11 +347,11 @@ impl<R: std::io::BufRead> StreamParser<R> {
             self.skip_value()?;
             return Err(JsonError(format!("sends[{i}] must be an object")));
         }
-        self.bump();
+        self.open()?;
         let (mut src, mut dst, mut at) = (None, None, None);
         self.skip_ws()?;
         if self.peek()? == Some(b'}') {
-            self.bump();
+            self.close();
         } else {
             loop {
                 self.skip_ws()?;
@@ -646,7 +368,7 @@ impl<R: std::io::BufRead> StreamParser<R> {
                 match self.peek()? {
                     Some(b',') => self.bump(),
                     Some(b'}') => {
-                        self.bump();
+                        self.close();
                         break;
                     }
                     _ => return Err(self.err("expected ',' or '}'")),
@@ -665,34 +387,47 @@ impl<R: std::io::BufRead> StreamParser<R> {
         if src > u32::MAX as u64 || dst > u32::MAX as u64 {
             return Err(JsonError(format!("sends[{i}]: endpoint out of range")));
         }
+        let send_start = Time(at)
+            .check_input()
+            .map_err(|e| JsonError(format!("sends[{i}]: \"at\": {e}")))?;
         Ok(TimedSend {
             src: src as u32,
             dst: dst as u32,
-            send_start: send_time(at, i)?,
+            send_start,
         })
     }
 }
 
-/// Streaming counterpart of [`parse_schedule`]: reads the same format
-/// incrementally from `reader`, so a million-send schedule file is
-/// linted without ever materializing its text (or a parse tree) in
-/// memory. Only the `TimedSend` list itself is retained. Top-level and
-/// per-send unknown keys are skipped; duplicate keys are last-wins;
-/// fields may appear in any order.
+/// Parses a schedule file (see module docs for the format) held in
+/// memory; [`parse_schedule_reader`] over the text's bytes.
 ///
 /// # Errors
-/// [`JsonError`] on syntax errors, I/O failures, or shape violations,
-/// in the formats [`parse_schedule`] uses.
+/// As [`parse_schedule_reader`].
+pub fn parse_schedule(text: &str) -> Result<ScheduleFile, JsonError> {
+    parse_schedule_reader(text.as_bytes())
+}
+
+/// Reads a schedule file (see module docs for the format)
+/// incrementally from `reader`, so a million-send schedule file is
+/// linted without ever materializing its text in memory. Only the
+/// `TimedSend` list itself is retained. Top-level and per-send unknown
+/// keys are skipped; duplicate keys are last-wins; fields may appear in
+/// any order.
+///
+/// # Errors
+/// [`JsonError`] on I/O failures, on syntax errors and on nesting
+/// deeper than 128 (both located `at byte N`), and on shape violations
+/// (which name the field, such as `sends[3]: missing "src"`).
 pub fn parse_schedule_reader<R: std::io::BufRead>(reader: R) -> Result<ScheduleFile, JsonError> {
     let mut p = StreamParser::new(reader);
     p.skip_ws()?;
     if p.peek()? != Some(b'{') {
         // Validate the stray value for a precise syntax error, then
-        // report the shape problem the tree parser would.
+        // report the shape problem.
         p.skip_value()?;
         return Err(JsonError("top level must be an object".into()));
     }
-    p.bump();
+    p.open()?;
 
     let (mut n, mut lambda, mut messages): (Option<Scalar>, Option<Scalar>, Option<Scalar>) =
         (None, None, None);
@@ -700,7 +435,7 @@ pub fn parse_schedule_reader<R: std::io::BufRead>(reader: R) -> Result<ScheduleF
     let mut sends: Option<Vec<TimedSend>> = None;
     p.skip_ws()?;
     if p.peek()? == Some(b'}') {
-        p.bump();
+        p.close();
     } else {
         loop {
             p.skip_ws()?;
@@ -715,11 +450,11 @@ pub fn parse_schedule_reader<R: std::io::BufRead>(reader: R) -> Result<ScheduleF
                 "sends" => {
                     p.skip_ws()?;
                     if p.peek()? == Some(b'[') {
-                        p.bump();
+                        p.open()?;
                         let mut list = Vec::new();
                         p.skip_ws()?;
                         if p.peek()? == Some(b']') {
-                            p.bump();
+                            p.close();
                         } else {
                             loop {
                                 list.push(p.send_element(list.len())?);
@@ -727,7 +462,7 @@ pub fn parse_schedule_reader<R: std::io::BufRead>(reader: R) -> Result<ScheduleF
                                 match p.peek()? {
                                     Some(b',') => p.bump(),
                                     Some(b']') => {
-                                        p.bump();
+                                        p.close();
                                         break;
                                     }
                                     _ => return Err(p.err("expected ',' or ']'")),
@@ -736,8 +471,8 @@ pub fn parse_schedule_reader<R: std::io::BufRead>(reader: R) -> Result<ScheduleF
                         }
                         sends = Some(list);
                     } else {
-                        // A non-array "sends" reads as absent, exactly
-                        // as the tree parser's shape check treats it.
+                        // A non-array "sends" reads as absent: the
+                        // error below is `missing "sends" array`.
                         p.skip_value()?;
                         sends = None;
                     }
@@ -748,7 +483,7 @@ pub fn parse_schedule_reader<R: std::io::BufRead>(reader: R) -> Result<ScheduleF
             match p.peek()? {
                 Some(b',') => p.bump(),
                 Some(b'}') => {
-                    p.bump();
+                    p.close();
                     break;
                 }
                 _ => return Err(p.err("expected ',' or '}'")),
@@ -769,7 +504,11 @@ pub fn parse_schedule_reader<R: std::io::BufRead>(reader: R) -> Result<ScheduleF
     let lam_ratio = lambda
         .ok_or_else(|| JsonError("missing \"lambda\"".into()))
         .and_then(|v| v.as_ratio("lambda"))?;
-    let latency = latency(lam_ratio)?;
+    // λ ≥ 1 within the input bounds.
+    let latency = Latency::new(lam_ratio)
+        .map_err(|e| e.to_string())
+        .and_then(Latency::check_input)
+        .map_err(|e| JsonError(format!("invalid \"lambda\": {e}")))?;
     let messages = match messages {
         None => None,
         Some(v) => Some(v.as_u64("messages")?),
@@ -937,69 +676,83 @@ mod tests {
     }
 
     #[test]
-    fn rejects_malformed_input() {
-        assert!(parse_schedule("[1, 2]").is_err());
-        assert!(parse_schedule("{\"n\": 2}").is_err());
-        assert!(parse_schedule("{\"n\": 0, \"lambda\": 1, \"sends\": []}").is_err());
-        assert!(
-            parse_schedule(r#"{"n": 2, "lambda": "1/2", "sends": []}"#).is_err(),
-            "lambda < 1 must be rejected"
-        );
-        assert!(parse_schedule("{\"n\": 2, \"lambda\": 1, \"sends\": [{}]}").is_err());
-        assert!(parse_schedule("{\"n\": 2, \"lambda\": 1, \"sends\": []} trailing").is_err());
-    }
-
-    #[test]
-    fn streaming_parser_matches_tree_parser() {
-        let cases = [
-            SAMPLE,
-            r#"{"n": 2, "lambda": 2.5, "sends": [{"src":0,"dst":1,"at":1.5}]}"#,
-            // Out-of-order fields, unknown keys (nested), duplicates.
+    fn reads_out_of_order_unknown_and_duplicate_keys() {
+        // Unknown keys (nested) are skipped and the last "n" wins.
+        let file = parse_schedule(
             r#"{"comment": {"a": [1, {"b": null}]}, "sends": [
                  {"src": 0, "dst": 1, "at": "0", "note": "x"}],
                "lambda": "5/2", "n": 4, "n": 3}"#,
-            r#"{"n": 2, "lambda": 1, "sends": []}"#,
+        )
+        .unwrap();
+        assert_eq!(file.schedule.n(), 3);
+        assert_eq!(file.schedule.latency(), Latency::from_ratio(5, 2));
+        let send = TimedSend {
+            src: 0,
+            dst: 1,
+            send_start: Time::ZERO,
+        };
+        assert_eq!(file.schedule.sends(), [send]);
+        assert_eq!(file.messages, None);
+        let empty = parse_schedule(r#"{"n": 2, "lambda": 1, "sends": []}"#).unwrap();
+        assert_eq!(empty.schedule.n(), 2);
+        assert_eq!(empty.schedule.latency(), Latency::TELEPHONE);
+        assert!(empty.schedule.sends().is_empty());
+    }
+
+    #[test]
+    fn rejects_malformed_input() {
+        let bad = [
+            ("[1, 2]", "top level must be an object"),
+            ("{\"n\": 2}", "missing \"lambda\""),
+            (
+                "{\"n\": 0, \"lambda\": 1, \"sends\": []}",
+                "\"n\" out of range: 0",
+            ),
+            (
+                r#"{"n": 2, "lambda": "1/2", "sends": []}"#,
+                "invalid \"lambda\": latency must satisfy λ ≥ 1, got 1/2",
+            ),
+            (
+                "{\"n\": 2, \"lambda\": 1, \"sends\": [{}]}",
+                "sends[0]: missing \"src\"",
+            ),
+            (
+                "{\"n\": 2, \"lambda\": 1, \"sends\": []} trailing",
+                "trailing characters after JSON value at byte 35",
+            ),
+            (
+                "{\"n\": 2, \"lambda\": 1, \"sends\": 3}",
+                "missing \"sends\" array",
+            ),
+            ("not json", "expected 'null' at byte 1"),
+            (
+                "{\"n\": 2, \"lambda\": 1, \"sends\": [{\"dst\": 1, \"at\": 0}]}",
+                "sends[0]: missing \"src\"",
+            ),
         ];
-        for text in cases {
-            let tree = parse_schedule(text).unwrap();
-            let stream = parse_schedule_reader(std::io::Cursor::new(text)).unwrap();
-            assert_eq!(stream.schedule.n(), tree.schedule.n(), "{text}");
-            assert_eq!(stream.schedule.latency(), tree.schedule.latency());
-            assert_eq!(stream.schedule.sends(), tree.schedule.sends());
-            assert_eq!(stream.messages, tree.messages);
+        for (text, want) in bad {
+            assert_eq!(parse_schedule(text).unwrap_err().0, want, "{text}");
         }
     }
 
     #[test]
-    fn streaming_parser_rejects_what_the_tree_parser_rejects() {
-        let bad = [
-            "[1, 2]",
-            "{\"n\": 2}",
-            "{\"n\": 0, \"lambda\": 1, \"sends\": []}",
-            r#"{"n": 2, "lambda": "1/2", "sends": []}"#,
-            "{\"n\": 2, \"lambda\": 1, \"sends\": [{}]}",
-            "{\"n\": 2, \"lambda\": 1, \"sends\": []} trailing",
-            "{\"n\": 2, \"lambda\": 1, \"sends\": 3}",
-            "not json",
-        ];
-        for text in bad {
-            assert!(parse_schedule(text).is_err(), "{text}");
-            assert!(
-                parse_schedule_reader(std::io::Cursor::new(text)).is_err(),
-                "{text}"
-            );
-        }
-        // Shape errors carry the tree parser's exact wording.
-        let missing = parse_schedule_reader(std::io::Cursor::new(
-            "{\"n\": 2, \"lambda\": 1, \"sends\": 3}",
-        ))
-        .unwrap_err();
-        assert_eq!(missing.0, "missing \"sends\" array");
-        let el = parse_schedule_reader(std::io::Cursor::new(
-            "{\"n\": 2, \"lambda\": 1, \"sends\": [{\"dst\": 1, \"at\": 0}]}",
-        ))
-        .unwrap_err();
-        assert_eq!(el.0, "sends[0]: missing \"src\"");
+    fn nesting_is_capped_at_max_depth() {
+        // The top-level object is depth 1, so an unknown top-level value
+        // may open MAX_DEPTH − 1 more levels.
+        let nested = |k: usize| {
+            format!(
+                r#"{{"x":{}{},"n":2,"lambda":1,"sends":[]}}"#,
+                "[".repeat(k),
+                "]".repeat(k)
+            )
+        };
+        assert!(parse_schedule(&nested(MAX_DEPTH - 1)).is_ok());
+        let err = parse_schedule(&nested(MAX_DEPTH)).unwrap_err();
+        // `{"x":` is 5 bytes; the failing `[` is the MAX_DEPTH-th.
+        assert_eq!(
+            err.0,
+            format!("nesting deeper than 128 at byte {}", 5 + MAX_DEPTH - 1)
+        );
     }
 
     #[test]

@@ -50,7 +50,7 @@ pub use postal_model::lint::{
 };
 pub use postal_model::{Topology, TopologyError, TopologySpec};
 pub use postal_obs::ObsError;
-pub use race::{detect_races, Race, RaceStream};
+pub use race::{detect_races, Race};
 
 use postal_model::latency::Latency;
 use postal_model::schedule::Schedule;

@@ -32,21 +32,7 @@
 //! detector; `crates/verify/tests/race_differential.rs` asserts the two
 //! report identical races.
 
-//! ## Streaming detection
-//!
-//! [`RaceStream`] runs the same epoch algorithm over flights *pushed
-//! incrementally* in send order, without holding the full flight list:
-//! snapshots still drop at the matching receive, per-destination
-//! pairing keeps only the previous delivery (plus the current
-//! same-instant tie group), and races buffer until
-//! [`RaceStream::finish`] restores the batch detector's
-//! by-destination report order. `detect_races` remains the batch entry
-//! point and the executable spec; the unit suite runs every case
-//! through both and asserts identical output.
-
 use crate::flight::Flight;
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
 
 /// A pair of deliveries whose order is not causally forced.
 #[derive(Debug, Clone, PartialEq)]
@@ -300,261 +286,6 @@ pub fn detect_races(n: u32, flights: &[Flight]) -> Vec<Race> {
     pair_deliveries(nn, flights, |i, j| send_at_dst[j] >= recv_epoch[i])
 }
 
-/// A timed event key with the same total order as [`sorted_events`]:
-/// time (IEEE total order), then receives before sends, then push
-/// order.
-#[derive(Clone, Copy, PartialEq)]
-struct EventKey(f64, Kind, u64);
-
-impl Eq for EventKey {}
-
-impl PartialOrd for EventKey {
-    fn partial_cmp(&self, other: &EventKey) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for EventKey {
-    fn cmp(&self, other: &EventKey) -> std::cmp::Ordering {
-        self.0
-            .total_cmp(&other.0)
-            .then(self.1.cmp(&other.1))
-            .then(self.2.cmp(&other.2))
-    }
-}
-
-/// One delivery's pairing record: everything the adjacent-pair check
-/// needs once the flight list itself is gone.
-struct Delivery {
-    flight: Flight,
-    /// The sender's view of the destination's clock at send time.
-    send_at_dst: u64,
-    /// The destination's epoch stamped on this receipt.
-    recv_epoch: u64,
-}
-
-/// Per-destination pairing state: the last finalized delivery plus the
-/// still-open group of deliveries sharing the current receive instant
-/// (batch order sorts those by send time, so they stay buffered until a
-/// later receive closes the group).
-#[derive(Default)]
-struct DstState {
-    prev: Option<Delivery>,
-    group: Vec<Delivery>,
-}
-
-/// The streaming counterpart of [`detect_races`]: push flights in
-/// ascending send order, collect the identical race report from
-/// [`finish`](RaceStream::finish).
-///
-/// Internally the two events of each pushed flight are parked in a
-/// min-heap and processed — in exactly `sorted_events` order —
-/// once the *send-time frontier* (the largest send time pushed so far)
-/// strictly passes them: a later push can never introduce an earlier
-/// event, so the epoch updates replay the batch sweep. Memory is
-/// O(n + in-flight + races): a flight's clock snapshot and record are
-/// dropped when its receive is processed, and pairing holds one
-/// previous delivery per destination. A push that violates the send
-/// order (or a flight received before it was sent) sets
-/// [`out_of_order`](RaceStream::out_of_order); the report is then
-/// unreliable and [`detect_races`] should be used instead.
-pub struct RaceStream {
-    n: u32,
-    clock: Vec<Clock>,
-    /// Flights whose events are not both processed yet, by push index.
-    in_flight: HashMap<u64, Flight>,
-    /// Set at the send event, taken at the matching receive:
-    /// `(send_at_dst, sender clock snapshot)`.
-    causal: HashMap<u64, (u64, Clock)>,
-    events: BinaryHeap<Reverse<EventKey>>,
-    by_dst: HashMap<u32, DstState>,
-    /// `(dst, races in delivery order)` accumulator; sorted by
-    /// destination at finish to match the batch report order.
-    races: Vec<(u32, Race)>,
-    next_seq: u64,
-    /// Largest send time pushed so far: events strictly below it are
-    /// final.
-    frontier: f64,
-    out_of_order: bool,
-}
-
-impl RaceStream {
-    /// Creates a detector for `n` processors.
-    pub fn new(n: u32) -> RaceStream {
-        RaceStream {
-            n,
-            clock: (0..n).map(|_| Clock::new()).collect(),
-            in_flight: HashMap::new(),
-            causal: HashMap::new(),
-            events: BinaryHeap::new(),
-            by_dst: HashMap::new(),
-            races: Vec::new(),
-            next_seq: 0,
-            frontier: f64::NEG_INFINITY,
-            out_of_order: false,
-        }
-    }
-
-    /// Pushes the next flight. Flights must arrive in ascending
-    /// `send_at` order (ties free); a violation sets the
-    /// [`out_of_order`](RaceStream::out_of_order) flag.
-    pub fn push(&mut self, flight: Flight) {
-        // A push below the frontier breaks the replay order; a receive
-        // before its own send means the send-time epoch view cannot be
-        // captured before pairing needs it. Either way the batch
-        // detector is the reliable fallback.
-        if flight.send_at < self.frontier || flight.recv_at < flight.send_at {
-            self.out_of_order = true;
-        }
-        self.frontier = self.frontier.max(flight.send_at);
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.events
-            .push(Reverse(EventKey(flight.send_at, Kind::Send, seq)));
-        self.events
-            .push(Reverse(EventKey(flight.recv_at, Kind::Recv, seq)));
-        self.in_flight.insert(seq, flight);
-        self.drain_below(self.frontier);
-    }
-
-    /// Processes every parked event strictly below `limit` (events *at*
-    /// the frontier stay pending: a later push may still tie with
-    /// them).
-    fn drain_below(&mut self, limit: f64) {
-        while let Some(&Reverse(key)) = self.events.peek() {
-            if key.0 >= limit {
-                return;
-            }
-            self.events.pop();
-            self.process(key);
-        }
-    }
-
-    fn process(&mut self, EventKey(_, kind, seq): EventKey) {
-        let nn = self.n as usize;
-        match kind {
-            Kind::Send => {
-                let f = &self.in_flight[&seq];
-                let p = f.src as usize;
-                let (src, dst) = (f.src, f.dst);
-                self.clock[p].bump(src, nn);
-                let send_at_dst = self.clock[p].get(dst);
-                self.causal
-                    .insert(seq, (send_at_dst, self.clock[p].clone()));
-            }
-            Kind::Recv => {
-                let f = self.in_flight.remove(&seq).expect("recv after send parked");
-                let d = f.dst as usize;
-                // A flight whose send event was somehow never processed
-                // (out-of-order input) contributes no edge, matching
-                // the batch detector's missing-snapshot tolerance.
-                let send_at_dst = match self.causal.remove(&seq) {
-                    Some((send_at_dst, sv)) => {
-                        self.clock[d].join(&sv, nn);
-                        send_at_dst
-                    }
-                    None => 0,
-                };
-                let recv_epoch = self.clock[d].bump(f.dst, nn);
-                if f.dst < self.n {
-                    let delivery = Delivery {
-                        flight: f,
-                        send_at_dst,
-                        recv_epoch,
-                    };
-                    let dst = delivery.flight.dst;
-                    let state = self.by_dst.entry(dst).or_default();
-                    // Receives are processed in receive-time order, so
-                    // a strictly later receipt closes the current
-                    // same-instant group.
-                    if state
-                        .group
-                        .first()
-                        .is_some_and(|g| delivery.flight.recv_at > g.flight.recv_at)
-                    {
-                        Self::flush_group(state, &mut self.races);
-                    }
-                    state.group.push(delivery);
-                }
-            }
-        }
-    }
-
-    /// Closes a destination's same-instant group: batch order sorts the
-    /// group by send time (stable, so push order breaks full ties) and
-    /// pairs each adjacent delivery.
-    fn flush_group(state: &mut DstState, races: &mut Vec<(u32, Race)>) {
-        state
-            .group
-            .sort_by(|a, b| a.flight.send_at.total_cmp(&b.flight.send_at));
-        for next in state.group.drain(..) {
-            if let Some(prev) = state.prev.take() {
-                Self::check_pair(&prev, &next, races);
-            }
-            state.prev = Some(next);
-        }
-    }
-
-    /// The batch detector's adjacent-pair verdict, verbatim.
-    fn check_pair(first: &Delivery, second: &Delivery, races: &mut Vec<(u32, Race)>) {
-        let (fi, fj) = (&first.flight, &second.flight);
-        let dst = fi.dst;
-        let simultaneous = fi.recv_at == fj.recv_at;
-        // Channel FIFO: same sender, sends in matching order.
-        let fifo = fi.src == fj.src && fi.send_at < fj.send_at;
-        // Causally forced: the later send happens-after the earlier
-        // receipt.
-        let causal = second.send_at_dst >= first.recv_epoch;
-        if simultaneous || (!fifo && !causal) {
-            let why = if simultaneous {
-                "they complete simultaneously".to_string()
-            } else {
-                format!(
-                    "p{}'s send at t = {} does not happen-after p{dst}'s receipt at \
-                     t = {}, and the two use different channels",
-                    fj.src, fj.send_at, fi.recv_at
-                )
-            };
-            races.push((
-                dst,
-                Race {
-                    dst,
-                    first: fi.clone(),
-                    second: fj.clone(),
-                    message: format!(
-                        "delivery race at p{dst}: {} from p{} (recv t = {}) vs {} from \
-                         p{} (recv t = {}) — the observed order is not causally forced: {why}",
-                        fi.label, fi.src, fi.recv_at, fj.label, fj.src, fj.recv_at
-                    ),
-                },
-            ));
-        }
-    }
-
-    /// True when a flight arrived out of send order (or claimed a
-    /// receive before its own send): the streamed report may not match
-    /// [`detect_races`].
-    pub fn out_of_order(&self) -> bool {
-        self.out_of_order
-    }
-
-    /// Processes every remaining event and returns all races, in the
-    /// batch detector's order (ascending destination, delivery order
-    /// within a destination).
-    pub fn finish(mut self) -> Vec<Race> {
-        self.drain_below(f64::INFINITY);
-        let mut dsts: Vec<u32> = self.by_dst.keys().copied().collect();
-        dsts.sort_unstable();
-        for dst in dsts {
-            let mut state = self.by_dst.remove(&dst).unwrap();
-            Self::flush_group(&mut state, &mut self.races);
-        }
-        let mut races = std::mem::take(&mut self.races);
-        races.sort_by_key(|(dst, _)| *dst);
-        races.into_iter().map(|(_, r)| r).collect()
-    }
-}
-
 /// The original full-vector-clock detector, kept verbatim as the
 /// differential oracle for [`detect_races`]. O(E·n) time and memory;
 /// do not optimize this function — its value is that it never changes.
@@ -608,21 +339,11 @@ mod tests {
         }
     }
 
-    /// All three detectors, asserting they agree before returning. The
-    /// streaming detector is fed in send order, as its contract
-    /// requires.
+    /// Both detectors, asserting they agree before returning.
     fn detect_both(n: u32, flights: &[Flight]) -> Vec<Race> {
         let fast = detect_races(n, flights);
         let slow = detect_races_reference(n, flights);
         assert_eq!(fast, slow, "epoch and vector-clock detectors diverge");
-        let mut sorted = flights.to_vec();
-        sorted.sort_by(|a, b| a.send_at.total_cmp(&b.send_at));
-        let mut stream = RaceStream::new(n);
-        for f in sorted {
-            stream.push(f);
-        }
-        assert!(!stream.out_of_order());
-        assert_eq!(stream.finish(), fast, "streaming detector diverges");
         fast
     }
 

@@ -10,8 +10,9 @@
 //! Huge integers are bounded at the readers: a time or λ beyond the
 //! documented input bounds (`Time::check_input`,
 //! `Latency::check_input`) is a located error in the JSONL reader and
-//! in both schedule-JSON readers, and values on the edge of the bounds
-//! lint, batch and streaming, without a panic.
+//! in the schedule-JSON reader, and values on the edge of the bounds
+//! lint, batch and streaming, without a panic. The schedule-JSON reader
+//! skips unknown values of any shape but caps their nesting.
 
 use postal_model::latency::INPUT_LAMBDA_BITS;
 use postal_model::schedule::{Schedule, TimedSend};
@@ -20,7 +21,7 @@ use postal_model::{Latency, Ratio, Time};
 use postal_obs::{
     from_jsonl, to_jsonl, LintStream, ObsError, ObsEvent, ObsLog, RunMeta, StreamOrdering,
 };
-use postal_verify::json::{parse_schedule, parse_schedule_reader, schedule_to_json};
+use postal_verify::json::{parse_schedule_reader, schedule_to_json};
 use postal_verify::{jsonl_to_schedule_file, lint_schedule, LintOptions, TopologySpec};
 use proptest::prelude::*;
 use std::io::Cursor;
@@ -277,25 +278,46 @@ const HUGE_JSONL: [(&str, &str); 3] = [
     ),
 ];
 
+/// The out-of-range message for a time read from a file.
+fn time_out_of_range(at: impl std::fmt::Display) -> String {
+    format!(
+        "{at} is out of range (a time's numerator must lie within ±2^53 and its \
+         denominator be at most 2^32)"
+    )
+}
+
+/// The out-of-range message for a λ read from a file.
+fn lambda_out_of_range(lambda: impl std::fmt::Display) -> String {
+    format!("{lambda} is out of range (λ's numerator and denominator must be at most 2^16)")
+}
+
 /// The schedule-JSON reproducers: sends at `(2⁶³ − 1)/3` and
 /// `1/i128::MAX` (whose comparison overflowed while sorting) and
-/// λ = 2³¹ − 1, with the start of the error each reader must give.
-const HUGE_SCHEDULES: [(&str, &str); 3] = [
-    (
-        r#"{"n":3,"lambda":"2","sends":[{"src":0,"dst":1,"at":"9223372036854775807/3"},
+/// λ = 2³¹ − 1, with the error the reader must give.
+fn huge_schedules() -> [(&'static str, String); 3] {
+    [
+        (
+            r#"{"n":3,"lambda":"2","sends":[{"src":0,"dst":1,"at":"9223372036854775807/3"},
             {"src":0,"dst":2,"at":"1/170141183460469231731687303715884105727"}]}"#,
-        "sends[0]: \"at\": 9223372036854775807/3 is out of range",
-    ),
-    (
-        r#"{"n":3,"lambda":"2","sends":[{"src":0,"dst":1,"at":0},
+            format!(
+                "sends[0]: \"at\": {}",
+                time_out_of_range("9223372036854775807/3")
+            ),
+        ),
+        (
+            r#"{"n":3,"lambda":"2","sends":[{"src":0,"dst":1,"at":0},
             {"src":0,"dst":2,"at":"1/170141183460469231731687303715884105727"}]}"#,
-        "sends[1]: \"at\": 1/170141183460469231731687303715884105727 is out of range",
-    ),
-    (
-        r#"{"n":2,"lambda":"2147483647","sends":[{"src":0,"dst":1,"at":0}]}"#,
-        "invalid \"lambda\": 2147483647 is out of range",
-    ),
-];
+            format!(
+                "sends[1]: \"at\": {}",
+                time_out_of_range("1/170141183460469231731687303715884105727")
+            ),
+        ),
+        (
+            r#"{"n":2,"lambda":"2147483647","sends":[{"src":0,"dst":1,"at":0}]}"#,
+            format!("invalid \"lambda\": {}", lambda_out_of_range(2147483647)),
+        ),
+    ]
+}
 
 #[test]
 fn huge_integers_fail_located() {
@@ -305,13 +327,9 @@ fn huge_integers_fail_located() {
         assert!(located(&batch, text.lines().count()), "{batch}");
         assert_eq!(from_jsonl(text).unwrap_err(), batch);
     }
-    for (text, want) in HUGE_SCHEDULES {
-        let tree = parse_schedule(text).unwrap_err().to_string();
-        let stream = parse_schedule_reader(Cursor::new(text.as_bytes()))
-            .unwrap_err()
-            .to_string();
-        assert!(tree.starts_with(want), "{tree}");
-        assert_eq!(tree, stream);
+    for (text, want) in huge_schedules() {
+        let err = parse_schedule_reader(Cursor::new(text.as_bytes())).unwrap_err();
+        assert_eq!(err.to_string(), want);
     }
 }
 
@@ -325,21 +343,54 @@ fn values_just_past_the_bounds_fail_and_on_them_read() {
     let schedule = |lambda: Ratio, at: Ratio| {
         format!(r#"{{"n":2,"lambda":"{lambda}","sends":[{{"src":0,"dst":1,"at":"{at}"}}]}}"#)
     };
-    for (lambda, at, ok) in [
-        (Ratio::from_int(lam), Ratio::new(num, 1), true),
-        (Ratio::from_int(lam), Ratio::new(-num, 1), true),
-        (Ratio::new(lam, lam - 1), Ratio::new(1, den), true),
-        (Ratio::from_int(lam + 1), Ratio::ZERO, false),
-        (Ratio::new(lam + 1, lam), Ratio::ZERO, false),
-        (Ratio::from_int(2), Ratio::new(num + 1, 1), false),
-        (Ratio::from_int(2), Ratio::new(-num - 1, 1), false),
-        (Ratio::from_int(2), Ratio::new(1, den + 1), false),
+    let bad_lambda = |l: Ratio| format!("invalid \"lambda\": {}", lambda_out_of_range(l));
+    let bad_at = |at: Ratio| format!("sends[0]: \"at\": {}", time_out_of_range(at));
+    for (lambda, at, want) in [
+        (Ratio::from_int(lam), Ratio::new(num, 1), None),
+        (Ratio::from_int(lam), Ratio::new(-num, 1), None),
+        (Ratio::new(lam, lam - 1), Ratio::new(1, den), None),
+        (
+            Ratio::from_int(lam + 1),
+            Ratio::ZERO,
+            Some(bad_lambda(Ratio::from_int(lam + 1))),
+        ),
+        (
+            Ratio::new(lam + 1, lam),
+            Ratio::ZERO,
+            Some(bad_lambda(Ratio::new(lam + 1, lam))),
+        ),
+        (
+            Ratio::from_int(2),
+            Ratio::new(num + 1, 1),
+            Some(bad_at(Ratio::new(num + 1, 1))),
+        ),
+        (
+            Ratio::from_int(2),
+            Ratio::new(-num - 1, 1),
+            Some(bad_at(Ratio::new(-num - 1, 1))),
+        ),
+        (
+            Ratio::from_int(2),
+            Ratio::new(1, den + 1),
+            Some(bad_at(Ratio::new(1, den + 1))),
+        ),
     ] {
+        let ok = want.is_none();
         let text = schedule(lambda, at);
-        let tree = parse_schedule(&text);
-        let stream = parse_schedule_reader(Cursor::new(text.as_bytes()));
-        assert_eq!(tree.is_ok(), ok, "{text}: {:?}", tree.map(|_| ()));
-        assert_eq!(stream.is_ok(), ok, "{text}");
+        match (parse_schedule_reader(Cursor::new(text.as_bytes())), want) {
+            (Ok(file), None) => {
+                assert_eq!(file.schedule.n(), 2, "{text}");
+                assert_eq!(file.schedule.latency().as_time(), Time(lambda), "{text}");
+                let send = TimedSend {
+                    src: 0,
+                    dst: 1,
+                    send_start: Time(at),
+                };
+                assert_eq!(file.schedule.sends(), [send], "{text}");
+            }
+            (Err(e), Some(want)) => assert_eq!(e.to_string(), want, "{text}"),
+            (got, want) => panic!("{text}: read {:?}, want {want:?}", got.map(|_| ())),
+        }
         let jsonl = format!(
             "{{\"type\":\"run\",\"engine\":\"e\",\"n\":2,\"lambda\":\"{lambda}\"}}\n\
              {{\"type\":\"send\",\"seq\":0,\"src\":0,\"dst\":1,\"start\":\"{at}\",\
@@ -351,6 +402,23 @@ fn values_just_past_the_bounds_fail_and_on_them_read() {
         if let Err(e) = file {
             assert!(located(&e, 2), "{e}");
         }
+    }
+}
+
+#[test]
+fn unknown_values_nested_100_deep_still_read() {
+    let value = format!("{}{}", "[".repeat(100), "]".repeat(100));
+    for text in [
+        format!(r#"{{"n":3,"lambda":2,"x":{value},"sends":[{{"src":0,"dst":1,"at":0}}]}}"#),
+        format!(r#"{{"n":3,"lambda":2,"sends":[{{"src":0,"dst":1,"at":0,"x":{value}}}]}}"#),
+    ] {
+        let file = parse_schedule_reader(Cursor::new(text.as_bytes())).unwrap();
+        let send = TimedSend {
+            src: 0,
+            dst: 1,
+            send_start: Time::ZERO,
+        };
+        assert_eq!(file.schedule.sends(), [send]);
     }
 }
 
@@ -438,12 +506,11 @@ proptest! {
         for d in batch.iter().chain(&streamed) {
             let _ = d.to_string();
         }
-        // Both schedule-JSON readers, on the same schedule.
+        // The schedule-JSON reader, on the same schedule.
         let json = schedule_to_json(&file.schedule, Some(m));
-        let tree = parse_schedule(&json).unwrap();
         let pulled = parse_schedule_reader(Cursor::new(json.as_bytes())).unwrap();
-        prop_assert_eq!(parts(&tree.schedule), parts(&file.schedule));
         prop_assert_eq!(parts(&pulled.schedule), parts(&file.schedule));
-        prop_assert_eq!(lint_schedule(&tree.schedule, &opts), lint_schedule(&file.schedule, &opts));
+        prop_assert_eq!(pulled.messages, Some(m));
+        prop_assert_eq!(lint_schedule(&pulled.schedule, &opts), lint_schedule(&file.schedule, &opts));
     }
 }

@@ -17,6 +17,7 @@
 //! with the first diverging case named in the panic message.
 
 use postal::algos::dtree::dtree_programs;
+use postal::algos::ext::combine::{combine_programs, run_combine};
 use postal::algos::pack::pack_programs;
 use postal::algos::pipeline::pipeline_programs;
 use postal::algos::repeat::repeat_programs;
@@ -207,6 +208,163 @@ fn full_grid_matches_reference() {
             }
         }
     }
+}
+
+/// BCAST beyond the grid: a single processor, n = 14 (Figure 1) and
+/// λ = 4.
+#[test]
+fn bcast_sizes_and_lambdas_match_reference() {
+    for lam in [
+        Latency::TELEPHONE,
+        Latency::from_ratio(5, 2),
+        Latency::from_ratio(7, 3),
+        Latency::from_int(4),
+    ] {
+        let uni = Uniform(lam);
+        for n in [1usize, 2, 5, 14, 64] {
+            let label = format!("bcast n={n} lam={lam:?}");
+            assert_engines_agree(&label, &Setup::strict(n, &uni), || bcast_programs(n, lam));
+        }
+    }
+}
+
+/// REPEAT under both pacings at m = 3 and n = 14.
+#[test]
+fn repeat_pacings_match_reference() {
+    for lam in [Latency::TELEPHONE, Latency::from_ratio(5, 2)] {
+        let uni = Uniform(lam);
+        for (n, m) in [(5usize, 3u32), (14, 4), (33, 2)] {
+            for pacing in [Pacing::PaperExact, Pacing::Greedy] {
+                let label = format!("repeat n={n} m={m} lam={lam:?} {pacing:?}");
+                assert_engines_agree(&label, &Setup::strict(n, &uni), || {
+                    repeat_programs(n, m, lam, pacing)
+                });
+            }
+        }
+    }
+}
+
+/// PACK at m = 3 and n = 14.
+#[test]
+fn pack_messages_match_reference() {
+    for lam in [Latency::from_int(2), Latency::from_ratio(5, 2)] {
+        let uni = Uniform(lam);
+        for (n, m) in [(5usize, 3u32), (14, 4)] {
+            let label = format!("pack n={n} m={m} lam={lam:?}");
+            assert_engines_agree(&label, &Setup::strict(n, &uni), || pack_programs(n, m, lam));
+        }
+    }
+}
+
+/// PIPELINE in both regimes: PIPELINE-1 (λ = 4, m = 2), PIPELINE-2
+/// (λ = 2, m = 6), and m = 5 at λ = 5/2.
+#[test]
+fn pipeline_regimes_match_reference() {
+    for (lam, m) in [
+        (Latency::from_int(4), 2u32),
+        (Latency::from_int(2), 6),
+        (Latency::from_ratio(5, 2), 5),
+    ] {
+        let uni = Uniform(lam);
+        for n in [5usize, 14, 33] {
+            let label = format!("pipeline n={n} m={m} lam={lam:?}");
+            assert_engines_agree(&label, &Setup::strict(n, &uni), || {
+                pipeline_programs(n, m, lam)
+            });
+        }
+    }
+}
+
+/// DTREE at n = 15, m = 3 for degrees 1, 2, 3 and 7.
+#[test]
+fn dtree_degrees_match_reference() {
+    for lam in [Latency::TELEPHONE, Latency::from_ratio(5, 2)] {
+        let uni = Uniform(lam);
+        for d in [1u64, 2, 3, 7] {
+            let label = format!("dtree n=15 m=3 d={d} lam={lam:?}");
+            assert_engines_agree(&label, &Setup::strict(15, &uni), || {
+                dtree_programs(15, 3, d)
+            });
+        }
+    }
+}
+
+/// COMBINE is the wake-heavy workload: a reversed broadcast tree whose
+/// processors wake at computed instants instead of forwarding on
+/// receipt.
+#[test]
+fn combine_matches_reference() {
+    for lam in [
+        Latency::TELEPHONE,
+        Latency::from_ratio(5, 2),
+        Latency::from_int(3),
+    ] {
+        let uni = Uniform(lam);
+        for n in [1usize, 2, 5, 14, 33] {
+            let values: Vec<u64> = (0..n as u64).collect();
+            let label = format!("combine n={n} lam={lam:?}");
+            assert_engines_agree(&label, &Setup::strict(n, &uni), || {
+                combine_programs(&values, lam)
+            });
+        }
+    }
+    // And the outcome is the documented optimum.
+    let values: Vec<u64> = (0..14).collect();
+    let outcome = run_combine(&values, Latency::from_ratio(5, 2));
+    outcome.report.assert_model_clean();
+    assert_eq!(outcome.report.completion, Time::new(15, 2));
+}
+
+/// Sends one message to each listed processor at start.
+struct Spray(Vec<u32>);
+
+impl Program<u8> for Spray {
+    fn on_start(&mut self, ctx: &mut dyn Context<u8>) {
+        for &d in &self.0 {
+            ctx.send(ProcId(d), 0);
+        }
+    }
+    fn on_receive(&mut self, _: &mut dyn Context<u8>, _: ProcId, _: u8) {}
+}
+
+/// One program per listed destination set; `Idle` for the rest of the
+/// `n` processors.
+fn sprays(n: usize, dests: &[&[u32]]) -> Vec<Box<dyn Program<u8>>> {
+    let mut programs: Vec<Box<dyn Program<u8>>> = Vec::new();
+    for d in dests {
+        programs.push(Box::new(Spray(d.to_vec())));
+    }
+    while programs.len() < n {
+        programs.push(Box::new(Idle));
+    }
+    programs
+}
+
+/// Hand-built workloads: a root spraying three processors, two senders
+/// contending for one input port (a strict-mode violation), and a
+/// system with nothing to do.
+#[test]
+fn hand_built_workloads_match_reference() {
+    let (five_halves, two) = (
+        Uniform(Latency::from_ratio(5, 2)),
+        Uniform(Latency::from_int(2)),
+    );
+    let (_, spray) = assert_engines_agree("spray", &Setup::strict(4, &five_halves), || {
+        sprays(4, &[&[1, 2, 3]])
+    });
+    assert_eq!(spray.len(), 6, "three sends and three receives");
+    let (_, contention) = assert_engines_agree("contention", &Setup::strict(3, &two), || {
+        sprays(3, &[&[2], &[2]])
+    });
+    assert_eq!(
+        contention
+            .iter()
+            .filter(|e| matches!(e, ObsEvent::Violation { dst: 2, .. }))
+            .count(),
+        1
+    );
+    let (_, quiet) = assert_engines_agree("quiescent", &Setup::strict(2, &two), || sprays(2, &[]));
+    assert!(quiet.is_empty());
 }
 
 /// Queued input ports change receive times (contention delays instead
