@@ -136,6 +136,13 @@ mod tests {
     use postal_model::{runtimes, Time};
 
     #[test]
+    fn bcast_payload_is_eight_bytes() {
+        // The simulator's queue entry is pinned at 56 B or less for an
+        // 8-byte payload (`postal_sim` engine tests); BCAST's is one.
+        assert_eq!(std::mem::size_of::<BcastPayload>(), 8);
+    }
+
+    #[test]
     fn figure1_completion_time() {
         let report = run_bcast(14, Latency::from_ratio(5, 2));
         report.assert_model_clean();

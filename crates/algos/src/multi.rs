@@ -105,6 +105,8 @@ impl MultiReport {
                 edge_violations: Vec::new(),
                 proc_stats: self.report.proc_stats.clone(),
                 events: self.report.events,
+                exact_pushes: self.report.exact_pushes,
+                overflow_pushes: self.report.overflow_pushes,
             },
             n: self.n,
             m: self.m,

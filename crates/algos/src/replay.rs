@@ -80,22 +80,29 @@ impl Program<()> for ReplayProgram {
 /// `schedule.completion()` and is violation-free iff the schedule's
 /// ports validate.
 pub fn replay(schedule: &Schedule) -> RunReport<()> {
-    let n = schedule.n() as usize;
-    let mut per_proc: Vec<Vec<TimedSend>> = vec![Vec::new(); n];
+    let model = Uniform(schedule.latency());
+    Simulation::new(schedule.n() as usize, &model)
+        .run(replay_programs(schedule))
+        .expect("schedule replay cannot diverge")
+}
+
+/// One [`ReplayProgram`] per processor of `schedule`, in processor
+/// order: what [`replay`] runs, for running on another engine or
+/// configuration (under `Uniform(schedule.latency())`).
+pub fn replay_programs(schedule: &Schedule) -> Vec<Box<dyn Program<()>>> {
+    let mut per_proc: Vec<Vec<TimedSend>> = vec![Vec::new(); schedule.n() as usize];
     for s in schedule.sends() {
         per_proc[s.src as usize].push(*s);
     }
-    let mut programs: Vec<Box<dyn Program<()>>> = Vec::with_capacity(n);
-    for sends in per_proc {
-        programs.push(Box::new(ReplayProgram {
-            my_sends: sends,
-            next: 0,
-        }));
-    }
-    let model = Uniform(schedule.latency());
-    Simulation::new(n, &model)
-        .run(programs)
-        .expect("schedule replay cannot diverge")
+    per_proc
+        .into_iter()
+        .map(|sends| {
+            Box::new(ReplayProgram {
+                my_sends: sends,
+                next: 0,
+            }) as Box<dyn Program<()>>
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -1,24 +1,29 @@
 //! Experiment SIM: calendar-queue engine throughput at scale.
 //!
 //! Runs the paper's BCAST workload on the fast engine
-//! ([`Simulation::run`]: fixed-point `FastTime`, O(1) bucket queue)
-//! across n ∈ {10³, 10⁴, 10⁵, 10⁶}, reporting wall-clock and events/sec
-//! to `BENCH_sim.json`. Every run's completion time is checked against
-//! the paper's closed form `f_λ(n)` by exact rational equality — the
-//! speed ladder doubles as a correctness sweep.
+//! ([`Simulation::run`]: `i64` ticks of the model's lattice, O(1)
+//! bucket queue) across n ∈ {10³, 10⁴, 10⁵, 10⁶}, reporting wall-clock
+//! and events/sec to `BENCH_sim.json`. Every run's completion time is
+//! checked against the paper's closed form `f_λ(n)` by exact rational
+//! equality — the speed ladder doubles as a correctness sweep.
 //!
 //! Two gates make this a regression tripwire:
 //!
 //! * BCAST at n = 10⁶ (two million engine events) must finish under
 //!   `$SIM_BUDGET_SECS` (default 60) — the headline "million processors
 //!   in seconds" property of the calendar-queue rewrite;
-//! * at an off-lattice λ (7/3, which never hits the half-unit lattice,
-//!   so every event rides the exact-`Ratio` fallback) the fast engine
-//!   must agree with the seed reference engine
+//! * BCAST(20,000) at λ = 7/3 must agree with the seed reference engine
 //!   ([`Simulation::run_reference`]) on completion, event count,
-//!   message count, and per-processor statistics. The full
-//!   trace-identity pin lives in `tests/engine_differential.rs`; this
-//!   gate keeps the release-mode fallback path honest in CI.
+//!   message count, and per-processor statistics under two latency
+//!   models: `Uniform(7/3)`, which declares its lattice of sixths so
+//!   the run rides the integer ring (lattice parity), and a model that
+//!   returns 7/3 but keeps the default half-unit lattice, so every event
+//!   off the halves takes the exact-`Ratio` fallback heap (fallback
+//!   parity). `fallback_exact_pushes` counts that run's exact-heap
+//!   pushes; CI requires it above 0, so the gate cannot pass without
+//!   exercising the fallback. The full trace-identity pin lives in
+//!   `tests/engine_differential.rs`; this gate keeps the release-mode
+//!   lattice and fallback paths honest in CI.
 //!
 //! The reference engine is also timed at n ≤ 10⁵ for a speedup column;
 //! at 10⁶ only the fast engine runs (the point of the rewrite).
@@ -26,9 +31,53 @@
 use postal_algos::bcast_programs;
 use postal_bench::report::BenchReport;
 use postal_bench::table::Table;
-use postal_model::{runtimes, Latency};
-use postal_sim::{Simulation, Uniform};
+use postal_model::{runtimes, Latency, Time};
+use postal_sim::{LatencyModel, ProcId, Simulation, Uniform};
 use std::time::Instant;
+
+/// Returns one λ for every send but declares the default half-unit
+/// lattice, so a λ off the halves takes the engine's exact path.
+struct HalvesOnly(Latency);
+
+impl LatencyModel for HalvesOnly {
+    fn latency(&self, _src: ProcId, _dst: ProcId, _send_start: Time) -> Latency {
+        self.0
+    }
+}
+
+/// One parity run: BCAST(n) at `lam` under `model` on both engines.
+struct Parity {
+    mismatches: u32,
+    fast_secs: f64,
+    ref_secs: f64,
+    exact_pushes: u64,
+    completion: Time,
+}
+
+fn parity(model: &dyn LatencyModel, n: usize, lam: Latency) -> Parity {
+    let sim = Simulation::new(n, model);
+    let start = Instant::now();
+    let fast = sim.run(bcast_programs(n, lam)).expect("bcast simulates");
+    let fast_secs = start.elapsed().as_secs_f64().max(1e-9);
+    let start = Instant::now();
+    let reference = sim
+        .run_reference(bcast_programs(n, lam))
+        .expect("bcast simulates on the reference engine");
+    let ref_secs = start.elapsed().as_secs_f64().max(1e-9);
+    let mut mismatches = 0u32;
+    mismatches += u32::from(fast.completion != reference.completion);
+    mismatches += u32::from(fast.events != reference.events);
+    mismatches += u32::from(fast.messages() != reference.messages());
+    mismatches += u32::from(fast.proc_stats != reference.proc_stats);
+    assert_eq!(fast.completion, runtimes::bcast_time(n as u128, lam));
+    Parity {
+        mismatches,
+        fast_secs,
+        ref_secs,
+        exact_pushes: fast.exact_pushes,
+        completion: fast.completion,
+    }
+}
 
 fn env_f64(key: &str, default: f64) -> f64 {
     std::env::var(key)
@@ -109,49 +158,41 @@ fn main() {
         "BCAST at n = 10⁶ took {fast_secs_at_million:.1} s, over the {budget_secs:.0} s budget"
     );
 
-    // Fallback-parity gate: λ = 7/3 is off the half-unit lattice, so
-    // the fast engine's calendar never fires and every event takes the
-    // exact-`Ratio` fallback — which must behave exactly like the
-    // reference engine.
+    // Parity gates at λ = 7/3: on its declared lattice of sixths, and
+    // through the exact fallback under a model that keeps the halves.
     let lam_off = Latency::from_ratio(7, 3);
     let n_off = 20_000usize;
-    let uni_off = Uniform(lam_off);
-    let sim = Simulation::new(n_off, &uni_off);
-    let start = Instant::now();
-    let fast = sim
-        .run(bcast_programs(n_off, lam_off))
-        .expect("off-lattice bcast simulates");
-    let fast_off_secs = start.elapsed().as_secs_f64().max(1e-9);
-    let start = Instant::now();
-    let reference = sim
-        .run_reference(bcast_programs(n_off, lam_off))
-        .expect("off-lattice bcast simulates on the reference engine");
-    let ref_off_secs = start.elapsed().as_secs_f64().max(1e-9);
-
-    let mut mismatches = 0u32;
-    mismatches += u32::from(fast.completion != reference.completion);
-    mismatches += u32::from(fast.events != reference.events);
-    mismatches += u32::from(fast.messages() != reference.messages());
-    mismatches += u32::from(fast.proc_stats != reference.proc_stats);
+    let lattice = parity(&Uniform(lam_off), n_off, lam_off);
+    let fallback = parity(&HalvesOnly(lam_off), n_off, lam_off);
     assert_eq!(
-        mismatches, 0,
-        "off-lattice fallback diverged from the reference engine at λ = 7/3"
+        lattice.mismatches, 0,
+        "BCAST on the lattice of sixths diverged from the reference engine at λ = 7/3"
     );
     assert_eq!(
-        fast.completion,
-        runtimes::bcast_time(n_off as u128, lam_off)
+        lattice.exact_pushes, 0,
+        "Uniform(7/3) left its declared lattice"
     );
-    println!(
-        "fallback parity: BCAST({n_off}, 7/3) fast {fast_off_secs:.3} s vs ref {ref_off_secs:.3} s, \
-         completion {} on both engines",
-        fast.completion
+    assert_eq!(
+        fallback.mismatches, 0,
+        "exact fallback diverged from the reference engine at λ = 7/3"
     );
+    for (name, p) in [("lattice", &lattice), ("fallback", &fallback)] {
+        println!(
+            "{name} parity: BCAST({n_off}, 7/3) fast {:.3} s vs ref {:.3} s, \
+             completion {} on both engines, {} exact-heap pushes",
+            p.fast_secs, p.ref_secs, p.completion, p.exact_pushes
+        );
+    }
 
     println!("{table}");
     report.num("sim_budget_secs", budget_secs);
-    report.num("fallback_fast_secs", fast_off_secs);
-    report.num("fallback_ref_secs", ref_off_secs);
-    report.int("fallback_parity_mismatches", mismatches as i128);
+    report.num("lattice_fast_secs", lattice.fast_secs);
+    report.num("lattice_ref_secs", lattice.ref_secs);
+    report.int("lattice_parity_mismatches", lattice.mismatches as i128);
+    report.num("fallback_fast_secs", fallback.fast_secs);
+    report.num("fallback_ref_secs", fallback.ref_secs);
+    report.int("fallback_parity_mismatches", fallback.mismatches as i128);
+    report.int("fallback_exact_pushes", fallback.exact_pushes as i128);
     report.table(&table);
     postal_bench::report::emit_json(&report);
 }

@@ -921,8 +921,14 @@ fn parse_lambda_range(s: &str) -> Result<postal_model::Interval, CliError> {
     Ok(postal_model::Interval::new(a.value(), b.value()))
 }
 
+/// The one λ parser behind every positional λ, `--lambda` and
+/// `--lambda-range`: the same bounds as a λ read from a file
+/// ([`Latency::check_input`]), which also cap a run's tick denominator
+/// at 2^17.
 fn parse_lambda(s: &str) -> Result<Latency, CliError> {
-    s.parse()
+    s.parse::<Latency>()
+        .map_err(|e| e.to_string())
+        .and_then(Latency::check_input)
         .map_err(|e| CliError::Invalid(format!("bad lambda {s:?}: {e}")))
 }
 

@@ -1,7 +1,8 @@
-//! A time or λ beyond the input bounds, or a value nested past the
-//! reader's depth limit, is a located error, exit 1: it must never
-//! overflow the linter (a panic, exit 101), make it allocate without
-//! bound or overflow its stack (an abort, exit 134).
+//! A time or λ beyond the input bounds, read from a file or given on
+//! the command line, or a value nested past the reader's depth limit,
+//! is a located error, exit 1: it must never overflow the linter (a
+//! panic, exit 101), make it allocate without bound or overflow its
+//! stack (an abort, exit 134).
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -78,6 +79,52 @@ fn a_huge_lambda_is_located_not_an_abort() {
     );
     assert_located(&path, &[], "invalid \"lambda\": 2147483647 is out of range");
     let _ = std::fs::remove_file(&path);
+}
+
+/// A λ on the command line gets the bound of a λ read from a file.
+/// Without it, λ = 2³¹ − 1 makes each of these commands tabulate `F_λ`
+/// over 2³¹ ticks and abort allocating 32 GiB (exit 134).
+#[test]
+fn a_huge_lambda_on_the_command_line_is_located_not_an_abort() {
+    for args in [
+        &["simulate", "bcast", "8", "1", "2147483647"][..],
+        &["tree", "8", "2147483647"],
+        &["gantt", "8", "2147483647"],
+        &["plan", "8", "1", "2147483647"],
+        &["fib", "2147483647", "3"],
+        &[
+            "check",
+            "--algo",
+            "bcast",
+            "--n",
+            "8",
+            "--lambda",
+            "2147483647",
+        ],
+        &[
+            "analyze",
+            "--algo",
+            "bcast",
+            "--n",
+            "8",
+            "--lambda-range",
+            "1..2147483647",
+        ],
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_postal-cli"))
+            .args(args)
+            .output()
+            .expect("run postal-cli");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(
+            stderr.starts_with(
+                "error: bad lambda \"2147483647\": 2147483647 is out of range \
+                 (λ's numerator and denominator must be at most 2^16)"
+            ),
+            "{args:?}: {stderr}"
+        );
+    }
 }
 
 /// Unknown keys may hold any value, but the schedule reader caps its

@@ -20,6 +20,11 @@ use std::str::FromStr;
 /// (see [`Latency::check_input`]).
 pub const INPUT_LAMBDA_BITS: u32 = 16;
 
+/// Largest tick denominator [`Latency::lattice_lcm`] builds. At 2^32 a
+/// tick count within [`crate::time::TICK_LIMIT`] still spans 2^29 time
+/// units.
+pub const MAX_TICK_DENOMINATOR: i64 = 1 << 32;
+
 /// The postal-model communication latency λ ≥ 1, stored exactly.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Latency(Ratio);
@@ -126,15 +131,6 @@ impl Latency {
         Time(self.0)
     }
 
-    /// λ as a [`crate::time::FastTime`] duration: fixed-point `i64`
-    /// half-units for every integer and half-integer λ (the paper's
-    /// whole grid), the exact rational fallback otherwise. The
-    /// simulator's hot path adds this to fixed-point send times, so an
-    /// on-lattice λ never touches `Ratio` arithmetic per message.
-    pub fn as_fast_time(self) -> crate::time::FastTime {
-        crate::time::FastTime::from_time(Time(self.0))
-    }
-
     /// The numerator `p` of λ = p/q in lowest terms: λ measured in ticks.
     pub fn lambda_ticks(self) -> i128 {
         self.0.numer()
@@ -143,6 +139,21 @@ impl Latency {
     /// The denominator `q` of λ = p/q in lowest terms: ticks per time unit.
     pub fn ticks_per_unit(self) -> i128 {
         self.0.denom()
+    }
+
+    /// The smallest tick denominator that is a multiple of `den` and puts
+    /// this λ = p/q on its lattice: lcm(`den`, q). When that lcm would
+    /// exceed [`MAX_TICK_DENOMINATOR`] the lattice stays at `den`, and
+    /// times involving this λ stay exact, only slower. A run whose every
+    /// λ is this one ticks at `lattice_lcm(2)` (see
+    /// [`crate::time::Time::to_ticks`]).
+    pub fn lattice_lcm(self, den: i64) -> i64 {
+        let q = self.0.denom();
+        let lcm = (den as i128 / crate::ratio::gcd(den as i128, q)).checked_mul(q);
+        match lcm {
+            Some(l) if l <= MAX_TICK_DENOMINATOR as i128 => l as i64,
+            _ => den,
+        }
     }
 
     /// ⌈λ⌉, used throughout Theorem 7.
@@ -205,19 +216,25 @@ mod tests {
     }
 
     #[test]
-    fn fast_time_form_follows_the_lattice() {
+    fn lattice_lcm_puts_lambda_on_the_lattice() {
+        assert_eq!(Latency::from_ratio(5, 2).lattice_lcm(2), 2);
+        assert_eq!(Latency::from_int(3).lattice_lcm(2), 2);
+        assert_eq!(Latency::from_ratio(7, 3).lattice_lcm(2), 6);
+        assert_eq!(Latency::from_ratio(22, 7).lattice_lcm(2), 14);
+        assert_eq!(Latency::from_ratio(3, 2).lattice_lcm(6), 6);
+        assert_eq!(Latency::from_ratio(7, 3).lattice_lcm(1), 3);
+        // Past the cap the lattice stays where it was.
+        let fine = Latency::from_ratio((1 << 33) + 1, 1 << 33);
+        assert_eq!(fine.lattice_lcm(2), 2);
+        let q = MAX_TICK_DENOMINATOR as i128;
         assert_eq!(
-            Latency::from_ratio(5, 2).as_fast_time().as_half_units(),
-            Some(5)
+            Latency::from_ratio(q + 1, q).lattice_lcm(2),
+            MAX_TICK_DENOMINATOR
         );
-        assert_eq!(Latency::from_int(3).as_fast_time().as_half_units(), Some(6));
+        assert_eq!(Latency::from_ratio(q + 1, q).lattice_lcm(3), 3);
         assert_eq!(
-            Latency::from_ratio(7, 3).as_fast_time().as_half_units(),
-            None
-        );
-        assert_eq!(
-            Latency::from_ratio(7, 3).as_fast_time().to_time(),
-            Time::new(7, 3)
+            Time::new(7, 3).to_ticks(Latency::from_ratio(7, 3).lattice_lcm(2)),
+            Some(14)
         );
     }
 

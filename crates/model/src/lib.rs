@@ -82,5 +82,5 @@ pub mod topology;
 pub use fib::GenFib;
 pub use latency::Latency;
 pub use ratio::{Interval, Ratio};
-pub use time::{FastTime, Time};
+pub use time::Time;
 pub use topology::{Topology, TopologyError, TopologySpec};

@@ -16,9 +16,10 @@
 //! Because they are tiny, every hot operation first tries 64-bit
 //! arithmetic and falls back to the `i128` form only when an operand
 //! does not fit: `gcd` runs on `u64`, [`Ratio::new`]
-//! normalises in `i64`, `+` adds numerators over a shared denominator,
-//! `cmp` compares unreduced `i128` cross-products, and `Display` formats
-//! through `i64`. The representation and every result are unchanged.
+//! normalises in `i64`, `+` adds numerators over a shared denominator
+//! and adds an integer without a gcd, `cmp` compares unreduced `i128`
+//! cross-products, and `Display` formats through `i64`. The
+//! representation and every result are unchanged.
 //! `new`, `+` and `cmp` are `#[inline]` so that the simulator, linter
 //! and exporters in other crates inline these paths.
 
@@ -123,6 +124,13 @@ impl Ratio {
     /// Creates an integer-valued ratio.
     pub const fn from_int(n: i128) -> Ratio {
         Ratio { num: n, den: 1 }
+    }
+
+    /// `num/den` as given, for a caller that knows it is reduced with
+    /// `den > 0`.
+    pub(crate) fn from_reduced(num: i128, den: i128) -> Ratio {
+        debug_assert!(den > 0 && gcd(num, den) == 1, "{num}/{den} is not reduced");
+        Ratio { num, den }
     }
 
     /// The numerator of the reduced fraction (sign lives here).
@@ -448,6 +456,20 @@ impl Add for Ratio {
     type Output = Ratio;
     #[inline]
     fn add(self, rhs: Ratio) -> Ratio {
+        // Adding an integer keeps a reduced fraction reduced: no gcd.
+        if rhs.den == 1 || self.den == 1 {
+            let (frac, int) = if rhs.den == 1 {
+                (self, rhs)
+            } else {
+                (rhs, self)
+            };
+            let num = int
+                .num
+                .checked_mul(frac.den)
+                .and_then(|k| k.checked_add(frac.num))
+                .expect("Ratio overflow in add");
+            return Ratio { num, den: frac.den };
+        }
         // Times on one lattice share their denominator: add numerators.
         if self.den == rhs.den {
             let num = self

@@ -5,15 +5,15 @@
 //! thin newtype over [`Ratio`] so that times and arbitrary rationals cannot
 //! be mixed up in signatures; all times in this workspace are exact.
 //!
-//! For the lint hot path there is a second, faster representation:
-//! [`FastTime`] holds the same value as an `i64` count of *half-units*
-//! whenever the value lies on the half-integer lattice (which covers
-//! every integer and half-integer λ the paper uses), and falls back to
-//! the exact [`Ratio`] form otherwise. Both representations are exact;
-//! they differ only in speed.
+//! Hot paths carry no `Time` at all. Under λ = p/q every event time is
+//! `a + b·λ` for integers `a` and `b`, so a whole run lives on the lattice
+//! of *ticks* `1/D` for any `D` that both 2 and q divide. The simulator's
+//! queue and port accounting and the linter's lanes therefore hold times
+//! as plain `i64` tick counts and convert at their edges with
+//! [`Time::to_ticks`] and [`Time::from_ticks`]. A value off the lattice,
+//! or past [`TICK_LIMIT`], has no tick form and stays exact.
 
 use crate::ratio::Ratio;
-use std::cmp::Ordering;
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub, SubAssign};
 
@@ -76,22 +76,45 @@ impl Time {
         Time(self.0 * k)
     }
 
-    /// The value as an `i64` count of half-units, when it lies on the
-    /// half-integer lattice and is small enough for overflow-free
-    /// fixed-point arithmetic (see [`FastTime`]). `None` otherwise.
-    pub fn to_half_units(self) -> Option<i64> {
-        let half = match self.0.denom() {
-            1 => self.0.numer().checked_mul(2)?,
-            2 => self.0.numer(),
-            _ => return None,
+    /// The value as an `i64` count of ticks of `1/den`, when it lies on
+    /// that lattice and its magnitude is at most [`TICK_LIMIT`]; `None`
+    /// otherwise. `den` must be positive.
+    ///
+    /// A denominator of 1, 2 or `den` itself converts without a
+    /// division; only another divisor of `den` pays one.
+    #[inline]
+    pub fn to_ticks(self, den: i64) -> Option<i64> {
+        debug_assert!(den > 0, "tick denominator {den} must be positive");
+        // A numerator past `i64` cannot give an in-range tick count.
+        let num = i64::try_from(self.0.numer()).ok()?;
+        let d = self.0.denom();
+        let ticks = if d == den as i128 {
+            num
+        } else if d == 1 {
+            num.checked_mul(den)?
+        } else if d == 2 && den & 1 == 0 {
+            num.checked_mul(den >> 1)?
+        } else if d < den as i128 && den % d as i64 == 0 {
+            num.checked_mul(den / d as i64)?
+        } else {
+            return None;
         };
-        let half = i64::try_from(half).ok()?;
-        (half.abs() <= FIXED_LIMIT).then_some(half)
+        (ticks.unsigned_abs() <= TICK_LIMIT as u64).then_some(ticks)
     }
 
-    /// The time worth `half` half-units (`from_half_units(5)` = 5/2).
-    pub fn from_half_units(half: i64) -> Time {
-        Time::new(half as i128, 2)
+    /// The time worth `ticks` ticks of `1/den` (`from_ticks(7, 3)` = 7/3).
+    /// Integers and halves reduce without a division.
+    ///
+    /// # Panics
+    /// Panics if `den == 0`.
+    #[inline]
+    pub fn from_ticks(ticks: i64, den: i64) -> Time {
+        match den {
+            1 => Time::from_int(ticks as i128),
+            2 if ticks & 1 == 0 => Time::from_int((ticks >> 1) as i128),
+            2 => Time(Ratio::from_reduced(ticks as i128, 2)),
+            _ => Time::new(ticks as i128, den as i128),
+        }
     }
 
     /// Checks a time read from a file (schedule JSON or a JSONL log)
@@ -124,167 +147,11 @@ pub const INPUT_NUMER_BITS: u32 = 53;
 /// [`Time::check_input`]).
 pub const INPUT_DENOM_BITS: u32 = 32;
 
-/// Largest magnitude (in half-units) [`FastTime`] keeps in fixed-point
-/// form. The headroom guarantees that adding two in-range values can
-/// never overflow an `i64`, so a single comparison or sum needs no
-/// checked arithmetic.
-pub const FIXED_LIMIT: i64 = i64::MAX / 4;
-
-/// A dual-representation time: `i64` fixed-point in half-units with a
-/// transparent exact-[`Ratio`] fallback.
-///
-/// Every value is exact in either form; `Fixed` is just cheaper. The
-/// representation is canonical — any value that fits the half-unit
-/// lattice within [`FIXED_LIMIT`] is held as `Fixed`, so derived
-/// equality and hashing agree with value equality. Arithmetic promotes
-/// to `Exact` when a result leaves the fixed-point domain and demotes
-/// back when it re-enters it.
-#[derive(Clone, Copy, PartialEq, Eq, Hash)]
-pub struct FastTime(Repr);
-
-#[derive(Clone, Copy, PartialEq, Eq, Hash)]
-enum Repr {
-    /// Count of half-units; |value| ≤ [`FIXED_LIMIT`].
-    Fixed(i64),
-    /// Exact fallback for values off the lattice or out of range.
-    Exact(Time),
-}
-
-impl FastTime {
-    /// Time zero.
-    pub const ZERO: FastTime = FastTime(Repr::Fixed(0));
-    /// One time unit (two half-units).
-    pub const ONE: FastTime = FastTime(Repr::Fixed(2));
-
-    /// Converts an exact time, picking the fixed-point form when the
-    /// value lies on the half-integer lattice within range.
-    pub fn from_time(t: Time) -> FastTime {
-        match t.to_half_units() {
-            Some(h) => FastTime(Repr::Fixed(h)),
-            None => FastTime(Repr::Exact(t)),
-        }
-    }
-
-    /// The exact time this value denotes. Lossless for both forms.
-    pub fn to_time(self) -> Time {
-        match self.0 {
-            Repr::Fixed(h) => Time::from_half_units(h),
-            Repr::Exact(t) => t,
-        }
-    }
-
-    /// True when held in the `i64` fixed-point form.
-    pub fn is_fixed(self) -> bool {
-        matches!(self.0, Repr::Fixed(_))
-    }
-
-    /// The `i64` half-unit count when the value is held in fixed-point
-    /// form, `None` for the exact fallback. Because the representation
-    /// is canonical, `None` means the value genuinely lies off the
-    /// half-integer lattice (or beyond [`FIXED_LIMIT`]) — a calendar
-    /// queue keyed on half-ticks can therefore route on this accessor
-    /// alone, with no risk of a `Fixed` and an `Exact` value denoting
-    /// the same instant.
-    pub fn as_half_units(self) -> Option<i64> {
-        match self.0 {
-            Repr::Fixed(h) => Some(h),
-            Repr::Exact(_) => None,
-        }
-    }
-
-    /// The fixed-point value worth `half` half-units.
-    ///
-    /// # Panics
-    /// Panics if `|half| > FIXED_LIMIT` — such a value must be built via
-    /// [`FastTime::from_time`] so it lands in the exact fallback form.
-    pub fn from_half_units(half: i64) -> FastTime {
-        assert!(
-            half.abs() <= FIXED_LIMIT,
-            "half-unit count {half} outside the fixed-point range"
-        );
-        FastTime(Repr::Fixed(half))
-    }
-
-    /// Maximum of two values.
-    pub fn max(self, other: FastTime) -> FastTime {
-        if self >= other {
-            self
-        } else {
-            other
-        }
-    }
-
-    /// Minimum of two values.
-    pub fn min(self, other: FastTime) -> FastTime {
-        if self <= other {
-            self
-        } else {
-            other
-        }
-    }
-}
-
-impl From<Time> for FastTime {
-    fn from(t: Time) -> FastTime {
-        FastTime::from_time(t)
-    }
-}
-
-impl Add for FastTime {
-    type Output = FastTime;
-    fn add(self, rhs: FastTime) -> FastTime {
-        match (self.0, rhs.0) {
-            // In-range operands cannot overflow (|a| + |b| ≤ i64::MAX/2);
-            // an out-of-range *sum* re-enters via from_time's range check.
-            (Repr::Fixed(a), Repr::Fixed(b)) if (a + b).abs() <= FIXED_LIMIT => {
-                FastTime(Repr::Fixed(a + b))
-            }
-            _ => FastTime::from_time(self.to_time() + rhs.to_time()),
-        }
-    }
-}
-
-impl Sub for FastTime {
-    type Output = FastTime;
-    fn sub(self, rhs: FastTime) -> FastTime {
-        match (self.0, rhs.0) {
-            (Repr::Fixed(a), Repr::Fixed(b)) if (a - b).abs() <= FIXED_LIMIT => {
-                FastTime(Repr::Fixed(a - b))
-            }
-            _ => FastTime::from_time(self.to_time() - rhs.to_time()),
-        }
-    }
-}
-
-impl Ord for FastTime {
-    fn cmp(&self, other: &FastTime) -> Ordering {
-        match (self.0, other.0) {
-            (Repr::Fixed(a), Repr::Fixed(b)) => a.cmp(&b),
-            _ => self.to_time().cmp(&other.to_time()),
-        }
-    }
-}
-
-impl PartialOrd for FastTime {
-    fn partial_cmp(&self, other: &FastTime) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl fmt::Debug for FastTime {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.0 {
-            Repr::Fixed(h) => write!(f, "fast[{h}/2]"),
-            Repr::Exact(t) => write!(f, "exact[{}]", t.0),
-        }
-    }
-}
-
-impl fmt::Display for FastTime {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.to_time())
-    }
-}
+/// Largest tick count [`Time::to_ticks`] returns, in magnitude. The
+/// headroom guarantees that adding two in-range counts can never
+/// overflow an `i64`, so a tick sum or comparison needs no checked
+/// arithmetic.
+pub const TICK_LIMIT: i64 = i64::MAX / 4;
 
 impl From<Ratio> for Time {
     fn from(r: Ratio) -> Time {
@@ -406,92 +273,41 @@ mod tests {
     }
 
     #[test]
-    fn half_unit_conversion() {
-        assert_eq!(Time::new(5, 2).to_half_units(), Some(5));
-        assert_eq!(Time::from_int(3).to_half_units(), Some(6));
-        assert_eq!(Time::new(-7, 2).to_half_units(), Some(-7));
-        assert_eq!(Time::new(1, 3).to_half_units(), None);
-        assert_eq!(Time::from_int(i64::MAX as i128).to_half_units(), None);
-        assert_eq!(Time::from_half_units(5), Time::new(5, 2));
-        assert_eq!(Time::from_half_units(-4), Time::from_int(-2));
+    fn tick_conversion() {
+        assert_eq!(Time::new(5, 2).to_ticks(2), Some(5));
+        assert_eq!(Time::from_int(3).to_ticks(2), Some(6));
+        assert_eq!(Time::new(-7, 2).to_ticks(2), Some(-7));
+        assert_eq!(Time::new(1, 3).to_ticks(2), None);
+        // D = 6 holds integers, halves and thirds.
+        assert_eq!(Time::new(7, 3).to_ticks(6), Some(14));
+        assert_eq!(Time::new(5, 2).to_ticks(6), Some(15));
+        assert_eq!(Time::from_int(4).to_ticks(6), Some(24));
+        assert_eq!(Time::new(1, 6).to_ticks(6), Some(1));
+        assert_eq!(Time::new(1, 4).to_ticks(6), None);
+        assert_eq!(Time::new(1, 12).to_ticks(6), None);
+        // An odd D holds no halves.
+        assert_eq!(Time::new(1, 2).to_ticks(3), None);
+        assert_eq!(Time::new(2, 3).to_ticks(3), Some(2));
+        // Past the headroom, or past `i64`, there is no tick form.
+        assert_eq!(
+            Time::from_int(TICK_LIMIT as i128).to_ticks(1),
+            Some(TICK_LIMIT)
+        );
+        assert_eq!(Time::from_int(TICK_LIMIT as i128).to_ticks(2), None);
+        assert_eq!(Time::from_int(-(TICK_LIMIT as i128) - 1).to_ticks(1), None);
+        assert_eq!(Time::from_int(i64::MAX as i128 * 4).to_ticks(1), None);
+        assert_eq!(Time::from_ticks(5, 2), Time::new(5, 2));
+        assert_eq!(Time::from_ticks(-4, 2), Time::from_int(-2));
+        assert_eq!(Time::from_ticks(14, 6), Time::new(7, 3));
     }
 
     #[test]
-    fn fast_time_round_trips_and_stays_fixed_on_the_lattice() {
-        for (num, den) in [(0, 1), (5, 2), (-3, 2), (7, 1), (1_000_000, 2)] {
-            let t = Time::new(num, den);
-            let f = FastTime::from_time(t);
-            assert!(f.is_fixed(), "{t:?}");
-            assert_eq!(f.to_time(), t);
-        }
-        let third = FastTime::from_time(Time::new(1, 3));
-        assert!(!third.is_fixed());
-        assert_eq!(third.to_time(), Time::new(1, 3));
-    }
-
-    #[test]
-    fn fast_time_arithmetic_and_ordering_match_time() {
-        let vals = [
-            Time::ZERO,
-            Time::ONE,
-            Time::new(5, 2),
-            Time::new(-3, 2),
-            Time::new(1, 3),
-            Time::new(22, 7),
-        ];
-        for &a in &vals {
-            for &b in &vals {
-                let (fa, fb) = (FastTime::from_time(a), FastTime::from_time(b));
-                assert_eq!((fa + fb).to_time(), a + b);
-                assert_eq!((fa - fb).to_time(), a - b);
-                assert_eq!(fa.cmp(&fb), a.cmp(&b));
-                assert_eq!(fa == fb, a == b);
-                assert_eq!(fa.max(fb).to_time(), a.max(b));
-                assert_eq!(fa.min(fb).to_time(), a.min(b));
+    fn ticks_round_trip_on_every_lattice() {
+        for den in [1i64, 2, 3, 6, 14] {
+            for ticks in -50i64..=50 {
+                let t = Time::from_ticks(ticks, den);
+                assert_eq!(t.to_ticks(den), Some(ticks), "{ticks}/{den}");
             }
         }
-    }
-
-    #[test]
-    fn fast_time_half_unit_accessors() {
-        assert_eq!(
-            FastTime::from_time(Time::new(5, 2)).as_half_units(),
-            Some(5)
-        );
-        assert_eq!(
-            FastTime::from_time(Time::from_int(-3)).as_half_units(),
-            Some(-6)
-        );
-        assert_eq!(FastTime::from_time(Time::new(1, 3)).as_half_units(), None);
-        assert_eq!(
-            FastTime::from_half_units(7),
-            FastTime::from_time(Time::new(7, 2))
-        );
-        assert!(FastTime::from_half_units(FIXED_LIMIT).is_fixed());
-    }
-
-    #[test]
-    #[should_panic(expected = "outside the fixed-point range")]
-    fn fast_time_from_half_units_rejects_out_of_range() {
-        let _ = FastTime::from_half_units(FIXED_LIMIT + 1);
-    }
-
-    #[test]
-    fn fast_time_overflow_adjacent_values_fall_back_exactly() {
-        // Just inside the fixed-point range...
-        let edge = FastTime::from_time(Time::from_half_units(FIXED_LIMIT));
-        assert!(edge.is_fixed());
-        // ...and one unit past it: promoted to the exact form, with the
-        // value still exact.
-        let over = edge + FastTime::ONE;
-        assert!(!over.is_fixed());
-        assert_eq!(
-            over.to_time(),
-            Time::from_half_units(FIXED_LIMIT) + Time::ONE
-        );
-        // Coming back under the limit demotes to fixed again.
-        let back = over - FastTime::ONE;
-        assert!(back.is_fixed());
-        assert_eq!(back, edge);
     }
 }

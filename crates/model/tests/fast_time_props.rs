@@ -1,18 +1,19 @@
 //! Property tests for the time fast paths.
 //!
-//! The lint engine's hot comparisons run on `i64` half-units (and
-//! [`FastTime`]) whenever a time sits on the half-integer lattice, with
-//! a transparent exact-`Ratio` fallback otherwise, and exact [`Ratio`]
-//! comparison short-circuits on a shared denominator. These properties
-//! pin the contract:
+//! The lint engine's hot comparisons run on `i64` counts of ticks of
+//! `1/D` ([`Time::to_ticks`], with `D = λ.lattice_lcm(2)`) whenever a
+//! time sits on the stream's lattice, with a transparent exact-`Ratio`
+//! fallback otherwise, and exact [`Ratio`] comparison short-circuits on
+//! a shared denominator. These properties pin the contract:
 //!
-//! * on random half-integer-λ schedules, off-lattice schedules and
-//!   schedules with overflow-adjacent times, the lint engine agrees
+//! * on random schedules over the lattices of halves, sixths and
+//!   fourteenths (λ = k/2, k/3, k/7), off-lattice schedules and
+//!   schedules with times past the tick limit, the lint engine agrees
 //!   with the seed reference engine on every emitted diagnostic (byte
 //!   for byte);
-//! * arithmetic on random lattice values matches [`Time`] exactly,
-//!   through `Display`;
-//! * overflow-adjacent values force the exact fallback rather than
+//! * tick arithmetic on random lattice values matches [`Time`] exactly,
+//!   through `Display`, for D ∈ {1, 2, 3, 6, 14};
+//! * values past [`TICK_LIMIT`] have no tick form rather than
 //!   wrapping, and results remain exact;
 //! * `Ratio` ordering agrees with the sign of the exact difference,
 //!   with shared and distinct denominators alike;
@@ -26,30 +27,35 @@
 use postal_model::lint::reference::lint_schedule_reference;
 use postal_model::lint::{lint_schedule, LintOptions};
 use postal_model::schedule::{Schedule, TimedSend};
-use postal_model::time::FIXED_LIMIT;
-use postal_model::{FastTime, Latency, Ratio, Time};
+use postal_model::time::TICK_LIMIT;
+use postal_model::{Latency, Ratio, Time};
 use proptest::prelude::*;
 use std::cmp::Ordering;
 
-/// Random half-integer λ: k/2 with 2 ≤ k ≤ 16 (so 1 ≤ λ ≤ 8).
-fn arb_half_lambda() -> impl Strategy<Value = Latency> {
-    (2i128..=16).prop_map(|k| Latency::from_ratio(k, 2))
-}
+/// Tick denominators: integers, halves, thirds, sixths, fourteenths.
+const DENS: [i64; 5] = [1, 2, 3, 6, 14];
 
-/// Random half-integer-lattice schedules over up to 8 processors.
-fn arb_half_schedule() -> impl Strategy<Value = Schedule> {
+/// Random schedules over up to 8 processors under λ = k/q for
+/// q ∈ {2, 3, 7} and 1 ≤ λ ≤ 8, every send on the lattice of ticks of
+/// `1/D` (`D = λ.lattice_lcm(2)`: 2, 6 or 14 unless λ reduces) within
+/// 24 units.
+fn arb_lattice_schedule() -> impl Strategy<Value = Schedule> {
     (
-        arb_half_lambda(),
+        0usize..3,
+        0i128..=56,
         2u32..=8,
-        collection::vec((0u32..8, 0u32..8, 0i128..=48), 0..24),
+        collection::vec((0u32..8, 0u32..8, 0i64..=336), 0..24),
     )
-        .prop_map(|(lam, n, raw)| {
+        .prop_map(|(qi, k, n, raw)| {
+            let q = [2i128, 3, 7][qi];
+            let lam = Latency::from_ratio(q + k % (7 * q + 1), q);
+            let den = lam.lattice_lcm(2);
             let sends = raw
                 .into_iter()
-                .map(|(src, dst, half)| TimedSend {
+                .map(|(src, dst, ticks)| TimedSend {
                     src: src % n,
                     dst: dst % n,
-                    send_start: Time::new(half, 2),
+                    send_start: Time::from_ticks(ticks % (24 * den + 1), den),
                 })
                 .collect();
             Schedule::new(n, lam, sends)
@@ -60,7 +66,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     #[test]
-    fn diagnostics_agree_byte_for_byte_on_the_lattice(s in arb_half_schedule(), m in 1u64..=4) {
+    fn diagnostics_agree_byte_for_byte_on_the_lattice(s in arb_lattice_schedule(), m in 1u64..=4) {
+        let den = s.latency().lattice_lcm(2);
+        prop_assert!(s.sends().iter().all(|t| t.send_start.to_ticks(den).is_some()));
         for opts in [
             LintOptions::broadcast_of(m),
             LintOptions::ports_only(),
@@ -76,48 +84,53 @@ proptest! {
     }
 
     #[test]
-    fn fast_time_arithmetic_matches_time(a in -1000i64..=1000, b in -1000i64..=1000) {
-        let (ta, tb) = (Time::from_half_units(a), Time::from_half_units(b));
-        let (fa, fb) = (FastTime::from_time(ta), FastTime::from_time(tb));
-        prop_assert!(fa.is_fixed() && fb.is_fixed());
-        prop_assert_eq!((fa + fb).to_time(), ta + tb);
-        prop_assert_eq!((fa - fb).to_time(), ta - tb);
-        prop_assert_eq!(fa.cmp(&fb), ta.cmp(&tb));
-        prop_assert_eq!(fa.max(fb).to_time(), ta.max(tb));
-        prop_assert_eq!(fa.min(fb).to_time(), ta.min(tb));
-        prop_assert_eq!(fa.to_string(), ta.to_string());
+    fn tick_arithmetic_matches_time(d in 0usize..5, a in -1000i64..=1000, b in -1000i64..=1000) {
+        let den = DENS[d];
+        let (ta, tb) = (Time::from_ticks(a, den), Time::from_ticks(b, den));
+        prop_assert_eq!(ta.to_ticks(den), Some(a));
+        prop_assert_eq!(tb.to_ticks(den), Some(b));
+        prop_assert_eq!(Time::from_ticks(a + b, den), ta + tb);
+        prop_assert_eq!(Time::from_ticks(a - b, den), ta - tb);
+        prop_assert_eq!(a.cmp(&b), ta.cmp(&tb));
+        prop_assert_eq!(Time::from_ticks(a.max(b), den), ta.max(tb));
+        prop_assert_eq!(Time::from_ticks(a.min(b), den), ta.min(tb));
+        prop_assert_eq!(Time::from_ticks(a, den).to_string(), Ratio::new(a as i128, den as i128).to_string());
+        // On a finer lattice (a multiple of `den`) the value scales.
+        prop_assert_eq!(ta.to_ticks(den * 7), Some(a * 7));
     }
 
     #[test]
-    fn overflow_adjacent_values_fall_back_not_wrap(delta in 0i64..=8, step in 1i64..=1000) {
-        // h sits within `step` of the fixed-point ceiling: one more add
-        // must promote to the exact representation, not wrap.
-        let h = FIXED_LIMIT - delta;
-        let big = FastTime::from_time(Time::from_half_units(h));
-        let inc = FastTime::from_time(Time::from_half_units(step));
-        prop_assert!(big.is_fixed());
+    fn ticks_past_the_limit_have_no_tick_form(d in 0usize..5, delta in 0i64..=8, step in 1i64..=1000) {
+        // h sits within `step` of the tick ceiling: one more add must
+        // leave the integer form, not wrap.
+        let den = DENS[d];
+        let h = TICK_LIMIT - delta;
+        let big = Time::from_ticks(h, den);
+        let inc = Time::from_ticks(step, den);
+        prop_assert_eq!(big.to_ticks(den), Some(h));
         let sum = big + inc;
-        prop_assert_eq!(sum.is_fixed(), h + step <= FIXED_LIMIT);
-        prop_assert_eq!(sum.to_time(), Time::from_half_units(h) + Time::from_half_units(step));
-        // Subtracting back demotes to fixed again, exactly.
+        let fits = h + step <= TICK_LIMIT;
+        prop_assert_eq!(sum.to_ticks(den), fits.then_some(h + step));
+        prop_assert_eq!(sum, Time::new(h as i128 + step as i128, den as i128));
+        // Subtracting back re-enters the integer form, exactly.
         let back = sum - inc;
-        prop_assert!(back.is_fixed());
-        prop_assert_eq!(back.to_time(), Time::from_half_units(h));
+        prop_assert_eq!(back.to_ticks(den), Some(h));
         prop_assert_eq!(back, big);
     }
 
     #[test]
     fn off_lattice_schedules_skip_the_lane_but_lint_identically(
-        s in arb_half_schedule(), third in 1i128..=5
+        s in arb_lattice_schedule(), fifth in 1i128..=5
     ) {
-        // Push one send off the half-integer lattice (numerator chosen
-        // ≢ 0 mod 3 so the fraction never reduces): it takes the exact
-        // lane, merged with the integer lane, and the report must still
-        // match the reference.
+        // Push one send off the stream's lattice (numerator chosen
+        // ≢ 0 mod 5 so the fraction never reduces, and no D here is a
+        // multiple of 5): it takes the exact lane, merged with the
+        // integer lane, and the report must still match the reference.
         let mut sends: Vec<TimedSend> = s.sends().to_vec();
-        sends.push(TimedSend { src: 0, dst: 1, send_start: Time::new(3 * third + 1, 3) });
+        sends.push(TimedSend { src: 0, dst: 1, send_start: Time::new(5 * fifth + 1, 5) });
         let off = Schedule::new(s.n(), s.latency(), sends);
-        prop_assert!(off.sends().iter().any(|t| t.send_start.to_half_units().is_none()));
+        let den = off.latency().lattice_lcm(2);
+        prop_assert!(off.sends().iter().any(|t| t.send_start.to_ticks(den).is_none()));
         let opts = LintOptions::default();
         prop_assert_eq!(
             lint_schedule(&off, &opts),
@@ -126,17 +139,19 @@ proptest! {
     }
 
     #[test]
-    fn oversized_times_take_the_exact_lane(s in arb_half_schedule()) {
-        // One start just past the fixed-point ceiling cannot use the
-        // integer lane; diagnostics still match the reference through
-        // the exact path.
+    fn oversized_times_take_the_exact_lane(s in arb_lattice_schedule()) {
+        // One start just past the tick ceiling cannot use the integer
+        // lane; diagnostics still match the reference through the
+        // exact path.
+        let den = s.latency().lattice_lcm(2);
         let mut sends: Vec<TimedSend> = s.sends().to_vec();
         sends.push(TimedSend {
             src: 0,
             dst: 1,
-            send_start: Time::from_half_units(FIXED_LIMIT) + Time::ONE,
+            send_start: Time::from_ticks(TICK_LIMIT, den) + Time::ONE,
         });
         let huge = Schedule::new(s.n(), s.latency(), sends);
+        prop_assert!(huge.sends().iter().any(|t| t.send_start.to_ticks(den).is_none()));
         let opts = LintOptions::default();
         prop_assert_eq!(
             lint_schedule(&huge, &opts),
@@ -332,14 +347,14 @@ fn reduced_cmp_fits(a: Ratio, b: Ratio) -> bool {
     lhs.is_some() && rhs.is_some()
 }
 
-/// A numerator near zero or near ±[`FIXED_LIMIT`], so comparisons cover
-/// negative values and magnitudes at the fixed-point ceiling.
+/// A numerator near zero or near ±[`TICK_LIMIT`], so comparisons cover
+/// negative values and magnitudes at the tick ceiling.
 fn arb_numer() -> impl Strategy<Value = i128> {
     (0u8..3, -1000i128..=1000).prop_map(|(band, offset)| {
         let base = match band {
             0 => 0,
-            1 => FIXED_LIMIT as i128,
-            _ => -(FIXED_LIMIT as i128),
+            1 => TICK_LIMIT as i128,
+            _ => -(TICK_LIMIT as i128),
         };
         base + offset
     })

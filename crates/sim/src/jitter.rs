@@ -80,6 +80,12 @@ impl LatencyModel for Jittered {
         Latency::new(self.base.value() + extra).expect("base ≥ 1 and extra ≥ 0")
     }
 
+    /// Every λ is `base + k/q` for the base's own `q`, so the base's
+    /// lattice holds them all.
+    fn tick_denominator(&self) -> i64 {
+        self.base.lattice_lcm(2)
+    }
+
     fn max_latency(&self) -> Option<Latency> {
         let q = self.base.ticks_per_unit();
         Some(
@@ -92,6 +98,19 @@ impl LatencyModel for Jittered {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn every_jittered_latency_lies_on_the_declared_lattice() {
+        for base in [Latency::from_int(2), Latency::from_ratio(7, 3)] {
+            let m = Jittered::new(base, 5, 11);
+            let den = m.tick_denominator();
+            assert_eq!(den, base.lattice_lcm(2));
+            for t in 0..40 {
+                let l = m.latency(ProcId(0), ProcId(1), Time::new(t, 3));
+                assert!(l.as_time().to_ticks(den).is_some(), "{l} off 1/{den}");
+            }
+        }
+    }
 
     #[test]
     fn zero_jitter_is_uniform() {

@@ -28,6 +28,30 @@ pub trait LatencyModel {
     fn max_latency(&self) -> Option<Latency> {
         None
     }
+
+    /// The tick denominator `D` of the model's lattice: the lcm of 2 and
+    /// the denominator of every λ the model can return (see
+    /// [`Latency::lattice_lcm`]). Every event time of a run is then a
+    /// whole number of ticks of `1/D`, and the engine carries it as an
+    /// `i64`. A λ off the declared lattice is still simulated exactly,
+    /// on the engine's slower exact path
+    /// ([`crate::RunReport::exact_pushes`] counts it). A value outside
+    /// `1..=`[`MAX_TICK_DENOMINATOR`](postal_model::latency::MAX_TICK_DENOMINATOR)
+    /// is read as 2.
+    ///
+    /// Defaults to 2: the half-unit lattice of every integer and
+    /// half-integer λ.
+    fn tick_denominator(&self) -> i64 {
+        2
+    }
+
+    /// The λ of every send, when it depends on neither the pair nor the
+    /// send time. The engine then looks it up once per run instead of
+    /// building each send's start time for [`LatencyModel::latency`].
+    /// Defaults to `None`.
+    fn uniform_latency(&self) -> Option<Latency> {
+        None
+    }
 }
 
 /// The paper's model: one system-wide λ for every pair and every time.
@@ -40,6 +64,14 @@ impl LatencyModel for Uniform {
     }
 
     fn max_latency(&self) -> Option<Latency> {
+        Some(self.0)
+    }
+
+    fn tick_denominator(&self) -> i64 {
+        self.0.lattice_lcm(2)
+    }
+
+    fn uniform_latency(&self) -> Option<Latency> {
         Some(self.0)
     }
 }
@@ -95,6 +127,10 @@ impl LatencyModel for TimeVarying {
 
     fn max_latency(&self) -> Option<Latency> {
         self.steps.iter().map(|&(_, l)| l).max()
+    }
+
+    fn tick_denominator(&self) -> i64 {
+        self.steps.iter().fold(2, |den, &(_, l)| l.lattice_lcm(den))
     }
 }
 
@@ -174,6 +210,10 @@ impl LatencyModel for Hierarchical {
     fn max_latency(&self) -> Option<Latency> {
         Some(self.remote)
     }
+
+    fn tick_denominator(&self) -> i64 {
+        self.remote.lattice_lcm(self.local.lattice_lcm(2))
+    }
 }
 
 #[cfg(test)]
@@ -188,6 +228,26 @@ mod tests {
             Latency::from_ratio(5, 2)
         );
         assert_eq!(m.max_latency(), Some(Latency::from_ratio(5, 2)));
+        assert_eq!(m.uniform_latency(), Some(Latency::from_ratio(5, 2)));
+    }
+
+    #[test]
+    fn each_model_declares_the_lcm_of_its_denominators() {
+        assert_eq!(Uniform(Latency::from_int(3)).tick_denominator(), 2);
+        assert_eq!(Uniform(Latency::from_ratio(5, 2)).tick_denominator(), 2);
+        assert_eq!(Uniform(Latency::from_ratio(7, 3)).tick_denominator(), 6);
+        assert_eq!(Uniform(Latency::from_ratio(22, 7)).tick_denominator(), 14);
+        let stepped = TimeVarying::new(vec![
+            (Time::ZERO, Latency::from_int(2)),
+            (Time::from_int(10), Latency::from_ratio(7, 3)),
+            (Time::from_int(20), Latency::from_ratio(9, 4)),
+        ]);
+        assert_eq!(stepped.tick_denominator(), 12);
+        assert_eq!(stepped.uniform_latency(), None);
+        let tiers =
+            Hierarchical::blocks(4, 2, Latency::from_ratio(3, 2), Latency::from_ratio(7, 3));
+        assert_eq!(tiers.tick_denominator(), 6);
+        assert_eq!(tiers.uniform_latency(), None);
     }
 
     #[test]

@@ -83,7 +83,7 @@ pub mod prelude {
     pub use crate::trace::{Trace, Transfer};
 }
 
-pub use calendar::{CalendarQueue, Lane};
+pub use calendar::{CalendarQueue, Lane, Stamp};
 pub use engine::{EdgeViolation, PortMode, RunReport, SimConfig, SimError, Simulation};
 pub use faults::FaultPlan;
 pub use ids::{ProcId, SendSeq};

@@ -1,16 +1,18 @@
 //! Differential harness pinning the fast calendar-queue engine to the
 //! seed binary-heap engine.
 //!
-//! [`Simulation::run`] (fast: `FastTime` fixed-point arithmetic, O(1)
-//! bucket queue, u32 processor ids) and [`Simulation::run_reference`]
-//! (the original exact-`Ratio` engine, kept verbatim) must be
-//! *behaviorally indistinguishable*: same completion time, same trace
-//! (every transfer field, in the same order), same violations, same
-//! per-processor statistics, same per-port occupancy, and the same
-//! observability event stream — across every paper algorithm, both
-//! port-contention modes, fault plans, jittered latency, off-lattice λ
-//! (which routes the fast engine through its exact fallback), and
-//! event-budget truncation.
+//! [`Simulation::run`] (fast: `i64` ticks of the latency model's
+//! lattice, O(1) bucket queue, u32 processor ids) and
+//! [`Simulation::run_reference`] (the original exact-`Ratio` engine,
+//! kept verbatim) must be *behaviorally indistinguishable*: same
+//! completion time, same trace (every transfer field, in the same
+//! order), same violations, same per-processor statistics, same
+//! per-port occupancy, and the same observability event stream —
+//! across every paper algorithm, both port-contention modes, fault
+//! plans, jittered, time-varying and hierarchical latency, λ on the
+//! lattices of halves, sixths and fourteenths, times off the declared
+//! lattice (which route the fast engine through its exact fallback),
+//! and event-budget truncation.
 //!
 //! Any future change to the fast path that shifts an event by half a
 //! tick, reorders a tie, or drops an observability record fails here
@@ -21,7 +23,9 @@ use postal::algos::ext::combine::{combine_programs, run_combine};
 use postal::algos::pack::pack_programs;
 use postal::algos::pipeline::pipeline_programs;
 use postal::algos::repeat::repeat_programs;
+use postal::algos::replay::replay_programs;
 use postal::algos::{bcast_programs, Pacing};
+use postal::model::schedule::{Schedule, TimedSend};
 use postal::model::{runtimes, Latency, Time};
 use postal::sim::prelude::*;
 use postal::sim::SimError;
@@ -183,8 +187,7 @@ fn lambdas() -> [Latency; 4] {
         Latency::from_int(1),
         Latency::from_int(2),
         Latency::from_ratio(5, 2),
-        // Off the half-unit lattice: every event time takes the fast
-        // engine's exact-`Ratio` fallback.
+        // Off the half-unit lattice: the fast engine runs on sixths.
         Latency::from_ratio(7, 3),
     ]
 }
@@ -210,14 +213,15 @@ fn full_grid_matches_reference() {
     }
 }
 
-/// BCAST beyond the grid: a single processor, n = 14 (Figure 1) and
-/// λ = 4.
+/// BCAST beyond the grid: a single processor, n = 14 (Figure 1),
+/// λ = 4, and λ = 22/7 on fourteenths beside 7/3 on sixths.
 #[test]
 fn bcast_sizes_and_lambdas_match_reference() {
     for lam in [
         Latency::TELEPHONE,
         Latency::from_ratio(5, 2),
         Latency::from_ratio(7, 3),
+        Latency::from_ratio(22, 7),
         Latency::from_int(4),
     ] {
         let uni = Uniform(lam);
@@ -257,13 +261,16 @@ fn pack_messages_match_reference() {
 }
 
 /// PIPELINE in both regimes: PIPELINE-1 (λ = 4, m = 2), PIPELINE-2
-/// (λ = 2, m = 6), and m = 5 at λ = 5/2.
+/// (λ = 2, m = 6), m = 5 at λ = 5/2, and m = 8 on the lattices of
+/// sixths (λ = 7/3) and fourteenths (λ = 22/7).
 #[test]
 fn pipeline_regimes_match_reference() {
     for (lam, m) in [
         (Latency::from_int(4), 2u32),
         (Latency::from_int(2), 6),
         (Latency::from_ratio(5, 2), 5),
+        (Latency::from_ratio(7, 3), 8),
+        (Latency::from_ratio(22, 7), 8),
     ] {
         let uni = Uniform(lam);
         for n in [5usize, 14, 33] {
@@ -423,23 +430,147 @@ fn jittered_latency_matches_reference() {
     }
 }
 
-/// λ = 7/3 leaves the half-unit lattice entirely, so the fast engine's
-/// calendar never fires and every event rides the exact-`Ratio`
-/// fallback heap — the run must still be reference-identical (covered
-/// by the grid) and the latency really must be off-lattice (guarded
-/// here, so the grid cannot silently stop exercising the fallback).
+/// Each latency model declares its own lattice: `TimeVarying` (λ = 2,
+/// stepping to 7/3 at t = 10), `Hierarchical` (local 3/2, remote 7/3)
+/// and `Jittered` around 7/3 all tick in sixths. Their runs must match
+/// the reference and never touch the exact heap.
+#[test]
+fn model_lattices_match_reference() {
+    let lam = Latency::from_ratio(7, 3);
+    for n in [8usize, 33] {
+        let stepped = TimeVarying::new(vec![
+            (Time::ZERO, Latency::from_int(2)),
+            (Time::from_int(10), lam),
+        ]);
+        let tiers = Hierarchical::blocks(n, 4, Latency::from_ratio(3, 2), lam);
+        let jittered = Jittered::new(lam, 3, 0xDEAD_BEEF);
+        let models: [(&str, &dyn LatencyModel); 3] = [
+            ("time-varying", &stepped),
+            ("hierarchical", &tiers),
+            ("jittered", &jittered),
+        ];
+        for (name, model) in models {
+            assert_eq!(model.tick_denominator(), 6, "{name}");
+            let setup = Setup::strict(n, model);
+            for algo in ["bcast", "star", "repeat-greedy", "binary", "pipeline"] {
+                run_case(algo, 2, lam, &setup);
+            }
+            let report = Simulation::new(n, model)
+                .run(pipeline_programs(n, 3, lam))
+                .expect("pipeline runs");
+            assert_eq!(report.exact_pushes, 0, "{name} n={n}");
+        }
+    }
+}
+
+/// Returns one λ for every send but declares the default half-unit
+/// lattice, so a λ off the halves takes the engine's exact path.
+struct HalvesOnly(Latency);
+
+impl LatencyModel for HalvesOnly {
+    fn latency(&self, _src: ProcId, _dst: ProcId, _send_start: Time) -> Latency {
+        self.0
+    }
+}
+
+/// The three sends of a λ = 2 schedule whose last send starts at 15/7,
+/// off the half-unit lattice: its wake-up, arrival and delivery all
+/// take the exact heap.
+fn off_lattice_schedule() -> Schedule {
+    let send = |src, dst, send_start| TimedSend {
+        src,
+        dst,
+        send_start,
+    };
+    Schedule::new(
+        4,
+        Latency::from_int(2),
+        vec![
+            send(0, 1, Time::ZERO),
+            send(0, 2, Time::ONE),
+            send(1, 3, Time::new(15, 7)),
+        ],
+    )
+}
+
+/// `Uniform(7/3)` declares sixths, so its run rides the integer ring
+/// (0 exact pushes) and stays reference-identical. The exact-`Ratio`
+/// fallback is exercised, and pinned here, by a model that returns 7/3
+/// but keeps the default half-unit lattice and by the replay of a
+/// schedule with a send at 15/7: both take the exact heap (more than 0
+/// exact pushes) and must match the reference.
 #[test]
 fn off_lattice_lambda_exercises_the_exact_fallback() {
     let lam = Latency::from_ratio(7, 3);
-    assert_eq!(
-        lam.as_fast_time().as_half_units(),
-        None,
-        "7/3 must be off the half-unit lattice"
-    );
     let uni = Uniform(lam);
-    let setup = Setup::strict(33, &uni);
-    run_case("bcast", 1, lam, &setup);
-    run_case("pipeline", 3, lam, &setup);
+    let halves = HalvesOnly(lam);
+    assert_eq!((uni.tick_denominator(), halves.tick_denominator()), (6, 2));
+    for (model, on_lattice) in [(&uni as &dyn LatencyModel, true), (&halves, false)] {
+        let setup = Setup::strict(33, model);
+        run_case("bcast", 1, lam, &setup);
+        run_case("pipeline", 3, lam, &setup);
+        let report = Simulation::new(33, model)
+            .run(pipeline_programs(33, 3, lam))
+            .expect("pipeline runs");
+        assert_eq!(
+            report.exact_pushes == 0,
+            on_lattice,
+            "{}",
+            report.exact_pushes
+        );
+    }
+
+    let schedule = off_lattice_schedule();
+    let two = Uniform(schedule.latency());
+    assert_engines_agree("replay 15/7", &Setup::strict(4, &two), || {
+        replay_programs(&schedule)
+    });
+    let report = Simulation::new(4, &two)
+        .run(replay_programs(&schedule))
+        .expect("replay runs");
+    report.assert_model_clean();
+    assert!(report.exact_pushes > 0, "{}", report.exact_pushes);
+    assert_eq!(report.completion, schedule.completion());
+}
+
+/// `RunReport` counts the queue's two slow paths: pushes into the exact
+/// heap (times off the run's lattice) and into the overflow heap (ticks
+/// beyond the 512-tick window). `run_reference` has no calendar and
+/// reads 0 for both.
+#[test]
+fn slow_path_counts_are_pinned() {
+    let two = Uniform(Latency::from_int(2));
+    let bcast = Simulation::new(10_000, &two)
+        .run(bcast_programs(10_000, Latency::from_int(2)))
+        .expect("bcast runs");
+    assert_eq!((bcast.exact_pushes, bcast.overflow_pushes), (0, 0));
+
+    // On halves instead of sixths, 22,832 of this run's 32,000 events
+    // would take the exact heap.
+    let lam = Latency::from_ratio(7, 3);
+    let pipeline = Simulation::new(2001, &Uniform(lam))
+        .run(pipeline_programs(2001, 8, lam))
+        .expect("pipeline runs");
+    assert_eq!(pipeline.events, 32_000);
+    assert_eq!(pipeline.exact_pushes, 0);
+
+    // STAR: the root books 999 sends at t = 0, so arrivals reach 999
+    // units (1998 ticks) ahead, past the window.
+    let star = || dtree_programs(1000, 1, 999);
+    let fast = Simulation::new(1000, &two).run(star()).expect("star runs");
+    assert_eq!(fast.exact_pushes, 0);
+    assert!(fast.overflow_pushes > 0, "{}", fast.overflow_pushes);
+    let reference = Simulation::new(1000, &two)
+        .run_reference(star())
+        .expect("star runs");
+    assert_eq!(reference.completion, fast.completion);
+    assert_eq!((reference.exact_pushes, reference.overflow_pushes), (0, 0));
+
+    let schedule = off_lattice_schedule();
+    let reference = Simulation::new(4, &Uniform(schedule.latency()))
+        .run_reference(replay_programs(&schedule))
+        .expect("replay runs");
+    assert_eq!((reference.exact_pushes, reference.overflow_pushes), (0, 0));
 }
 
 /// Hitting `max_events` must surface identically on both engines: the
