@@ -11,7 +11,7 @@
 //!
 //! * at n = 10⁶ the inline-linted run must finish under
 //!   `$STREAM_LINT_OVERHEAD_X` (default 2.0) times the bare run;
-//! * the linter's own reserved memory
+//! * the linter's own peak reserved memory
 //!   ([`postal_obs::LintStream::memory_bytes`])
 //!   at n = 10⁶ must stay under `$STREAM_LINT_MEM_MIB` (default 64)
 //!   MiB — O(n) state, not the O(sends) materialized trace.

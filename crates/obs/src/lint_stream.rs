@@ -135,7 +135,8 @@ impl LintStream {
         self.inner.out_of_order()
     }
 
-    /// Currently reserved linter heap bytes, by container capacity.
+    /// Peak reserved linter heap bytes, by container capacity (see
+    /// [`StreamingLint::memory_bytes`]).
     pub fn memory_bytes(&self) -> usize {
         self.inner.memory_bytes()
     }
