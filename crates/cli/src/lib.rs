@@ -1210,15 +1210,21 @@ fn apply_ring(log: ObsLog, opts: &OutputOpts) -> ObsLog {
 }
 
 /// Writes the requested exporter outputs, returning one note per file.
+/// An exporter runs only when its path is set.
 fn write_exports(log: &ObsLog, opts: &OutputOpts) -> Result<Vec<String>, CliError> {
     let mut notes = Vec::new();
-    for (path, what, contents) in [
-        (&opts.trace_out, "Chrome trace", to_chrome_trace(log)),
-        (&opts.events_out, "JSONL event log", to_jsonl(log)),
-        (&opts.metrics_out, "Prometheus metrics", to_prometheus(log)),
-    ] {
+    let exporters = [
+        (
+            &opts.trace_out,
+            "Chrome trace",
+            to_chrome_trace as fn(&ObsLog) -> String,
+        ),
+        (&opts.events_out, "JSONL event log", to_jsonl),
+        (&opts.metrics_out, "Prometheus metrics", to_prometheus),
+    ];
+    for (path, what, export) in exporters {
         if let Some(p) = path {
-            std::fs::write(p, contents)
+            std::fs::write(p, export(log))
                 .map_err(|e| CliError::Invalid(format!("cannot write {p}: {e}")))?;
             notes.push(format!("wrote {what} to {p}"));
         }

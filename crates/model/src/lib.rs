@@ -76,6 +76,7 @@ pub mod ratio;
 pub mod runtimes;
 pub mod schedule;
 pub mod step_fn;
+pub mod text;
 pub mod time;
 pub mod topology;
 

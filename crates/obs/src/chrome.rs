@@ -15,6 +15,8 @@
 
 use crate::event::ObsEvent;
 use crate::log::ObsLog;
+use crate::row::{int, time};
+use postal_model::text::push_int;
 use postal_model::{Ratio, Time};
 use std::fmt::Write as _;
 
@@ -41,61 +43,125 @@ fn push_ts(out: &mut String, t: Time) {
     };
     // A nonnegative f64 without a trailing `.0` when integral.
     if x.fract() == 0.0 && x.abs() < 1e15 {
-        let _ = write!(out, "{}", x as i64);
+        push_int(out, x as i64);
     } else {
         let _ = write!(out, "{x}");
     }
 }
 
-/// Appends `    { "ph": "<ph>", "pid": <pid>, "tid": <tid>, "ts": <t>`,
-/// the opening every event row shares.
-fn open_row(out: &mut String, ph: char, pid: u32, tid: u8, t: Time) {
-    let _ = write!(
-        out,
-        "    {{ \"ph\": \"{ph}\", \"pid\": {pid}, \"tid\": {tid}, \"ts\": "
-    );
-    push_ts(out, t);
+/// The text of a row field, kept while the value it was written from
+/// repeats. Every event time of a postal run is `a + b·λ`, so a run
+/// visits few instants, and in a time-sorted log nearly every row
+/// repeats the previous row's `ts` (and its span's `dur`): those rows
+/// copy the text instead of converting and formatting a float again.
+/// An unsorted log stays correct and only reuses less.
+struct Reused<K> {
+    key: Option<K>,
+    text: String,
 }
 
-/// Serializes a log as Chrome trace-event JSON, appending every line to
-/// one output string.
+impl<K: PartialEq> Reused<K> {
+    fn new() -> Reused<K> {
+        Reused {
+            key: None,
+            text: String::new(),
+        }
+    }
+
+    /// Appends the text for `key`, writing it with `write` only when
+    /// `key` differs from the last one.
+    fn push(&mut self, out: &mut String, key: K, write: impl FnOnce(&mut String)) {
+        if self.key.as_ref() != Some(&key) {
+            self.text.clear();
+            write(&mut self.text);
+            self.key = Some(key);
+        }
+        out.push_str(&self.text);
+    }
+}
+
+/// The per-trace writer state: the output and the last `ts` and `dur`.
+struct Writer {
+    out: String,
+    ts: Reused<Time>,
+    dur: Reused<(Time, Time)>,
+}
+
+impl Writer {
+    /// Appends `    { "ph": "<ph>", "pid": <pid>, "tid": <tid>, "ts": <t>`,
+    /// the opening every event row shares.
+    fn open_row(&mut self, ph: &str, pid: u32, tid: u8, t: Time) {
+        self.out.push_str("    { \"ph\": \"");
+        self.out.push_str(ph);
+        int(&mut self.out, "\", \"pid\": ", pid);
+        int(&mut self.out, ", \"tid\": ", tid);
+        self.out.push_str(", \"ts\": ");
+        self.ts.push(&mut self.out, t, |s| push_ts(s, t));
+    }
+
+    /// Opens a span row on `pid`'s port `tid` and appends its `dur`.
+    fn open_span(&mut self, pid: u32, tid: u8, start: Time, finish: Time) {
+        self.open_row("X", pid, tid, start);
+        self.out.push_str(", \"dur\": ");
+        self.dur.push(&mut self.out, (start, finish), |s| {
+            push_ts(s, finish - start)
+        });
+    }
+}
+
+/// Serializes a log as Chrome trace-event JSON, appending every field
+/// straight into one output string.
 pub fn to_chrome_trace(log: &ObsLog) -> String {
     let meta = log.meta();
     // Sized once for the whole trace (lines run to about 95 bytes per
     // processor-name row and 190 per event) so it is not grown by
     // doubling, which would hold up to twice the trace in memory.
     let rows = 3 * meta.n as usize * 96 + log.len() * 192;
-    let mut out = String::with_capacity(256 + rows);
-    out.push_str("{\n  \"displayTimeUnit\": \"ms\",\n  \"otherData\": {");
-    let _ = write!(
-        out,
-        " \"engine\": \"{}\", \"n\": \"{}\"",
-        meta.engine, meta.n
-    );
+    let mut w = Writer {
+        out: String::with_capacity(256 + rows),
+        ts: Reused::new(),
+        dur: Reused::new(),
+    };
+    let out = &mut w.out;
+    out.push_str("{\n  \"displayTimeUnit\": \"ms\",\n  \"otherData\": { \"engine\": \"");
+    out.push_str(&meta.engine);
+    int(out, "\", \"n\": \"", meta.n);
+    out.push('"');
     if let Some(lam) = meta.lambda {
-        let _ = write!(out, ", \"lambda\": \"{lam}\"");
+        time(out, ", \"lambda\": \"", lam.as_time());
     }
     if let Some(m) = meta.messages {
-        let _ = write!(out, ", \"messages\": \"{m}\"");
+        int(out, ", \"messages\": \"", m);
+        out.push('"');
     }
     if let Some(d) = meta.dropped_events {
-        let _ = write!(out, ", \"dropped_events\": \"{d}\"");
+        int(out, ", \"dropped_events\": \"", d);
+        out.push('"');
     }
     if let Some(s) = &meta.sample {
-        let _ = write!(out, ", \"sample\": \"{s}\"");
+        out.push_str(", \"sample\": \"");
+        out.push_str(s);
+        out.push('"');
     }
     out.push_str(" },\n  \"traceEvents\": [\n");
 
     // Every row ends in ",\n"; the last row's comma is cut below.
     for p in 0..meta.n {
-        let _ = writeln!(
+        int(out, "    { \"ph\": \"M\", \"pid\": ", p);
+        int(
             out,
-            "    {{ \"ph\": \"M\", \"pid\": {p}, \"tid\": 0, \"name\": \"process_name\", \
-             \"args\": {{ \"name\": \"p{p}\" }} }},\n    \
-             {{ \"ph\": \"M\", \"pid\": {p}, \"tid\": 0, \"name\": \"thread_name\", \
-             \"args\": {{ \"name\": \"out port\" }} }},\n    \
-             {{ \"ph\": \"M\", \"pid\": {p}, \"tid\": 1, \"name\": \"thread_name\", \
-             \"args\": {{ \"name\": \"in port\" }} }},"
+            ", \"tid\": 0, \"name\": \"process_name\", \"args\": { \"name\": \"p",
+            p,
+        );
+        int(out, "\" } },\n    { \"ph\": \"M\", \"pid\": ", p);
+        int(
+            out,
+            ", \"tid\": 0, \"name\": \"thread_name\", \"args\": { \"name\": \"out port\" } },\n    \
+             { \"ph\": \"M\", \"pid\": ",
+            p,
+        );
+        out.push_str(
+            ", \"tid\": 1, \"name\": \"thread_name\", \"args\": { \"name\": \"in port\" } },\n",
         );
     }
     for e in log.events() {
@@ -107,14 +173,14 @@ pub fn to_chrome_trace(log: &ObsLog) -> String {
                 start,
                 finish,
             } => {
-                open_row(&mut out, 'X', src, 0, start);
-                out.push_str(", \"dur\": ");
-                push_ts(&mut out, finish - start);
-                let _ = writeln!(
-                    out,
-                    ", \"name\": \"send #{seq} -> p{dst}\", \
-                     \"args\": {{ \"seq\": {seq}, \"dst\": {dst}, \"start\": \"{start}\" }} }},"
-                );
+                w.open_span(src, 0, start, finish);
+                let out = &mut w.out;
+                int(out, ", \"name\": \"send #", seq);
+                int(out, " -> p", dst);
+                int(out, "\", \"args\": { \"seq\": ", seq);
+                int(out, ", \"dst\": ", dst);
+                time(out, ", \"start\": \"", start);
+                out.push_str(" } },\n");
             }
             ObsEvent::Recv {
                 seq,
@@ -125,19 +191,22 @@ pub fn to_chrome_trace(log: &ObsLog) -> String {
                 finish,
                 queued,
             } => {
-                open_row(&mut out, 'X', dst, 1, start);
-                out.push_str(", \"dur\": ");
-                push_ts(&mut out, finish - start);
-                let _ = writeln!(
-                    out,
-                    ", \"name\": \"recv #{seq} <- p{src}\", \
-                     \"args\": {{ \"seq\": {seq}, \"src\": {src}, \"arrival\": \"{arrival}\", \
-                     \"queued\": {queued} }} }},"
-                );
+                w.open_span(dst, 1, start, finish);
+                let out = &mut w.out;
+                int(out, ", \"name\": \"recv #", seq);
+                int(out, " <- p", src);
+                int(out, "\", \"args\": { \"seq\": ", seq);
+                int(out, ", \"src\": ", src);
+                time(out, ", \"arrival\": \"", arrival);
+                out.push_str(if queued {
+                    ", \"queued\": true } },\n"
+                } else {
+                    ", \"queued\": false } },\n"
+                });
             }
             ObsEvent::Wake { proc, at } => {
-                open_row(&mut out, 'i', proc, 0, at);
-                out.push_str(", \"s\": \"t\", \"name\": \"wake\" },\n");
+                w.open_row("i", proc, 0, at);
+                w.out.push_str(", \"s\": \"t\", \"name\": \"wake\" },\n");
             }
             ObsEvent::Violation {
                 seq,
@@ -145,38 +214,42 @@ pub fn to_chrome_trace(log: &ObsLog) -> String {
                 arrival,
                 busy_until,
             } => {
-                open_row(&mut out, 'i', dst, 1, arrival);
-                let _ = writeln!(
-                    out,
-                    ", \"s\": \"p\", \"name\": \"violation #{seq}\", \
-                     \"args\": {{ \"busy_until\": \"{busy_until}\" }} }},"
-                );
+                w.open_row("i", dst, 1, arrival);
+                let out = &mut w.out;
+                int(out, ", \"s\": \"p\", \"name\": \"violation #", seq);
+                time(out, "\", \"args\": { \"busy_until\": \"", busy_until);
+                out.push_str(" } },\n");
             }
             ObsEvent::Drop { seq, src, dst, at } => {
-                open_row(&mut out, 'i', dst, 1, at);
-                let _ = writeln!(
-                    out,
-                    ", \"s\": \"p\", \"name\": \"drop #{seq} <- p{src}\" }},"
-                );
+                w.open_row("i", dst, 1, at);
+                let out = &mut w.out;
+                int(out, ", \"s\": \"p\", \"name\": \"drop #", seq);
+                int(out, " <- p", src);
+                out.push_str("\" },\n");
             }
             ObsEvent::Crash { proc, at } => {
-                open_row(&mut out, 'i', proc, 0, at);
-                out.push_str(", \"s\": \"p\", \"name\": \"crash\" },\n");
+                w.open_row("i", proc, 0, at);
+                w.out.push_str(", \"s\": \"p\", \"name\": \"crash\" },\n");
             }
             ObsEvent::Truncated {
                 processed,
                 limit,
                 at,
             } => {
-                open_row(&mut out, 'i', 0, 0, at);
-                let _ = writeln!(
+                w.open_row("i", 0, 0, at);
+                let out = &mut w.out;
+                int(
                     out,
                     ", \"s\": \"g\", \"name\": \"truncated: event budget exhausted\", \
-                     \"args\": {{ \"processed\": {processed}, \"limit\": {limit} }} }},"
+                     \"args\": { \"processed\": ",
+                    processed,
                 );
+                int(out, ", \"limit\": ", limit);
+                out.push_str(" } },\n");
             }
         }
     }
+    let mut out = w.out;
     if out.ends_with(",\n") {
         out.truncate(out.len() - 2);
     }

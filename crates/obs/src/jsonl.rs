@@ -18,33 +18,39 @@
 
 use crate::event::ObsEvent;
 use crate::log::{ObsError, ObsLog, RunMeta};
+use crate::row::{int, time};
 use postal_model::{Latency, Ratio, Time};
-use std::fmt::Write as _;
 use std::io::BufRead;
 
-/// Serializes a log as JSONL (header line + one line per event).
+/// Bytes reserved per event row: a little above what a receive row,
+/// the longest common one, takes.
+const ROW_BYTES: usize = 128;
+
+/// Serializes a log as JSONL (header line + one line per event),
+/// appending every field straight into one output string.
 pub fn to_jsonl(log: &ObsLog) -> String {
     let meta = log.meta();
-    let mut out = String::new();
-    let _ = write!(
-        out,
-        "{{\"type\":\"run\",\"engine\":\"{}\",\"n\":{}",
-        meta.engine, meta.n
-    );
+    let header = 160 + meta.engine.len() + meta.sample.as_ref().map_or(0, String::len);
+    let mut out = String::with_capacity(header + ROW_BYTES * log.len());
+    out.push_str("{\"type\":\"run\",\"engine\":\"");
+    out.push_str(&meta.engine);
+    int(&mut out, "\",\"n\":", meta.n);
     if let Some(lam) = meta.lambda {
-        let _ = write!(out, ",\"lambda\":\"{lam}\"");
+        time(&mut out, ",\"lambda\":\"", lam.as_time());
     }
     if let Some(m) = meta.messages {
-        let _ = write!(out, ",\"messages\":{m}");
+        int(&mut out, ",\"messages\":", m);
     }
     if let Some(d) = meta.dropped_events {
-        let _ = write!(out, ",\"dropped\":{d}");
+        int(&mut out, ",\"dropped\":", d);
     }
     if let Some(s) = &meta.sample {
-        let _ = write!(out, ",\"sample\":\"{s}\"");
+        out.push_str(",\"sample\":\"");
+        out.push_str(s);
+        out.push('"');
     }
     if let Some(c) = meta.ring_capacity {
-        let _ = write!(out, ",\"ring_capacity\":{c}");
+        int(&mut out, ",\"ring_capacity\":", c);
     }
     out.push_str("}\n");
     for e in log.events() {
@@ -56,11 +62,11 @@ pub fn to_jsonl(log: &ObsLog) -> String {
                 start,
                 finish,
             } => {
-                let _ = writeln!(
-                    out,
-                    "{{\"type\":\"send\",\"seq\":{seq},\"src\":{src},\"dst\":{dst},\
-                     \"start\":\"{start}\",\"finish\":\"{finish}\"}}"
-                );
+                int(&mut out, "{\"type\":\"send\",\"seq\":", seq);
+                int(&mut out, ",\"src\":", src);
+                int(&mut out, ",\"dst\":", dst);
+                time(&mut out, ",\"start\":\"", start);
+                time(&mut out, ",\"finish\":\"", finish);
             }
             ObsEvent::Recv {
                 seq,
@@ -71,15 +77,21 @@ pub fn to_jsonl(log: &ObsLog) -> String {
                 finish,
                 queued,
             } => {
-                let _ = writeln!(
-                    out,
-                    "{{\"type\":\"recv\",\"seq\":{seq},\"src\":{src},\"dst\":{dst},\
-                     \"arrival\":\"{arrival}\",\"start\":\"{start}\",\"finish\":\"{finish}\",\
-                     \"queued\":{queued}}}"
-                );
+                int(&mut out, "{\"type\":\"recv\",\"seq\":", seq);
+                int(&mut out, ",\"src\":", src);
+                int(&mut out, ",\"dst\":", dst);
+                time(&mut out, ",\"arrival\":\"", arrival);
+                time(&mut out, ",\"start\":\"", start);
+                time(&mut out, ",\"finish\":\"", finish);
+                out.push_str(if queued {
+                    ",\"queued\":true"
+                } else {
+                    ",\"queued\":false"
+                });
             }
             ObsEvent::Wake { proc, at } => {
-                let _ = writeln!(out, "{{\"type\":\"wake\",\"proc\":{proc},\"at\":\"{at}\"}}");
+                int(&mut out, "{\"type\":\"wake\",\"proc\":", proc);
+                time(&mut out, ",\"at\":\"", at);
             }
             ObsEvent::Violation {
                 seq,
@@ -87,37 +99,36 @@ pub fn to_jsonl(log: &ObsLog) -> String {
                 arrival,
                 busy_until,
             } => {
-                let _ = writeln!(
-                    out,
-                    "{{\"type\":\"violation\",\"seq\":{seq},\"dst\":{dst},\
-                     \"arrival\":\"{arrival}\",\"busy_until\":\"{busy_until}\"}}"
-                );
+                int(&mut out, "{\"type\":\"violation\",\"seq\":", seq);
+                int(&mut out, ",\"dst\":", dst);
+                time(&mut out, ",\"arrival\":\"", arrival);
+                time(&mut out, ",\"busy_until\":\"", busy_until);
             }
             ObsEvent::Drop { seq, src, dst, at } => {
-                let _ = writeln!(
-                    out,
-                    "{{\"type\":\"drop\",\"seq\":{seq},\"src\":{src},\"dst\":{dst},\
-                     \"at\":\"{at}\"}}"
-                );
+                int(&mut out, "{\"type\":\"drop\",\"seq\":", seq);
+                int(&mut out, ",\"src\":", src);
+                int(&mut out, ",\"dst\":", dst);
+                time(&mut out, ",\"at\":\"", at);
             }
             ObsEvent::Crash { proc, at } => {
-                let _ = writeln!(
-                    out,
-                    "{{\"type\":\"crash\",\"proc\":{proc},\"at\":\"{at}\"}}"
-                );
+                int(&mut out, "{\"type\":\"crash\",\"proc\":", proc);
+                time(&mut out, ",\"at\":\"", at);
             }
             ObsEvent::Truncated {
                 processed,
                 limit,
                 at,
             } => {
-                let _ = writeln!(
-                    out,
-                    "{{\"type\":\"truncated\",\"processed\":{processed},\
-                     \"limit\":{limit},\"at\":\"{at}\"}}"
+                int(
+                    &mut out,
+                    "{\"type\":\"truncated\",\"processed\":",
+                    processed,
                 );
+                int(&mut out, ",\"limit\":", limit);
+                time(&mut out, ",\"at\":\"", at);
             }
         }
+        out.push_str("}\n");
     }
     out
 }

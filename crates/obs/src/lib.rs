@@ -63,6 +63,7 @@ pub mod metrics;
 pub mod prometheus;
 pub mod recorder;
 pub mod ring;
+mod row;
 pub mod sample;
 
 pub use chrome::to_chrome_trace;

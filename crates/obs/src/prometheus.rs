@@ -10,110 +10,156 @@
 
 use crate::log::ObsLog;
 use crate::metrics::{Histogram, MetricsSummary};
+use crate::row::int;
+use postal_model::text::push_int;
 use std::fmt::Write as _;
 
-fn fmt_f64(x: f64) -> String {
+/// Appends a sample value: `+Inf`, an integral value below 1e15 without
+/// a trailing `.0`, or else Rust's shortest round-trip text.
+fn push_f64(out: &mut String, x: f64) {
     if x.is_infinite() {
-        "+Inf".to_string()
+        out.push_str("+Inf");
     } else if x.fract() == 0.0 && x.abs() < 1e15 {
-        format!("{}", x as i128)
+        push_int(out, x as i128);
     } else {
-        format!("{x}")
+        let _ = write!(out, "{x}");
     }
+}
+
+/// Appends the `# HELP` and `# TYPE` lines of a metric family.
+fn family(out: &mut String, name: &str, kind: &str, help: &str) {
+    for (tag, text) in [("# HELP ", help), ("# TYPE ", kind)] {
+        out.push_str(tag);
+        out.push_str(name);
+        out.push(' ');
+        out.push_str(text);
+        out.push('\n');
+    }
+}
+
+/// Appends ` <x>` and the line's end.
+fn value(out: &mut String, x: f64) {
+    out.push(' ');
+    push_f64(out, x);
+    out.push('\n');
 }
 
 fn histogram(out: &mut String, name: &str, help: &str, h: &Histogram) {
-    let _ = writeln!(out, "# HELP {name} {help}");
-    let _ = writeln!(out, "# TYPE {name} histogram");
+    family(out, name, "histogram", help);
     for (bound, count) in h.cumulative() {
-        let _ = writeln!(out, "{name}_bucket{{le=\"{}\"}} {count}", fmt_f64(bound));
+        out.push_str(name);
+        out.push_str("_bucket{le=\"");
+        push_f64(out, bound);
+        int(out, "\"} ", count);
+        out.push('\n');
     }
-    let _ = writeln!(out, "{name}_sum {}", fmt_f64(h.sum()));
-    let _ = writeln!(out, "{name}_count {}", h.count());
+    out.push_str(name);
+    out.push_str("_sum");
+    value(out, h.sum());
+    out.push_str(name);
+    int(out, "_count ", h.count());
+    out.push('\n');
 }
 
-/// Serializes a log's metrics in Prometheus text exposition format.
+/// Serializes a log's metrics in Prometheus text exposition format,
+/// appending every line straight into one output string.
 pub fn to_prometheus(log: &ObsLog) -> String {
     let s = MetricsSummary::from_log(log);
     let meta = log.meta();
-    let mut out = String::new();
+    // Sized once: four per-processor lines take about 170 bytes, the
+    // fixed families about 4.6 KiB.
+    let mut out = String::with_capacity(6144 + 176 * s.n);
 
-    let _ = writeln!(out, "# HELP postal_run_info Run metadata as labels.");
-    let _ = writeln!(out, "# TYPE postal_run_info gauge");
-    let lam = meta
-        .lambda
-        .map(|l| l.to_string())
-        .unwrap_or_else(|| "unknown".into());
-    let _ = writeln!(
-        out,
-        "postal_run_info{{engine=\"{}\",n=\"{}\",lambda=\"{}\",messages=\"{}\",sample=\"{}\"}} 1",
-        meta.engine,
-        meta.n,
-        lam,
-        meta.messages
-            .map(|m| m.to_string())
-            .unwrap_or_else(|| "unknown".into()),
-        meta.sample.as_deref().unwrap_or("none"),
+    family(
+        &mut out,
+        "postal_run_info",
+        "gauge",
+        "Run metadata as labels.",
     );
+    out.push_str("postal_run_info{engine=\"");
+    out.push_str(&meta.engine);
+    int(&mut out, "\",n=\"", meta.n);
+    out.push_str("\",lambda=\"");
+    match meta.lambda {
+        Some(l) => {
+            let _ = l.value().write_text(&mut out);
+        }
+        None => out.push_str("unknown"),
+    }
+    out.push_str("\",messages=\"");
+    match meta.messages {
+        Some(m) => push_int(&mut out, m),
+        None => out.push_str("unknown"),
+    }
+    out.push_str("\",sample=\"");
+    out.push_str(meta.sample.as_deref().unwrap_or("none"));
+    out.push_str("\"} 1\n");
 
     // Honest drop accounting: a scrape of a sampled run must say so.
-    let _ = writeln!(
-        out,
-        "# HELP postal_recorder_dropped_events_total Events the recorder rejected \
-         (sampling or ring overflow); counters above are lower bounds when nonzero."
+    family(
+        &mut out,
+        "postal_recorder_dropped_events_total",
+        "counter",
+        "Events the recorder rejected (sampling or ring overflow); counters above are \
+         lower bounds when nonzero.",
     );
-    let _ = writeln!(out, "# TYPE postal_recorder_dropped_events_total counter");
-    let _ = writeln!(
-        out,
-        "postal_recorder_dropped_events_total {}",
-        s.dropped_events
+    int(
+        &mut out,
+        "postal_recorder_dropped_events_total ",
+        s.dropped_events,
     );
+    out.push('\n');
 
     // Ditto for engine truncation: a scrape of an aborted run must say so.
-    let _ = writeln!(
-        out,
-        "# HELP postal_run_truncated Whether the engine hit its event budget \
-         and aborted the run; counters above are lower bounds when 1."
+    family(
+        &mut out,
+        "postal_run_truncated",
+        "gauge",
+        "Whether the engine hit its event budget and aborted the run; counters above are \
+         lower bounds when 1.",
     );
-    let _ = writeln!(out, "# TYPE postal_run_truncated gauge");
-    let _ = writeln!(out, "postal_run_truncated {}", u8::from(s.truncated));
+    int(&mut out, "postal_run_truncated ", u8::from(s.truncated));
+    out.push('\n');
 
-    let _ = writeln!(
-        out,
-        "# HELP postal_sends_total Messages sent, per processor."
-    );
-    let _ = writeln!(out, "# TYPE postal_sends_total counter");
-    for (p, c) in s.sends.iter().enumerate() {
-        let _ = writeln!(out, "postal_sends_total{{proc=\"{p}\"}} {c}");
-    }
-    let _ = writeln!(
-        out,
-        "# HELP postal_recvs_total Messages received, per processor."
-    );
-    let _ = writeln!(out, "# TYPE postal_recvs_total counter");
-    for (p, c) in s.recvs.iter().enumerate() {
-        let _ = writeln!(out, "postal_recvs_total{{proc=\"{p}\"}} {c}");
+    for (name, help, counts) in [
+        (
+            "postal_sends_total",
+            "Messages sent, per processor.",
+            &s.sends,
+        ),
+        (
+            "postal_recvs_total",
+            "Messages received, per processor.",
+            &s.recvs,
+        ),
+    ] {
+        family(&mut out, name, "counter", help);
+        for (p, &c) in counts.iter().enumerate() {
+            out.push_str(name);
+            int(&mut out, "{proc=\"", p as u64);
+            int(&mut out, "\"} ", c);
+            out.push('\n');
+        }
     }
 
-    let _ = writeln!(
-        out,
-        "# HELP postal_port_busy_units Port busy time in model units."
+    family(
+        &mut out,
+        "postal_port_busy_units",
+        "gauge",
+        "Port busy time in model units.",
     );
-    let _ = writeln!(out, "# TYPE postal_port_busy_units gauge");
     for p in 0..s.n {
-        let _ = writeln!(
-            out,
-            "postal_port_busy_units{{proc=\"{p}\",port=\"out\"}} {}",
-            fmt_f64(s.out_busy[p].to_f64())
-        );
-        let _ = writeln!(
-            out,
-            "postal_port_busy_units{{proc=\"{p}\",port=\"in\"}} {}",
-            fmt_f64(s.in_busy[p].to_f64())
-        );
+        for (port, busy) in [
+            ("\",port=\"out\"}", s.out_busy[p]),
+            ("\",port=\"in\"}", s.in_busy[p]),
+        ] {
+            int(&mut out, "postal_port_busy_units{proc=\"", p as u64);
+            out.push_str(port);
+            value(&mut out, busy.to_f64());
+        }
     }
 
-    for (name, help, value) in [
+    for (name, help, count) in [
         (
             "postal_queued_recvs_total",
             "Receives delayed by input-port contention.",
@@ -136,28 +182,28 @@ pub fn to_prometheus(log: &ObsLog) -> String {
         ),
         ("postal_wakes_total", "Timer wake-ups fired.", s.wakes),
     ] {
-        let _ = writeln!(out, "# HELP {name} {help}");
-        let _ = writeln!(out, "# TYPE {name} counter");
-        let _ = writeln!(out, "{name} {value}");
+        family(&mut out, name, "counter", help);
+        out.push_str(name);
+        int(&mut out, " ", count);
+        out.push('\n');
     }
 
-    let _ = writeln!(
-        out,
-        "# HELP postal_completion_units Model time at which the last receive finished."
-    );
-    let _ = writeln!(out, "# TYPE postal_completion_units gauge");
-    let _ = writeln!(
-        out,
-        "postal_completion_units {}",
-        fmt_f64(s.completion.to_f64())
-    );
-
-    let _ = writeln!(
-        out,
-        "# HELP postal_idle_out_units Output-port idle time summed over informed processors."
-    );
-    let _ = writeln!(out, "# TYPE postal_idle_out_units gauge");
-    let _ = writeln!(out, "postal_idle_out_units {}", fmt_f64(s.idle_out_units()));
+    for (name, help, x) in [
+        (
+            "postal_completion_units",
+            "Model time at which the last receive finished.",
+            s.completion.to_f64(),
+        ),
+        (
+            "postal_idle_out_units",
+            "Output-port idle time summed over informed processors.",
+            s.idle_out_units(),
+        ),
+    ] {
+        family(&mut out, name, "gauge", help);
+        out.push_str(name);
+        value(&mut out, x);
+    }
 
     histogram(
         &mut out,
@@ -190,10 +236,13 @@ pub fn to_prometheus(log: &ObsLog) -> String {
             &|q| s.out_utilization_quantile(q),
         ),
     ] {
-        let _ = writeln!(out, "# HELP {name} {help}");
-        let _ = writeln!(out, "# TYPE {name} gauge");
-        for q in [0.5, 0.9, 0.99] {
-            let _ = writeln!(out, "{name}{{quantile=\"{q}\"}} {}", fmt_f64(value_of(q)));
+        family(&mut out, name, "gauge", help);
+        for (q, label) in [(0.5, "0.5"), (0.9, "0.9"), (0.99, "0.99")] {
+            out.push_str(name);
+            out.push_str("{quantile=\"");
+            out.push_str(label);
+            out.push_str("\"}");
+            value(&mut out, value_of(q));
         }
     }
     out

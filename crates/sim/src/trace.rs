@@ -160,7 +160,7 @@ impl<P> Trace<P> {
     /// participation). Delegates to [`postal_obs::port_busy_times`], the
     /// workspace's single definition of port busy time.
     pub fn port_busy_times(&self, n: usize) -> Vec<(Time, Time)> {
-        postal_obs::port_busy_times(n, &self.port_spans())
+        postal_obs::port_busy_times(n, self.port_spans())
     }
 
     /// Exports the trace as CSV (timing columns as exact rationals plus
