@@ -20,7 +20,7 @@ use std::str::FromStr;
 /// (see [`Latency::check_input`]).
 pub const INPUT_LAMBDA_BITS: u32 = 16;
 
-/// Largest tick denominator [`Latency::lattice_lcm`] builds. At 2^32 a
+/// Largest tick denominator [`crate::time::lattice_lcm`] builds. At 2^32 a
 /// tick count within [`crate::time::TICK_LIMIT`] still spans 2^29 time
 /// units.
 pub const MAX_TICK_DENOMINATOR: i64 = 1 << 32;
@@ -148,12 +148,10 @@ impl Latency {
     /// λ is this one ticks at `lattice_lcm(2)` (see
     /// [`crate::time::Time::to_ticks`]).
     pub fn lattice_lcm(self, den: i64) -> i64 {
-        let q = self.0.denom();
-        let lcm = (den as i128 / crate::ratio::gcd(den as i128, q)).checked_mul(q);
-        match lcm {
-            Some(l) if l <= MAX_TICK_DENOMINATOR as i128 => l as i64,
-            _ => den,
-        }
+        i64::try_from(self.0.denom())
+            .ok()
+            .and_then(|q| crate::time::lattice_lcm(den, q))
+            .unwrap_or(den)
     }
 
     /// ⌈λ⌉, used throughout Theorem 7.
