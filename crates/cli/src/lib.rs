@@ -77,8 +77,10 @@ USAGE:
     postal lint <schedule.json|events.jsonl> static analysis: lint codes P0001-P0007
            [--deny warn|error] [--format text|json] [--m N]
                                              accepts schedule JSON or an observability
-                                             JSONL event log; exits nonzero when any
-                                             diagnostic reaches --deny (default: error)
+                                             JSONL event log; exits 1 when any
+                                             diagnostic reaches --deny (default: error),
+                                             and then the report (text or json) goes
+                                             to stderr and stdout stays empty
            [--stream]                        fold a JSONL log through the streaming
                                              lint engine line by line (O(n) memory,
                                              identical report)

@@ -350,13 +350,21 @@ pub enum Severity {
     Error,
 }
 
-impl fmt::Display for Severity {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
+impl Severity {
+    /// The level as a report spells it: `"info"`, `"warning"` or
+    /// `"error"`.
+    pub fn as_str(self) -> &'static str {
+        match self {
             Severity::Info => "info",
             Severity::Warn => "warning",
             Severity::Error => "error",
-        })
+        }
+    }
+}
+
+impl fmt::Display for Severity {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.as_str())
     }
 }
 

@@ -25,10 +25,14 @@
 //! overflow check. Wider parts take one checked `i128` form each.
 //! [`Ratio::write_text`] is the one routine for a ratio's text: it
 //! writes digits from a table (see [`crate::text`]) and is what
-//! `Display` calls. The representation and every result are
-//! unchanged. `new`, `+` and `cmp` are `#[inline]` so that the
-//! simulator, linter and exporters in other crates inline these paths.
+//! `Display` calls. Parsing reads the text the writers emit, `digits`
+//! or `digits/digits` with at most 18 digits a part, digit by digit in
+//! `i64`; any other text takes the general parser. The representation
+//! and every result are unchanged. `new`, `+`, `cmp` and `from_str` are
+//! `#[inline]` so that the simulator, linter, readers and exporters in
+//! other crates inline these paths.
 
+use crate::time::Time;
 use std::cmp::Ordering;
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssign};
@@ -678,41 +682,90 @@ impl FromStr for Ratio {
     type Err = ParseRatioError;
 
     /// Parses `"3"`, `"5/2"`, or a decimal such as `"2.5"`.
+    #[inline]
     fn from_str(s: &str) -> Result<Ratio, ParseRatioError> {
-        let s = s.trim();
-        if let Some((n, d)) = s.split_once('/') {
-            let num: i128 = n.trim().parse().map_err(|_| ParseRatioError(s.into()))?;
-            let den: i128 = d.trim().parse().map_err(|_| ParseRatioError(s.into()))?;
-            if den == 0 {
-                return Err(ParseRatioError(s.into()));
-            }
-            return Ok(Ratio::new(num, den));
+        match parse_digits(s.as_bytes()) {
+            Some(r) => Ok(r),
+            None => parse_general(s),
         }
-        if let Some((int_part, frac_part)) = s.split_once('.') {
-            let neg = int_part.trim_start().starts_with('-');
-            let int: i128 = if int_part.is_empty() || int_part == "-" {
-                0
-            } else {
-                int_part.parse().map_err(|_| ParseRatioError(s.into()))?
-            };
-            if frac_part.is_empty() || !frac_part.bytes().all(|b| b.is_ascii_digit()) {
-                return Err(ParseRatioError(s.into()));
-            }
-            let frac: i128 = frac_part.parse().map_err(|_| ParseRatioError(s.into()))?;
-            let scale = 10i128
-                .checked_pow(frac_part.len() as u32)
-                .ok_or_else(|| ParseRatioError(s.into()))?;
-            let frac_ratio = Ratio::new(frac, scale);
-            let int_ratio = Ratio::from_int(int);
-            return Ok(if neg {
-                int_ratio - frac_ratio
-            } else {
-                int_ratio + frac_ratio
-            });
-        }
-        let n: i128 = s.parse().map_err(|_| ParseRatioError(s.into()))?;
-        Ok(Ratio::from_int(n))
     }
+}
+
+/// The text every writer emits for a time: `digits` or `digits/digits`,
+/// each part at most [`FAST_DIGITS`] digits (so below 10¹⁸, within
+/// `i64`) and a nonzero denominator, read digit by digit. `None` for any
+/// other text, which [`parse_general`] then reads.
+#[inline]
+fn parse_digits(text: &[u8]) -> Option<Ratio> {
+    let (num, rest) = leading_digits(text)?;
+    match rest {
+        [] => Some(Ratio::from_int(num as i128)),
+        // Integers and halves reduce without a division.
+        [b'/', den @ ..] => match leading_digits(den)? {
+            (den, []) if den != 0 => Some(Time::from_ticks(num, den).0),
+            _ => None,
+        },
+        _ => None,
+    }
+}
+
+/// Most digits [`parse_digits`] reads in one part.
+const FAST_DIGITS: usize = 18;
+
+/// The value of the 1 to [`FAST_DIGITS`] ASCII digits `text` starts
+/// with, and the bytes after them.
+#[inline]
+fn leading_digits(text: &[u8]) -> Option<(i64, &[u8])> {
+    let len = text
+        .iter()
+        .take(FAST_DIGITS + 1)
+        .take_while(|b| b.is_ascii_digit())
+        .count();
+    if len == 0 || len > FAST_DIGITS {
+        return None;
+    }
+    let value = text[..len]
+        .iter()
+        .fold(0i64, |v, &b| v * 10 + i64::from(b - b'0'));
+    Some((value, &text[len..]))
+}
+
+/// Every form [`Ratio::from_str`] accepts: an integer, `num/den` or a
+/// decimal, with surrounding blanks and signs.
+fn parse_general(s: &str) -> Result<Ratio, ParseRatioError> {
+    let s = s.trim();
+    if let Some((n, d)) = s.split_once('/') {
+        let num: i128 = n.trim().parse().map_err(|_| ParseRatioError(s.into()))?;
+        let den: i128 = d.trim().parse().map_err(|_| ParseRatioError(s.into()))?;
+        if den == 0 {
+            return Err(ParseRatioError(s.into()));
+        }
+        return Ok(Ratio::new(num, den));
+    }
+    if let Some((int_part, frac_part)) = s.split_once('.') {
+        let neg = int_part.trim_start().starts_with('-');
+        let int: i128 = if int_part.is_empty() || int_part == "-" {
+            0
+        } else {
+            int_part.parse().map_err(|_| ParseRatioError(s.into()))?
+        };
+        if frac_part.is_empty() || !frac_part.bytes().all(|b| b.is_ascii_digit()) {
+            return Err(ParseRatioError(s.into()));
+        }
+        let frac: i128 = frac_part.parse().map_err(|_| ParseRatioError(s.into()))?;
+        let scale = 10i128
+            .checked_pow(frac_part.len() as u32)
+            .ok_or_else(|| ParseRatioError(s.into()))?;
+        let frac_ratio = Ratio::new(frac, scale);
+        let int_ratio = Ratio::from_int(int);
+        return Ok(if neg {
+            int_ratio - frac_ratio
+        } else {
+            int_ratio + frac_ratio
+        });
+    }
+    let n: i128 = s.parse().map_err(|_| ParseRatioError(s.into()))?;
+    Ok(Ratio::from_int(n))
 }
 
 /// Convenience constructor: `ratio(5, 2)` is 5/2.
@@ -723,6 +776,7 @@ pub fn ratio(num: i128, den: i128) -> Ratio {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn normalizes_on_construction() {
@@ -831,6 +885,93 @@ mod tests {
         assert!("1/0".parse::<Ratio>().is_err());
         assert!("abc".parse::<Ratio>().is_err());
         assert!("1.2e3".parse::<Ratio>().is_err());
+    }
+
+    #[test]
+    fn the_digit_path_reads_what_the_general_parser_reads() {
+        let digits = |k: usize| "9".repeat(k);
+        let cases = [
+            digits(18),
+            digits(19),
+            digits(20),
+            format!("{}/{}", digits(18), digits(18)),
+            format!("{}/{}", digits(19), 7),
+            format!("{}/{}", 7, digits(19)),
+            format!("1/{}", digits(20)),
+            "000000000000000000000000000042".into(),
+            "0042/0006".into(),
+            "0/7".into(),
+            "4/2".into(),
+            "5/0".into(),
+            "00/00".into(),
+            "7/".into(),
+            "/7".into(),
+            "1/2/3".into(),
+            "+5/2".into(),
+            " 5/2".into(),
+        ];
+        for text in &cases {
+            let fast = parse_digits(text.as_bytes());
+            let general = parse_general(text);
+            assert_eq!(text.parse::<Ratio>(), general, "{text:?}");
+            if let Some(r) = fast {
+                assert_eq!(Ok(r), general, "{text:?}");
+            }
+        }
+        // 18 digits a part take the digit path; 19 or 20 do not, and
+        // the general parser reads them in `i128`.
+        assert_eq!(
+            parse_digits(digits(18).as_bytes()),
+            Some(Ratio::from_int(999_999_999_999_999_999))
+        );
+        assert_eq!(parse_digits(digits(19).as_bytes()), None);
+        assert_eq!(
+            digits(20).parse::<Ratio>(),
+            Ok(Ratio::from_int(99_999_999_999_999_999_999))
+        );
+        assert_eq!(parse_digits(b"0/7"), Some(Ratio::ZERO));
+        assert_eq!(parse_digits(b"4/2"), Some(Ratio::from_int(2)));
+        assert_eq!(parse_digits(b"5/0"), None);
+        assert_eq!("5/0".parse::<Ratio>(), Err(ParseRatioError("5/0".into())));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        #[test]
+        fn from_str_equals_the_general_parser(
+            picks in collection::vec(0usize..35, 0..=40),
+        ) {
+            // Digits weigh three times the other symbols, so whole
+            // numbers and fractions are drawn as well as junk.
+            const SYMBOLS: &[u8] = b"0123456789/+-. ";
+            let text: String = picks
+                .iter()
+                .map(|&i| char::from(SYMBOLS.get(i).copied().unwrap_or(b'0' + (i % 10) as u8)))
+                .collect();
+            prop_assert_eq!(text.parse::<Ratio>(), parse_general(&text), "{:?}", text);
+        }
+
+        #[test]
+        fn digit_fractions_equal_the_general_parser(
+            num in 0usize..=22,
+            den in 0usize..=22,
+            seed in any::<u64>(),
+        ) {
+            // Parts of 0 to 22 digits, across the 18-digit edge.
+            let mut state = seed;
+            let mut part = |len: usize| -> String {
+                (0..len)
+                    .map(|_| {
+                        state = state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                        char::from(b'0' + (state >> 60) as u8 % 10)
+                    })
+                    .collect()
+            };
+            for text in [part(num), format!("{}/{}", part(num), part(den))] {
+                prop_assert_eq!(text.parse::<Ratio>(), parse_general(&text), "{:?}", text);
+            }
+        }
     }
 
     #[test]

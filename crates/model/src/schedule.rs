@@ -21,7 +21,7 @@
 //! adversarial ones), independent of the event-driven engine.
 
 use crate::latency::Latency;
-use crate::time::Time;
+use crate::time::{tick_lattice, Time};
 
 pub use crate::lint::{
     Diagnostic as LintDiagnostic, LintCode as ScheduleLintCode, Severity as LintSeverity,
@@ -70,9 +70,24 @@ pub struct Schedule {
 }
 
 impl Schedule {
-    /// Creates a schedule; sends may be in any order.
+    /// Creates a schedule; sends may be in any order. They are sorted by
+    /// `(send_start, src, dst)`. When every start lies on one tick
+    /// lattice ([`tick_lattice`]) the sort key holds the `i64` tick
+    /// count, computed once per send, which orders exactly as the time
+    /// does; otherwise it holds the exact time. Sends with equal keys
+    /// are equal, so both keys give the same order.
     pub fn new(n: u32, latency: Latency, mut sends: Vec<TimedSend>) -> Schedule {
-        sends.sort_by_key(|s| (s.send_start, s.src, s.dst));
+        match tick_lattice(sends.iter().map(|s| s.send_start)) {
+            Some(den) => sends.sort_by_cached_key(|s| {
+                let ticks = s.send_start.to_ticks(den);
+                (
+                    ticks.expect("tick_lattice bounds every tick count"),
+                    s.src,
+                    s.dst,
+                )
+            }),
+            None => sends.sort_by_key(|s| (s.send_start, s.src, s.dst)),
+        }
         Schedule { n, latency, sends }
     }
 
@@ -114,7 +129,10 @@ impl Schedule {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::latency::MAX_TICK_DENOMINATOR;
     use crate::lint::{is_clean, lint_schedule, LintCode, LintOptions, Severity};
+    use crate::time::TICK_LIMIT;
+    use proptest::prelude::*;
 
     fn send(src: u32, dst: u32, num: i128, den: i128) -> TimedSend {
         TimedSend {
@@ -244,5 +262,44 @@ mod tests {
             &lint_schedule(&s, &LintOptions::default()),
             Severity::Error
         ));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn the_tick_key_gives_the_exact_order(
+            drawn in collection::vec((0u32..4, 0u32..4, 0usize..3, -30i128..30), 0..48),
+            off_lattice in 0usize..3,
+            at in any::<usize>(),
+        ) {
+            // Starts on halves, thirds and sixths, with few processors,
+            // so equal times, equal keys and equal sends all occur.
+            let mut sends: Vec<TimedSend> = drawn
+                .iter()
+                .map(|&(src, dst, d, num)| TimedSend {
+                    src,
+                    dst,
+                    send_start: Time::new(num, [2, 3, 6][d]),
+                })
+                .collect();
+            // Either one start off every lattice, by its denominator or
+            // by a numerator past the tick limit, or none.
+            let off = match off_lattice {
+                1 => Some(Time::new(1, MAX_TICK_DENOMINATOR as i128 + 1)),
+                2 => Some(Time::from_int(TICK_LIMIT as i128 + 1)),
+                _ => None,
+            };
+            if let Some(send_start) = off {
+                let at = at % (sends.len() + 1);
+                sends.insert(at, TimedSend { src: 1, dst: 2, send_start });
+            }
+            let lattice = tick_lattice(sends.iter().map(|s| s.send_start));
+            prop_assert_eq!(lattice.is_some(), off.is_none());
+            let mut want = sends.clone();
+            want.sort_by_key(|s| (s.send_start, s.src, s.dst));
+            let schedule = Schedule::new(4, lam52(), sends);
+            prop_assert_eq!(schedule.sends(), &want[..]);
+        }
     }
 }

@@ -174,6 +174,31 @@ pub fn lattice_lcm(den: i64, q: i64) -> Option<i64> {
     (lcm <= MAX_TICK_DENOMINATOR).then_some(lcm)
 }
 
+/// The tick denominator `D` on which every one of `times` lies: the
+/// [`lattice_lcm`] of their denominators, when it is at most
+/// [`MAX_TICK_DENOMINATOR`] and every numerator fits in `i64` with
+/// `|numerator|·D ≤` [`TICK_LIMIT`], so that [`Time::to_ticks`] gives
+/// each of them a tick count. `None` otherwise, and a caller keeps the
+/// exact times. This is the one lattice finder for a finished set of
+/// times: `ObsLog::sorted` and [`crate::schedule::Schedule::new`] sort on its
+/// tick counts, which order exactly as the times do.
+///
+/// ```
+/// use postal_model::time::tick_lattice;
+/// use postal_model::Time;
+/// assert_eq!(tick_lattice([Time::new(7, 3), Time::new(-5, 2)]), Some(6));
+/// assert_eq!(tick_lattice([]), Some(1));
+/// assert_eq!(tick_lattice([Time::new(1, (1 << 32) + 1)]), None);
+/// ```
+pub fn tick_lattice(times: impl IntoIterator<Item = Time>) -> Option<i64> {
+    let (mut den, mut max_num) = (1i64, 0u64);
+    for t in times {
+        max_num = max_num.max(i64::try_from(t.0.numer()).ok()?.unsigned_abs());
+        den = lattice_lcm(den, i64::try_from(t.0.denom()).ok()?)?;
+    }
+    (max_num.checked_mul(den as u64)? <= TICK_LIMIT as u64).then_some(den)
+}
+
 /// Largest tick count [`Time::to_ticks`] returns, in magnitude. The
 /// headroom guarantees that adding two in-range counts can never
 /// overflow an `i64`, so a tick sum or comparison needs no checked
@@ -326,6 +351,21 @@ mod tests {
         assert_eq!(Time::from_ticks(5, 2), Time::new(5, 2));
         assert_eq!(Time::from_ticks(-4, 2), Time::from_int(-2));
         assert_eq!(Time::from_ticks(14, 6), Time::new(7, 3));
+    }
+
+    #[test]
+    fn the_lattice_holds_every_time_within_the_bounds() {
+        // Thirds and halves lie on sixths.
+        let lattice = [Time::new(7, 3), Time::new(-5, 2), Time::ZERO];
+        assert_eq!(tick_lattice(lattice), Some(6));
+        // A denominator past the cap, a numerator past `i64`, and a
+        // tick count past TICK_LIMIT each have no lattice.
+        let big = MAX_TICK_DENOMINATOR as i128 + 1;
+        assert_eq!(tick_lattice([Time::new(1, big)]), None);
+        assert_eq!(tick_lattice([Time::from_int(1 << 64)]), None);
+        let limit = TICK_LIMIT as i128;
+        assert_eq!(tick_lattice([Time::from_int(limit)]), Some(1));
+        assert_eq!(tick_lattice([Time::from_int(limit), Time::new(1, 3)]), None);
     }
 
     #[test]

@@ -142,8 +142,10 @@ enum Tok<'a> {
 }
 
 /// Parses one flat JSON object (`{"key": value, ...}`; values are
-/// strings, numbers or booleans) into fields borrowed from `line`.
-fn parse_flat(line: &str, lineno: usize) -> Result<Fields<'_>, ObsError> {
+/// strings, numbers or booleans) into `fields`, borrowing every value
+/// from `line`.
+fn parse_flat<'a>(line: &'a str, fields: &mut Fields<'a>) -> Result<(), ObsError> {
+    let lineno = fields.lineno;
     let err = |what: &str| ObsError(format!("line {lineno}: {what}"));
     let bytes = line.as_bytes();
     let mut pos = 0usize;
@@ -152,25 +154,20 @@ fn parse_flat(line: &str, lineno: usize) -> Result<Fields<'_>, ObsError> {
             *pos += 1;
         }
     };
-    let parse_string = |pos: &mut usize| -> Result<&str, ObsError> {
+    let parse_string = |pos: &mut usize| -> Result<&'a str, ObsError> {
         if bytes.get(*pos) != Some(&b'"') {
             return Err(err("expected '\"'"));
         }
-        *pos += 1;
-        let start = *pos;
-        while *pos < bytes.len() && bytes[*pos] != b'"' {
-            if bytes[*pos] == b'\\' {
-                return Err(err("escapes are not used in obs logs"));
+        let start = *pos + 1;
+        match bytes[start..].iter().position(|&b| b == b'"' || b == b'\\') {
+            Some(len) if bytes[start + len] == b'"' => {
+                *pos = start + len + 1;
+                // Both ends border a '"' byte, so they are char boundaries.
+                Ok(&line[start..start + len])
             }
-            *pos += 1;
+            Some(_) => Err(err("escapes are not used in obs logs")),
+            None => Err(err("unterminated string")),
         }
-        if *pos >= bytes.len() {
-            return Err(err("unterminated string"));
-        }
-        // Both ends border a '"' byte, so they are char boundaries.
-        let s = &line[start..*pos];
-        *pos += 1;
-        Ok(s)
     };
 
     skip_ws(&mut pos);
@@ -178,12 +175,6 @@ fn parse_flat(line: &str, lineno: usize) -> Result<Fields<'_>, ObsError> {
         return Err(err("expected '{'"));
     }
     pos += 1;
-    let mut fields = Fields {
-        inline: [("", Tok::Bool(false)); INLINE_FIELDS],
-        len: 0,
-        spill: Vec::new(),
-        lineno,
-    };
     skip_ws(&mut pos);
     if bytes.get(pos) == Some(&b'}') {
         pos += 1;
@@ -219,7 +210,7 @@ fn parse_flat(line: &str, lineno: usize) -> Result<Fields<'_>, ObsError> {
                 }
                 _ => return Err(err("expected a string, number or boolean value")),
             };
-            fields.push((key, val));
+            fields.set(key, val);
             skip_ws(&mut pos);
             match bytes.get(pos) {
                 Some(b',') => pos += 1,
@@ -235,29 +226,117 @@ fn parse_flat(line: &str, lineno: usize) -> Result<Fields<'_>, ObsError> {
     if pos != bytes.len() {
         return Err(err("trailing characters after object"));
     }
-    Ok(fields)
+    Ok(())
 }
 
-/// Fields a line holds inline, without a heap allocation. The writer
-/// emits at most eight per line (`recv` events and a full `"run"`
-/// header); a longer object spills the rest to the heap.
-const INLINE_FIELDS: usize = 8;
+/// The keys the reader knows: every field of the `"run"` header and of
+/// each event kind. Each has one slot in [`Fields`].
+#[derive(Clone, Copy)]
+enum Key {
+    Type,
+    Seq,
+    Src,
+    Dst,
+    Start,
+    Finish,
+    Arrival,
+    Queued,
+    Proc,
+    At,
+    BusyUntil,
+    Processed,
+    Limit,
+    Engine,
+    N,
+    Lambda,
+    Messages,
+    Dropped,
+    Sample,
+    RingCapacity,
+}
 
-/// The fields of one line, in order, borrowed from it.
+/// Number of [`Key`]s.
+const KEYS: usize = 20;
+
+impl Key {
+    /// The key named `name`, if the reader knows it.
+    #[inline]
+    fn of(name: &str) -> Option<Key> {
+        Some(match name {
+            "type" => Key::Type,
+            "seq" => Key::Seq,
+            "src" => Key::Src,
+            "dst" => Key::Dst,
+            "start" => Key::Start,
+            "finish" => Key::Finish,
+            "arrival" => Key::Arrival,
+            "queued" => Key::Queued,
+            "proc" => Key::Proc,
+            "at" => Key::At,
+            "busy_until" => Key::BusyUntil,
+            "processed" => Key::Processed,
+            "limit" => Key::Limit,
+            "engine" => Key::Engine,
+            "n" => Key::N,
+            "lambda" => Key::Lambda,
+            "messages" => Key::Messages,
+            "dropped" => Key::Dropped,
+            "sample" => Key::Sample,
+            "ring_capacity" => Key::RingCapacity,
+            _ => return None,
+        })
+    }
+
+    /// The key's name, as a line spells it.
+    fn name(self) -> &'static str {
+        match self {
+            Key::Type => "type",
+            Key::Seq => "seq",
+            Key::Src => "src",
+            Key::Dst => "dst",
+            Key::Start => "start",
+            Key::Finish => "finish",
+            Key::Arrival => "arrival",
+            Key::Queued => "queued",
+            Key::Proc => "proc",
+            Key::At => "at",
+            Key::BusyUntil => "busy_until",
+            Key::Processed => "processed",
+            Key::Limit => "limit",
+            Key::Engine => "engine",
+            Key::N => "n",
+            Key::Lambda => "lambda",
+            Key::Messages => "messages",
+            Key::Dropped => "dropped",
+            Key::Sample => "sample",
+            Key::RingCapacity => "ring_capacity",
+        }
+    }
+}
+
+/// The fields of one line, borrowed from it: one slot per [`Key`],
+/// holding the value of the key's first occurrence. Values under keys
+/// the reader does not know are dropped once tokenized.
 struct Fields<'a> {
-    inline: [(&'a str, Tok<'a>); INLINE_FIELDS],
-    len: usize,
-    spill: Vec<(&'a str, Tok<'a>)>,
+    slots: [Option<Tok<'a>>; KEYS],
     lineno: usize,
 }
 
 impl<'a> Fields<'a> {
-    fn push(&mut self, field: (&'a str, Tok<'a>)) {
-        if self.len < INLINE_FIELDS {
-            self.inline[self.len] = field;
-            self.len += 1;
-        } else {
-            self.spill.push(field);
+    /// An empty table for line `lineno`.
+    fn new(lineno: usize) -> Fields<'a> {
+        Fields {
+            slots: [None; KEYS],
+            lineno,
+        }
+    }
+
+    /// Records `val` under `name`, unless the line named that key
+    /// before or the reader does not know it.
+    #[inline]
+    fn set(&mut self, name: &str, val: Tok<'a>) {
+        if let Some(key) = Key::of(name) {
+            self.slots[key as usize].get_or_insert(val);
         }
     }
 
@@ -265,56 +344,61 @@ impl<'a> Fields<'a> {
         ObsError(format!("line {}: {}", self.lineno, what))
     }
 
-    /// The value of the first field named `key`.
-    fn get(&self, key: &str) -> Result<Tok<'a>, ObsError> {
-        self.inline[..self.len]
-            .iter()
-            .chain(&self.spill)
-            .find(|(k, _)| *k == key)
-            .map(|&(_, v)| v)
-            .ok_or_else(|| self.err(format!("missing field {key:?}")))
+    /// Whether the line holds `key`.
+    fn has(&self, key: Key) -> bool {
+        self.slots[key as usize].is_some()
     }
 
-    fn u64(&self, key: &str) -> Result<u64, ObsError> {
+    /// The value of the first field named `key`.
+    fn get(&self, key: Key) -> Result<Tok<'a>, ObsError> {
+        self.slots[key as usize].ok_or_else(|| self.err(format!("missing field {:?}", key.name())))
+    }
+
+    fn u64(&self, key: Key) -> Result<u64, ObsError> {
         match self.get(key)? {
             Tok::Num(t) => t
                 .parse()
-                .map_err(|_| self.err(format!("{key:?} is not a nonnegative integer"))),
-            _ => Err(self.err(format!("{key:?} must be a number"))),
+                .map_err(|_| self.err(format!("{:?} is not a nonnegative integer", key.name()))),
+            _ => Err(self.err(format!("{:?} must be a number", key.name()))),
         }
     }
 
-    fn u32(&self, key: &str) -> Result<u32, ObsError> {
-        u32::try_from(self.u64(key)?).map_err(|_| self.err(format!("{key:?} out of range")))
+    fn u32(&self, key: Key) -> Result<u32, ObsError> {
+        u32::try_from(self.u64(key)?)
+            .map_err(|_| self.err(format!("{:?} out of range", key.name())))
     }
 
-    fn ratio(&self, key: &str) -> Result<Ratio, ObsError> {
+    fn ratio(&self, key: Key) -> Result<Ratio, ObsError> {
         let text = match self.get(key)? {
             Tok::Str(s) | Tok::Num(s) => s,
-            Tok::Bool(_) => return Err(self.err(format!("{key:?} must be a time"))),
+            Tok::Bool(_) => return Err(self.err(format!("{:?} must be a time", key.name()))),
         };
-        text.parse::<Ratio>()
-            .map_err(|_| self.err(format!("{key:?}: cannot parse {text:?} as a rational")))
+        text.parse::<Ratio>().map_err(|_| {
+            self.err(format!(
+                "{:?}: cannot parse {text:?} as a rational",
+                key.name()
+            ))
+        })
     }
 
     /// A time within the input bounds ([`Time::check_input`]).
-    fn time(&self, key: &str) -> Result<Time, ObsError> {
+    fn time(&self, key: Key) -> Result<Time, ObsError> {
         Time(self.ratio(key)?)
             .check_input()
-            .map_err(|e| self.err(format!("{key:?}: {e}")))
+            .map_err(|e| self.err(format!("{:?}: {e}", key.name())))
     }
 
-    fn bool(&self, key: &str) -> Result<bool, ObsError> {
+    fn bool(&self, key: Key) -> Result<bool, ObsError> {
         match self.get(key)? {
             Tok::Bool(b) => Ok(b),
-            _ => Err(self.err(format!("{key:?} must be a boolean"))),
+            _ => Err(self.err(format!("{:?} must be a boolean", key.name()))),
         }
     }
 
-    fn str(&self, key: &str) -> Result<&'a str, ObsError> {
+    fn str(&self, key: Key) -> Result<&'a str, ObsError> {
         match self.get(key)? {
             Tok::Str(s) => Ok(s),
-            _ => Err(self.err(format!("{key:?} must be a string"))),
+            _ => Err(self.err(format!("{:?} must be a string", key.name()))),
         }
     }
 }
@@ -361,31 +445,32 @@ impl JsonlParser {
         if line.trim().is_empty() {
             return Ok(None);
         }
-        let f = parse_flat(line, lineno)?;
-        let kind = f.str("type")?;
+        let mut f = Fields::new(lineno);
+        parse_flat(line, &mut f)?;
+        let kind = f.str(Key::Type)?;
         if kind == "run" {
             if self.meta.is_some() {
                 return Err(f.err("duplicate \"run\" header".into()));
             }
-            let mut m = RunMeta::new(f.str("engine")?, f.u32("n")?);
-            if f.get("lambda").is_ok() {
-                let lam = Latency::new(f.ratio("lambda")?)
+            let mut m = RunMeta::new(f.str(Key::Engine)?, f.u32(Key::N)?);
+            if f.has(Key::Lambda) {
+                let lam = Latency::new(f.ratio(Key::Lambda)?)
                     .map_err(|e| e.to_string())
                     .and_then(Latency::check_input)
                     .map_err(|e| f.err(format!("invalid lambda: {e}")))?;
                 m.lambda = Some(lam);
             }
-            if f.get("messages").is_ok() {
-                m.messages = Some(f.u64("messages")?);
+            if f.has(Key::Messages) {
+                m.messages = Some(f.u64(Key::Messages)?);
             }
-            if f.get("dropped").is_ok() {
-                m.dropped_events = Some(f.u64("dropped")?);
+            if f.has(Key::Dropped) {
+                m.dropped_events = Some(f.u64(Key::Dropped)?);
             }
-            if f.get("sample").is_ok() {
-                m.sample = Some(f.str("sample")?.to_string());
+            if f.has(Key::Sample) {
+                m.sample = Some(f.str(Key::Sample)?.to_string());
             }
-            if f.get("ring_capacity").is_ok() {
-                m.ring_capacity = Some(f.u64("ring_capacity")?);
+            if f.has(Key::RingCapacity) {
+                m.ring_capacity = Some(f.u64(Key::RingCapacity)?);
             }
             self.meta = Some(m);
             return Ok(None);
@@ -395,45 +480,45 @@ impl JsonlParser {
         }
         let event = match kind {
             "send" => ObsEvent::Send {
-                seq: f.u64("seq")?,
-                src: f.u32("src")?,
-                dst: f.u32("dst")?,
-                start: f.time("start")?,
-                finish: f.time("finish")?,
+                seq: f.u64(Key::Seq)?,
+                src: f.u32(Key::Src)?,
+                dst: f.u32(Key::Dst)?,
+                start: f.time(Key::Start)?,
+                finish: f.time(Key::Finish)?,
             },
             "recv" => ObsEvent::Recv {
-                seq: f.u64("seq")?,
-                src: f.u32("src")?,
-                dst: f.u32("dst")?,
-                arrival: f.time("arrival")?,
-                start: f.time("start")?,
-                finish: f.time("finish")?,
-                queued: f.bool("queued")?,
+                seq: f.u64(Key::Seq)?,
+                src: f.u32(Key::Src)?,
+                dst: f.u32(Key::Dst)?,
+                arrival: f.time(Key::Arrival)?,
+                start: f.time(Key::Start)?,
+                finish: f.time(Key::Finish)?,
+                queued: f.bool(Key::Queued)?,
             },
             "wake" => ObsEvent::Wake {
-                proc: f.u32("proc")?,
-                at: f.time("at")?,
+                proc: f.u32(Key::Proc)?,
+                at: f.time(Key::At)?,
             },
             "violation" => ObsEvent::Violation {
-                seq: f.u64("seq")?,
-                dst: f.u32("dst")?,
-                arrival: f.time("arrival")?,
-                busy_until: f.time("busy_until")?,
+                seq: f.u64(Key::Seq)?,
+                dst: f.u32(Key::Dst)?,
+                arrival: f.time(Key::Arrival)?,
+                busy_until: f.time(Key::BusyUntil)?,
             },
             "drop" => ObsEvent::Drop {
-                seq: f.u64("seq")?,
-                src: f.u32("src")?,
-                dst: f.u32("dst")?,
-                at: f.time("at")?,
+                seq: f.u64(Key::Seq)?,
+                src: f.u32(Key::Src)?,
+                dst: f.u32(Key::Dst)?,
+                at: f.time(Key::At)?,
             },
             "crash" => ObsEvent::Crash {
-                proc: f.u32("proc")?,
-                at: f.time("at")?,
+                proc: f.u32(Key::Proc)?,
+                at: f.time(Key::At)?,
             },
             "truncated" => ObsEvent::Truncated {
-                processed: f.u64("processed")?,
-                limit: f.u64("limit")?,
-                at: f.time("at")?,
+                processed: f.u64(Key::Processed)?,
+                limit: f.u64(Key::Limit)?,
+                at: f.time(Key::At)?,
             },
             other => return Err(f.err(format!("unknown event type {other:?}"))),
         };

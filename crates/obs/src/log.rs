@@ -2,7 +2,7 @@
 
 use crate::event::{ObsEvent, PortSide, PortSpan};
 use postal_model::schedule::{Schedule, TimedSend};
-use postal_model::time::{lattice_lcm, TICK_LIMIT};
+use postal_model::time::tick_lattice;
 use postal_model::{Latency, Time};
 use std::borrow::Borrow;
 use std::fmt;
@@ -262,7 +262,7 @@ where
 /// which orders exactly as the time does, so both keys give the same
 /// order; otherwise it holds the exact time.
 fn sort_events(events: &mut [ObsEvent]) {
-    match tick_lattice(events) {
+    match tick_lattice(events.iter().map(ObsEvent::at)) {
         Some(den) => events.sort_by_cached_key(|e| {
             let ticks = e.at().to_ticks(den);
             (
@@ -272,24 +272,6 @@ fn sort_events(events: &mut [ObsEvent]) {
         }),
         None => events.sort_by_cached_key(|e| (e.at(), rank(e))),
     }
-}
-
-/// The tick denominator `D` on which every timestamp of `events` lies,
-/// the engine's lattice idiom applied to a finished log: the
-/// [`lattice_lcm`] of the timestamps' denominators, when it is at most
-/// [`MAX_TICK_DENOMINATOR`](postal_model::latency::MAX_TICK_DENOMINATOR)
-/// and every numerator fits in `i64` with
-/// `|numerator|·D ≤` [`TICK_LIMIT`], so that [`Time::to_ticks`] gives
-/// every timestamp a tick count. `None` otherwise, and the log sorts
-/// on exact times.
-fn tick_lattice(events: &[ObsEvent]) -> Option<i64> {
-    let (mut den, mut max_num) = (1i64, 0u64);
-    for e in events {
-        let r = e.at().as_ratio();
-        max_num = max_num.max(i64::try_from(r.numer()).ok()?.unsigned_abs());
-        den = lattice_lcm(den, i64::try_from(r.denom()).ok()?)?;
-    }
-    (max_num.checked_mul(den as u64)? <= TICK_LIMIT as u64).then_some(den)
 }
 
 /// The key after the timestamp: the kind's rank, then the seq
@@ -367,43 +349,32 @@ mod tests {
     }
 
     #[test]
-    fn the_sort_key_ticks_only_on_a_bounded_lattice() {
+    fn the_tick_key_and_the_exact_key_sort_alike() {
         let wakes = |times: &[Time]| -> Vec<ObsEvent> {
             times
                 .iter()
                 .map(|&at| ObsEvent::Wake { proc: 0, at })
                 .collect()
         };
-        // Thirds and halves lie on sixths.
-        let lattice = wakes(&[Time::new(7, 3), Time::new(-5, 2), Time::ZERO]);
-        assert_eq!(tick_lattice(&lattice), Some(6));
-        // A denominator past the cap, a numerator past `i64`, and a
-        // tick count past TICK_LIMIT each keep the exact key.
-        let big = MAX_TICK_DENOMINATOR as i128 + 1;
-        assert_eq!(tick_lattice(&wakes(&[Time::new(1, big)])), None);
-        assert_eq!(tick_lattice(&wakes(&[Time::from_int(1 << 64)])), None);
-        let limit = TICK_LIMIT as i128;
-        assert_eq!(tick_lattice(&wakes(&[Time::from_int(limit)])), Some(1));
-        let past = wakes(&[Time::from_int(limit), Time::new(1, 3)]);
-        assert_eq!(tick_lattice(&past), None);
-        // Both keys give the same stable order.
-        let mut events = wakes(&[Time::new(1, 3), Time::ZERO, Time::new(1, 3)]);
-        events.push(ObsEvent::Crash {
-            proc: 1,
-            at: Time::new(1, 3),
-        });
-        let log = ObsLog::sorted(RunMeta::new("event", 2), events);
-        let order: Vec<_> = log.events().iter().map(|e| (e.at(), e.kind())).collect();
         let third = Time::new(1, 3);
-        assert_eq!(
-            order,
-            [
-                (Time::ZERO, "wake"),
-                (third, "crash"),
-                (third, "wake"),
-                (third, "wake")
-            ]
-        );
+        // Thirds tick on D = 3; a denominator past the tick cap keeps
+        // the exact key. Both give the same stable order.
+        let off = Time::new(1, MAX_TICK_DENOMINATOR as i128 + 1);
+        for extra in [Time::ZERO, off] {
+            let mut events = wakes(&[third, extra, third]);
+            events.push(ObsEvent::Crash { proc: 1, at: third });
+            let log = ObsLog::sorted(RunMeta::new("event", 2), events);
+            let order: Vec<_> = log.events().iter().map(|e| (e.at(), e.kind())).collect();
+            assert_eq!(
+                order,
+                [
+                    (extra, "wake"),
+                    (third, "crash"),
+                    (third, "wake"),
+                    (third, "wake")
+                ]
+            );
+        }
     }
 
     #[test]

@@ -378,3 +378,55 @@ fn unknown_and_surplus_fields_are_ignored() {
         "line 2: expected a string, number or boolean value"
     );
 }
+
+#[test]
+fn a_line_is_read_by_its_own_keys_and_their_first_occurrence() {
+    let send = |front: &str, back: &str| {
+        format!(
+            "{HEADER}\n{{{front}\"type\":\"send\",\"seq\":0,\"src\":0,\"dst\":1,\
+             \"start\":\"0\",\"finish\":\"1\"{back}}}\n"
+        )
+    };
+    // Keys that another event kind or the header reads are ignored on a
+    // send line, whatever their values.
+    assert_eq!(from_jsonl(&send(r#""at":"x","#, "")).unwrap(), one_send());
+    assert_eq!(
+        from_jsonl(&send(
+            r#""proc":true,"n":"3","#,
+            r#","queued":7,"lambda":"0""#
+        ))
+        .unwrap(),
+        one_send()
+    );
+    // Keys sharing a prefix with a known key, or contained in one, are
+    // unknown and ignored.
+    assert_eq!(
+        from_jsonl(&send(
+            r#""sta":"x","starts":false,"#,
+            r#","s":1,"finished":"y""#
+        ))
+        .unwrap(),
+        one_send()
+    );
+    // A duplicated key resolves to its first value, also when that
+    // value has the wrong type.
+    assert_eq!(
+        err_after_header(
+            r#"{"type":"send","seq":"x","src":0,"dst":1,"start":"0","finish":"1","seq":0}"#
+        ),
+        "line 2: \"seq\" must be a number"
+    );
+    assert_eq!(
+        err_after_header(
+            r#"{"type":"send","seq":0,"src":0,"dst":1,"start":"x","finish":"1","start":"0"}"#
+        ),
+        "line 2: \"start\": cannot parse \"x\" as a rational"
+    );
+    assert_eq!(
+        err(&format!(
+            "{}\n",
+            r#"{"type":"run","engine":"e","n":"3","n":3}"#
+        )),
+        "line 1: \"n\" must be a number"
+    );
+}

@@ -9,42 +9,93 @@
 //!      unit of time" ...
 //! ```
 
-use postal_model::lint::{Diagnostic, Severity};
+use postal_model::lint::{Diagnostic, LintCode, Severity};
+use postal_model::text::push_int;
+use postal_model::Ratio;
+
+/// Width of the wrapped rule text, and the indent of its continuation
+/// lines.
+const RULE_WIDTH: usize = 72;
+const RULE_INDENT: &str = "     ";
 
 /// Renders one diagnostic in rustc style. `source` names the schedule
 /// being linted (a file path, or e.g. `"<trace>"`).
 pub fn render_diagnostic(d: &Diagnostic, source: &str) -> String {
     let mut out = String::new();
-    out.push_str(&format!("{}[{}]: {}\n", d.severity, d.code, d.message));
-    match d.proc {
-        Some(p) => out.push_str(&format!("  --> {source}: p{p}\n")),
-        None => out.push_str(&format!("  --> {source}\n")),
-    }
-    for s in &d.sends {
-        out.push_str(&format!(
-            "   = send: p{} -> p{} at t = {}\n",
-            s.src, s.dst, s.send_start
-        ));
-    }
-    if let Some(t) = d.related_time {
-        out.push_str(&format!("   = at: t = {t}\n"));
-    }
-    if let Some(w) = d.witness {
-        out.push_str(&format!("   = witness: lambda in {w}\n"));
-    }
-    out.push_str(&format!("   = rule: {}\n", wrap(d.rule(), 72, "     ")));
+    write_diagnostic(
+        &mut out,
+        d,
+        source,
+        &wrap(d.rule(), RULE_WIDTH, RULE_INDENT),
+    );
     out
 }
 
+/// Appends one diagnostic's rows to `out`, field by field, with its
+/// code's rule text already wrapped.
+fn write_diagnostic(out: &mut String, d: &Diagnostic, source: &str, rule: &str) {
+    out.push_str(d.severity.as_str());
+    out.push('[');
+    out.push_str(d.code.as_str());
+    out.push_str("]: ");
+    out.push_str(&d.message);
+    out.push_str("\n  --> ");
+    out.push_str(source);
+    if let Some(p) = d.proc {
+        out.push_str(": p");
+        push_int(out, p);
+    }
+    out.push('\n');
+    for s in &d.sends {
+        out.push_str("   = send: p");
+        push_int(out, s.src);
+        out.push_str(" -> p");
+        push_int(out, s.dst);
+        out.push_str(" at t = ");
+        push_ratio(out, s.send_start.as_ratio());
+        out.push('\n');
+    }
+    if let Some(t) = d.related_time {
+        out.push_str("   = at: t = ");
+        push_ratio(out, t.as_ratio());
+        out.push('\n');
+    }
+    if let Some(w) = d.witness {
+        out.push_str("   = witness: lambda in [");
+        push_ratio(out, w.lo());
+        out.push_str(", ");
+        push_ratio(out, w.hi());
+        out.push_str("]\n");
+    }
+    out.push_str("   = rule: ");
+    out.push_str(rule);
+    out.push('\n');
+}
+
+/// Appends a time's text (`"5/2"`).
+fn push_ratio(out: &mut String, r: Ratio) {
+    // Writing to a `String` cannot fail.
+    let _ = r.write_text(out);
+}
+
 /// Renders a full report: every diagnostic plus a summary line.
-/// Returns the empty string when there is nothing to say.
+/// Returns the empty string when there is nothing to say. Each code's
+/// rule text is wrapped once, however many diagnostics carry it.
 pub fn render_report(diags: &[Diagnostic], source: &str) -> String {
     if diags.is_empty() {
         return String::new();
     }
     let mut out = String::new();
+    let mut rules: Vec<(LintCode, String)> = Vec::new();
     for d in diags {
-        out.push_str(&render_diagnostic(d, source));
+        let i = match rules.iter().position(|(code, _)| *code == d.code) {
+            Some(i) => i,
+            None => {
+                rules.push((d.code, wrap(d.rule(), RULE_WIDTH, RULE_INDENT)));
+                rules.len() - 1
+            }
+        };
+        write_diagnostic(&mut out, d, source, &rules[i].1);
         out.push('\n');
     }
     let errors = diags

@@ -10,6 +10,10 @@
 //!   `lint_schedule_with_topology` against sparse graphs), plus the
 //!   `"topology"` field of the schedule JSON codec.
 //!
+//! A report holding every code twice pins `render_report` to the
+//! concatenation of `render_diagnostic`s: wrapping each code's rule
+//! once per report changes no byte.
+//!
 //! If one of these fails after an intentional renderer change, update
 //! the expected string — the point is that such changes are loud.
 
@@ -18,7 +22,7 @@ use postal_model::schedule::{Schedule, TimedSend};
 use postal_model::{Interval, Latency, Ratio, Time, Topology, TopologySpec};
 use postal_verify::json;
 use postal_verify::lint_schedule_with_topology;
-use postal_verify::render::render_report;
+use postal_verify::render::{render_diagnostic, render_report};
 
 fn topo(spec: &str, n: u32) -> Topology {
     spec.parse::<TopologySpec>()
@@ -274,4 +278,48 @@ fn schedule_json_topology_field_snapshot_and_round_trip() {
             .topology,
         None
     );
+}
+
+#[test]
+fn a_report_is_its_diagnostics_rendered_one_by_one() {
+    let codes: Vec<LintCode> = (1..=19)
+        .map(|k| LintCode::parse(&format!("P{k:04}")).expect("a lint code"))
+        .collect();
+    assert_eq!(
+        LintCode::parse("P0020"),
+        None,
+        "a new code joins this report"
+    );
+    let severities = [Severity::Error, Severity::Warn, Severity::Info];
+    let diags: Vec<Diagnostic> = codes
+        .iter()
+        .chain(&codes)
+        .enumerate()
+        .map(|(k, &code)| {
+            let k32 = k as u32;
+            Diagnostic {
+                code,
+                severity: severities[k % 3],
+                proc: (k % 4 != 0).then_some(k32),
+                sends: (0..k % 3)
+                    .map(|j| TimedSend {
+                        src: k32,
+                        dst: k32 + j as u32 + 1,
+                        send_start: Time::new(k as i128 + j as i128, 6),
+                    })
+                    .collect(),
+                related_time: (k % 5 != 0).then(|| Time::new(k as i128, 3)),
+                witness: (k % 7 == 0)
+                    .then(|| Interval::new(Ratio::ONE, Ratio::new(k as i128 + 2, 2))),
+                message: format!("finding {k} of code {code}"),
+            }
+        })
+        .collect();
+    let mut want = String::new();
+    for d in &diags {
+        want.push_str(&render_diagnostic(d, "every.jsonl"));
+        want.push('\n');
+    }
+    want.push_str("every.jsonl: 13 errors, 13 warnings, 12 notes\n");
+    assert_eq!(render_report(&diags, "every.jsonl"), want);
 }
