@@ -1,11 +1,11 @@
-//! `postal` — a command-line explorer for postal-model broadcasting.
+//! `postal-cli` — a command-line explorer for postal-model broadcasting.
 //!
 //! ```text
-//! postal tree 14 5/2            # the Figure-1 broadcast tree
-//! postal gantt 14 5/2           # the same schedule as a timeline
-//! postal fib 5/2 20             # F_λ(t) table up to t = 20
-//! postal plan 512 16 5/2        # which algorithm to use, with exact times
-//! postal simulate pipeline 64 8 5/2
+//! postal-cli tree 14 5/2        # the Figure-1 broadcast tree
+//! postal-cli gantt 14 5/2       # the same schedule as a timeline
+//! postal-cli fib 5/2 20         # F_λ(t) table up to t = 20
+//! postal-cli plan 512 16 5/2    # which algorithm to use, with exact times
+//! postal-cli simulate pipeline 64 8 5/2
 //! ```
 
 use postal_cli::{run, CliError};

@@ -163,3 +163,61 @@ fn nesting_200_000_deep_is_located_not_an_abort() {
         let _ = std::fs::remove_file(&path);
     }
 }
+
+/// Runs `postal-cli <args>`, returning its exit code and standard error.
+fn cli(args: &[&str]) -> (Option<i32>, String) {
+    let out = Command::new(env!("CARGO_BIN_EXE_postal-cli"))
+        .args(args)
+        .output()
+        .expect("run postal-cli");
+    (
+        out.status.code(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
+}
+
+/// The ring recorder reserves 16 shards × K × 128-byte events up front,
+/// so `--ring-capacity` is held to 1..=2^20 (2 GiB at most). Without the
+/// bound, K = 2^64 − 1 overflowed that reservation (a panic, exit 101)
+/// and K = 10^11 aborted allocating 12.8 TB (exit 134).
+#[test]
+fn a_huge_ring_capacity_is_located_not_a_crash() {
+    for (args, k) in [
+        (
+            &["simulate", "bcast", "8", "1", "2"][..],
+            "18446744073709551615",
+        ),
+        (
+            &["simulate", "bcast", "8", "1", "2", "--lint-inline"],
+            "18446744073709551615",
+        ),
+        (&["stats", "bcast", "8", "1", "2"], "100000000000"),
+    ] {
+        let args = [args, &["--ring-capacity", k]].concat();
+        let (code, stderr) = cli(&args);
+        assert_eq!(code, Some(1), "{args:?}: {stderr}");
+        let want =
+            format!("error: bad --ring-capacity \"{k}\": expected an integer in 1..=1048576");
+        assert!(stderr.starts_with(&want), "{args:?}: {stderr}");
+    }
+}
+
+/// Plain `simulate` runs its programs through `Simulation::run`, like
+/// `--lint-inline`, so a run that reaches the 50,000,000-event cap is
+/// the same located error in both modes instead of a panic (exit 101).
+/// Too heavy for every test run (about 5 GiB and half a minute):
+/// `cargo test --release -p postal-cli --test huge_integers -- --ignored`.
+#[test]
+#[ignore]
+fn the_event_cap_is_located_not_a_panic() {
+    for extra in [&[][..], &["--lint-inline"]] {
+        let args = [&["simulate", "repeat", "30000", "1000", "2"][..], extra].concat();
+        let (code, stderr) = cli(&args);
+        assert_eq!(code, Some(1), "{args:?}: {stderr}");
+        assert_eq!(
+            stderr,
+            "error: simulation failed: event limit of 50000000 exceeded; divergent program?\n",
+            "{args:?}"
+        );
+    }
+}
