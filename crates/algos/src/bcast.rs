@@ -7,9 +7,10 @@
 //! the completion time is exactly `f_λ(n)`, and no algorithm can do
 //! better.
 
-use crate::cascade::{cascade, Orientation};
-use postal_model::{GenFib, Latency};
+use crate::cascade::{cascade, FibTable, Orientation};
+use postal_model::Latency;
 use postal_sim::prelude::*;
+use std::sync::Arc;
 
 /// The payload of a BCAST transfer: the delegated range size. The
 /// receiver becomes responsible for processors `me .. me + range_size`
@@ -29,26 +30,26 @@ pub struct BcastPayload {
 /// originator at `p_0` without loss of generality; the rotation makes
 /// that explicit).
 pub struct BcastProgram {
-    fib: GenFib,
+    /// The run's `F_λ` table, shared by all of its programs.
+    table: Arc<FibTable>,
     /// `Some(n)` on the originator; `None` elsewhere (they learn their
     /// range from the payload).
     root_range: Option<u64>,
 }
 
 impl BcastProgram {
-    /// Creates the program for one processor. `root_range` is `Some(n)`
-    /// for the originator and `None` for everyone else.
-    pub fn new(latency: Latency, root_range: Option<u64>) -> BcastProgram {
-        BcastProgram {
-            fib: GenFib::new(latency),
-            root_range,
-        }
+    /// Creates the program for one processor. `table` is the run's
+    /// `F_λ` table, built for at least the `n` processors;
+    /// `root_range` is `Some(n)` for the originator and `None` for
+    /// everyone else.
+    pub fn new(table: Arc<FibTable>, root_range: Option<u64>) -> BcastProgram {
+        BcastProgram { table, root_range }
     }
 
     fn broadcast_range(&self, ctx: &mut dyn Context<BcastPayload>, range_size: u64) {
         let me = ctx.me().index() as u64;
         let n = ctx.n() as u64;
-        for send in cascade(&self.fib, range_size, Orientation::Standard) {
+        for send in cascade(&self.table, range_size, Orientation::Standard) {
             ctx.send(
                 ProcId::from(((me + send.offset) % n) as usize),
                 BcastPayload {
@@ -78,12 +79,10 @@ impl Program<BcastPayload> for BcastProgram {
 
 /// Builds the `n` BCAST programs for MPS(n, λ).
 pub fn bcast_programs(n: usize, latency: Latency) -> Vec<Box<dyn Program<BcastPayload>>> {
-    programs_from(n, |id| {
-        Box::new(BcastProgram::new(
-            latency,
-            (id == ProcId::ROOT).then_some(n as u64),
-        ))
-    })
+    if n == 0 {
+        return Vec::new();
+    }
+    bcast_programs_from(ProcId::ROOT.index(), n, latency)
 }
 
 /// Runs BCAST in a strict-mode simulation of MPS(n, λ) and returns the
@@ -110,9 +109,10 @@ pub fn bcast_programs_from(
     latency: Latency,
 ) -> Vec<Box<dyn Program<BcastPayload>>> {
     assert!(root < n, "originator must be one of the n processors");
+    let table = Arc::new(FibTable::new(latency, n as u64));
     programs_from(n, |id| {
         Box::new(BcastProgram::new(
-            latency,
+            Arc::clone(&table),
             (id.index() == root).then_some(n as u64),
         ))
     })

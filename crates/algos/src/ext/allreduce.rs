@@ -11,10 +11,11 @@
 //! composition is the natural baseline an MPI implementation would call
 //! reduce-then-bcast.)
 
-use crate::cascade::{cascade, Orientation};
+use crate::cascade::{cascade, FibTable, Orientation};
 use crate::fib_tree::{BroadcastTree, TreeNode};
-use postal_model::{GenFib, Latency, Time};
+use postal_model::{Latency, Time};
 use postal_sim::prelude::*;
+use std::sync::Arc;
 
 /// All-reduce payload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -32,7 +33,8 @@ pub enum ArPacket {
 
 /// Per-processor all-reduce program.
 pub struct AllReduceProgram {
-    fib: GenFib,
+    /// The run's `F_λ` table, shared by all of its programs.
+    table: Arc<FibTable>,
     value: u64,
     /// Combine-phase plan (from the reversed broadcast tree).
     parent: Option<ProcId>,
@@ -50,7 +52,7 @@ impl AllReduceProgram {
     fn broadcast_result(&mut self, ctx: &mut dyn Context<ArPacket>, total: u64, range: u64) {
         self.result = Some(total);
         let me = ctx.me().index() as u64;
-        for send in cascade(&self.fib, range, Orientation::Standard) {
+        for send in cascade(&self.table, range, Orientation::Standard) {
             ctx.send(
                 ProcId::from((me + send.offset) as usize),
                 ArPacket::Result {
@@ -145,10 +147,11 @@ pub fn run_allreduce(values: &[u64], latency: Latency) -> AllReduceOutcome {
     }
     collect(&tree.root, None, horizon, &mut plans);
 
+    let table = Arc::new(FibTable::new(latency, n as u64));
     let mut programs: Vec<Box<dyn Program<ArPacket>>> = Vec::with_capacity(n);
     for (i, plan) in plans.iter().enumerate() {
         programs.push(Box::new(AllReduceProgram {
-            fib: GenFib::new(latency),
+            table: Arc::clone(&table),
             value: values[i],
             parent: plan.parent,
             send_at: plan.send_at,

@@ -18,11 +18,13 @@
 //! the non-order-preserving machinery of the authors' follow-up paper
 //! \[2\], which is out of scope.)
 
+use crate::cascade::{FibTable, Orientation};
 use crate::multi::MultiPacket;
-use crate::pipeline::PipelineProgram;
+use crate::pipeline::{pipeline_cascade, PipelineProgram};
 use postal_model::{runtimes, Latency, Time};
 use postal_sim::prelude::*;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Gossip payload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -93,7 +95,16 @@ pub struct GossipProgram {
 
 impl GossipProgram {
     /// Creates the program for one processor holding `value`.
-    pub fn new(me: ProcId, n: usize, value: u64, latency: Latency) -> GossipProgram {
+    /// `table` and `orientation` are the run's [`pipeline_cascade`] for
+    /// a stream of `n` messages over `n` processors (see
+    /// [`GossipProgram::stream_cascade`]).
+    pub fn new(
+        me: ProcId,
+        n: usize,
+        value: u64,
+        table: Arc<FibTable>,
+        orientation: Orientation,
+    ) -> GossipProgram {
         let is_root = me == ProcId::ROOT;
         let mut learned = HashMap::new();
         // Every processor knows its own value; message index is
@@ -102,11 +113,22 @@ impl GossipProgram {
         GossipProgram {
             value,
             n,
-            pipeline: PipelineProgram::new(latency, n as u32, is_root.then_some(n as u64)),
+            pipeline: PipelineProgram::new(
+                table,
+                orientation,
+                n as u32,
+                is_root.then_some(n as u64),
+            ),
             learned,
             gathered: 1, // own value
             is_root,
         }
+    }
+
+    /// The stream cascade the gossip programs of one run over `n`
+    /// processors share: the [`pipeline_cascade`] of `n` messages.
+    pub fn stream_cascade(n: usize, latency: Latency) -> (Arc<FibTable>, Orientation) {
+        pipeline_cascade(n as u64, n as u32, latency)
     }
 }
 
@@ -188,9 +210,15 @@ impl GossipOutcome {
 pub fn run_gossip(values: &[u64], latency: Latency) -> GossipOutcome {
     let n = values.len();
     assert!(n >= 1, "gossip needs at least one processor");
+    let (table, orientation) = GossipProgram::stream_cascade(n, latency);
     let programs = programs_from(n, |id| {
-        Box::new(GossipProgram::new(id, n, values[id.index()], latency))
-            as Box<dyn Program<GossipPacket>>
+        Box::new(GossipProgram::new(
+            id,
+            n,
+            values[id.index()],
+            Arc::clone(&table),
+            orientation,
+        )) as Box<dyn Program<GossipPacket>>
     });
     let model = Uniform(latency);
     let report = Simulation::new(n, &model)

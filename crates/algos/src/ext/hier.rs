@@ -20,9 +20,10 @@
 //! locality. For clusters with strong locality the hierarchical algorithm
 //! wins clearly (the experiment binary `exp_extensions` quantifies this).
 
-use crate::cascade::{cascade, Orientation};
-use postal_model::{GenFib, Latency};
+use crate::cascade::{cascade, FibTable, Orientation};
+use postal_model::Latency;
 use postal_sim::prelude::*;
+use std::sync::Arc;
 
 /// Payload for hierarchical broadcast.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,26 +46,31 @@ pub enum HierPacket {
 pub struct HierProgram {
     cluster_size: u64,
     n: u64,
-    remote_fib: GenFib,
-    local_fib: GenFib,
+    /// The run's `F_λ_remote` table over cluster counts.
+    remote: Arc<FibTable>,
+    /// The run's `F_λ_local` table over one cluster.
+    local: Arc<FibTable>,
     is_root: bool,
 }
 
 impl HierProgram {
-    /// Creates the program for one processor of a block-clustered system.
+    /// Creates the program for one processor of a block-clustered
+    /// system. `local` and `remote` are the run's tables: `F_λ_local`
+    /// built for `cluster_size` processors and `F_λ_remote` built for
+    /// the `⌈n / cluster_size⌉` clusters.
     pub fn new(
         n: u64,
         cluster_size: u64,
-        local: Latency,
-        remote: Latency,
+        local: Arc<FibTable>,
+        remote: Arc<FibTable>,
         is_root: bool,
     ) -> HierProgram {
         assert!(cluster_size >= 1);
         HierProgram {
             cluster_size,
             n,
-            remote_fib: GenFib::new(remote),
-            local_fib: GenFib::new(local),
+            remote,
+            local,
             is_root,
         }
     }
@@ -81,7 +87,7 @@ impl HierProgram {
     fn lead(&self, ctx: &mut dyn Context<HierPacket>, leader_range: u64) {
         let me = ctx.me().index() as u64;
         debug_assert_eq!(me % self.cluster_size, 0, "only leaders lead");
-        for send in cascade(&self.remote_fib, leader_range, Orientation::Standard) {
+        for send in cascade(&self.remote, leader_range, Orientation::Standard) {
             let target_leader = me + send.offset * self.cluster_size;
             ctx.send(
                 ProcId::from(target_leader as usize),
@@ -97,7 +103,7 @@ impl HierProgram {
 
     fn broadcast_local(&self, ctx: &mut dyn Context<HierPacket>, range_size: u64) {
         let me = ctx.me().index() as u64;
-        for send in cascade(&self.local_fib, range_size, Orientation::Standard) {
+        for send in cascade(&self.local, range_size, Orientation::Standard) {
             ctx.send(
                 ProcId::from((me + send.offset) as usize),
                 HierPacket::Local {
@@ -136,12 +142,14 @@ pub fn run_hierarchical(
     remote: Latency,
 ) -> RunReport<HierPacket> {
     let model = Hierarchical::blocks(n, cluster_size, local, remote);
+    let local = Arc::new(FibTable::new(local, cluster_size as u64));
+    let remote = Arc::new(FibTable::new(remote, n.div_ceil(cluster_size) as u64));
     let programs = programs_from(n, |id| {
         Box::new(HierProgram::new(
             n as u64,
             cluster_size as u64,
-            local,
-            remote,
+            Arc::clone(&local),
+            Arc::clone(&remote),
             id == ProcId::ROOT,
         )) as Box<dyn Program<HierPacket>>
     });

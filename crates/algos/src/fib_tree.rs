@@ -10,8 +10,8 @@
 //! [`BroadcastTree::render`] draws it with per-node receive times — a
 //! regeneration of the paper's Figure 1.
 
-use crate::cascade::{cascade, Orientation};
-use postal_model::{GenFib, Latency, Time};
+use crate::cascade::{cascade, FibTable, Orientation};
+use postal_model::{Latency, Time};
 use postal_sim::ProcId;
 use std::fmt::Write as _;
 
@@ -81,8 +81,8 @@ impl BroadcastTree {
     /// Panics if `n == 0`.
     pub fn build(n: u64, latency: Latency) -> BroadcastTree {
         assert!(n >= 1, "a broadcast tree needs at least one processor");
-        let fib = GenFib::new(latency);
-        let root = build_node(&fib, latency, 0, n, Time::ZERO);
+        let table = FibTable::new(latency, n);
+        let root = build_node(&table, latency, 0, n, Time::ZERO);
         BroadcastTree { n, latency, root }
     }
 
@@ -108,13 +108,13 @@ impl BroadcastTree {
     }
 }
 
-fn build_node(fib: &GenFib, latency: Latency, lo: u64, size: u64, ready: Time) -> TreeNode {
+fn build_node(table: &FibTable, latency: Latency, lo: u64, size: u64, ready: Time) -> TreeNode {
     let mut children = Vec::new();
     let mut send_time = ready;
-    for send in cascade(fib, size, Orientation::Standard) {
+    for send in cascade(table, size, Orientation::Standard) {
         let child_ready = send_time + latency.as_time();
         children.push(build_node(
-            fib,
+            table,
             latency,
             lo + send.offset,
             send.size,

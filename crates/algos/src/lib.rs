@@ -13,7 +13,8 @@
 //!   (Figure 1), with ASCII rendering;
 //! * [`flood`] — the greedy flood behind Lemma 5's optimality proof,
 //!   as an executable schedule generator;
-//! * [`mod@cascade`] — the per-processor send cascade both are built from.
+//! * [`mod@cascade`] — the per-processor send cascade both are built from,
+//!   walked over one [`FibTable`] per run.
 //!
 //! ## Multiple messages (Section 4)
 //!
@@ -53,7 +54,7 @@ pub mod replay;
 pub mod svg;
 
 pub use bcast::{bcast_programs, bcast_programs_from, run_bcast, run_bcast_from, BcastProgram};
-pub use cascade::{cascade, CascadeSend, Orientation};
+pub use cascade::{cascade, CascadeSend, FibTable, Orientation};
 pub use dtree::{
     dtree_exact_time, run_binary, run_dtree, run_latency_matched, run_line, run_star, DtreeProgram,
 };

@@ -8,15 +8,17 @@
 //! "one pack-send = m atomic sends" the system behaves exactly like
 //! MPS(n, λ'), giving `T_PK = m·f_{λ'}(n)`.
 
-use crate::cascade::{cascade, CascadeSend, Orientation};
+use crate::cascade::{cascade, FibTable, Orientation};
 use crate::multi::{run_multi, MultiPacket, MultiReport};
-use postal_model::{runtimes, GenFib, Latency};
+use postal_model::{runtimes, Latency};
 use postal_sim::prelude::*;
+use std::sync::Arc;
 
 /// Per-processor PACK program.
 pub struct PackProgram {
-    /// Fibonacci evaluator at the normalized latency λ'.
-    fib: GenFib,
+    /// The run's `F_λ'` table at the normalized latency λ', shared by
+    /// all of its programs.
+    table: Arc<FibTable>,
     m: u32,
     /// `Some(n)` on the originator.
     root_range: Option<u64>,
@@ -27,12 +29,15 @@ pub struct PackProgram {
 }
 
 impl PackProgram {
-    /// Creates the program for one processor; `root_range` is `Some(n)`
+    /// Creates the program for one processor of a run broadcasting `m`
+    /// messages. `table` is the run's table at the normalized latency
+    /// `λ' = 1 + (λ−1)/m` ([`runtimes::pack_normalized_latency`]),
+    /// built for at least the `n` processors; `root_range` is `Some(n)`
     /// on `p_0`.
-    pub fn new(latency: Latency, m: u32, root_range: Option<u64>) -> PackProgram {
+    pub fn new(table: Arc<FibTable>, m: u32, root_range: Option<u64>) -> PackProgram {
         assert!(m >= 1);
         PackProgram {
-            fib: GenFib::new(runtimes::pack_normalized_latency(m as u64, latency)),
+            table,
             m,
             root_range,
             received: 0,
@@ -44,8 +49,7 @@ impl PackProgram {
     /// packets back-to-back.
     fn forward_pack(&self, ctx: &mut dyn Context<MultiPacket>, range_size: u64) {
         let me = ctx.me().index() as u64;
-        let sends: Vec<CascadeSend> = cascade(&self.fib, range_size, Orientation::Standard);
-        for send in sends {
+        for send in cascade(&self.table, range_size, Orientation::Standard) {
             for msg in 1..=self.m {
                 ctx.send(
                     ProcId::from((me + send.offset) as usize),
@@ -89,9 +93,11 @@ impl Program<MultiPacket> for PackProgram {
 
 /// Builds the PACK programs for broadcasting `m` messages in MPS(n, λ).
 pub fn pack_programs(n: usize, m: u32, latency: Latency) -> Vec<Box<dyn Program<MultiPacket>>> {
+    let normalized = runtimes::pack_normalized_latency(m as u64, latency);
+    let table = Arc::new(FibTable::new(normalized, n as u64));
     programs_from(n, |id| {
         Box::new(PackProgram::new(
-            latency,
+            Arc::clone(&table),
             m,
             (id == ProcId::ROOT).then_some(n as u64),
         ))

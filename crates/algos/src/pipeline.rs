@@ -23,58 +23,69 @@
 //! complete, replay it from the buffer to each remaining target. Only the
 //! cascade orientation differs.
 
-use crate::cascade::{cascade, CascadeSend, Orientation};
+use crate::cascade::{cascade, CascadeSend, FibTable, Orientation};
 use crate::multi::{run_multi, MultiPacket, MultiReport};
 use postal_model::ratio::Ratio;
 use postal_model::runtimes::{pipeline_regime, PipelineRegime};
-use postal_model::{GenFib, Latency};
+use postal_model::Latency;
 use postal_sim::prelude::*;
+use std::sync::Arc;
+
+/// The cascade every PIPELINE program of one run walks, for `m`
+/// messages in MPS(n, λ): the `F_λ'` table at the regime's normalized
+/// latency λ', built for `n` processors, and the regime's orientation.
+///
+/// # Panics
+/// Panics if `m == 0`.
+pub fn pipeline_cascade(n: u64, m: u32, latency: Latency) -> (Arc<FibTable>, Orientation) {
+    assert!(m >= 1, "at least one message must be broadcast");
+    let lam = latency.value();
+    let m_r = Ratio::from_int(m as i128);
+    let (normalized, orientation) = match pipeline_regime(m as u64, latency) {
+        PipelineRegime::Short => (
+            Latency::new(lam / m_r).expect("m ≤ λ keeps λ/m ≥ 1"),
+            Orientation::Standard,
+        ),
+        PipelineRegime::Long => (
+            Latency::new(m_r / lam).expect("m ≥ λ keeps m/λ ≥ 1"),
+            Orientation::Swapped,
+        ),
+    };
+    (Arc::new(FibTable::new(normalized, n)), orientation)
+}
 
 /// Per-processor PIPELINE program (either regime).
 pub struct PipelineProgram {
-    /// Fibonacci evaluator at the normalized latency λ'.
-    fib: GenFib,
+    /// The run's `F_λ'` table, shared by all of its programs.
+    table: Arc<FibTable>,
     orientation: Orientation,
     m: u32,
     /// `Some(n)` on the originator.
     root_range: Option<u64>,
     received: u32,
-    targets: Option<Vec<CascadeSend>>,
 }
 
 impl PipelineProgram {
-    /// Creates the program for one processor; `root_range` is `Some(n)`
-    /// on `p_0`.
+    /// Creates the program for one processor of a run broadcasting `m`
+    /// messages. `table` and `orientation` are the run's
+    /// [`pipeline_cascade`]; `root_range` is `Some(n)` on `p_0`.
     ///
     /// # Panics
     /// Panics if `m == 0`.
-    pub fn new(latency: Latency, m: u32, root_range: Option<u64>) -> PipelineProgram {
+    pub fn new(
+        table: Arc<FibTable>,
+        orientation: Orientation,
+        m: u32,
+        root_range: Option<u64>,
+    ) -> PipelineProgram {
         assert!(m >= 1, "at least one message must be broadcast");
-        let lam = latency.value();
-        let m_r = Ratio::from_int(m as i128);
-        let (normalized, orientation) = match pipeline_regime(m as u64, latency) {
-            PipelineRegime::Short => (
-                Latency::new(lam / m_r).expect("m ≤ λ keeps λ/m ≥ 1"),
-                Orientation::Standard,
-            ),
-            PipelineRegime::Long => (
-                Latency::new(m_r / lam).expect("m ≥ λ keeps m/λ ≥ 1"),
-                Orientation::Swapped,
-            ),
-        };
         PipelineProgram {
-            fib: GenFib::new(normalized),
+            table,
             orientation,
             m,
             root_range,
             received: 0,
-            targets: None,
         }
-    }
-
-    fn compute_targets(&mut self, range_size: u64) -> &[CascadeSend] {
-        self.targets
-            .get_or_insert_with(|| cascade(&self.fib, range_size, self.orientation))
     }
 
     fn send_stream(ctx: &mut dyn Context<MultiPacket>, target: CascadeSend, m: u32) {
@@ -94,9 +105,8 @@ impl PipelineProgram {
 impl Program<MultiPacket> for PipelineProgram {
     fn on_start(&mut self, ctx: &mut dyn Context<MultiPacket>) {
         if let Some(n) = self.root_range {
-            let m = self.m;
-            for target in self.compute_targets(n).to_vec() {
-                Self::send_stream(ctx, target, m);
+            for target in cascade(&self.table, n, self.orientation) {
+                Self::send_stream(ctx, target, self.m);
             }
         }
     }
@@ -108,11 +118,12 @@ impl Program<MultiPacket> for PipelineProgram {
         packet: MultiPacket,
     ) {
         self.received += 1;
-        let targets = self.compute_targets(packet.range_size).to_vec();
+        // Every packet of the stream delegates the same range.
+        let mut targets = cascade(&self.table, packet.range_size, self.orientation);
         // Forward the arriving packet to the first target immediately:
         // this is the pipelining. Arrivals come one per unit, so the
         // output port is always free for the forward.
-        if let Some(first) = targets.first() {
+        if let Some(first) = targets.next() {
             let me = ctx.me().index() as u64;
             ctx.send(
                 ProcId::from((me + first.offset) as usize),
@@ -125,7 +136,7 @@ impl Program<MultiPacket> for PipelineProgram {
         // Stream complete: replay it from the buffer to the remaining
         // targets, back-to-back.
         if self.received == self.m {
-            for target in targets.into_iter().skip(1) {
+            for target in targets {
                 Self::send_stream(ctx, target, self.m);
             }
         }
@@ -135,9 +146,11 @@ impl Program<MultiPacket> for PipelineProgram {
 /// Builds the PIPELINE programs for broadcasting `m` messages in
 /// MPS(n, λ); the regime is selected automatically from `m` and λ.
 pub fn pipeline_programs(n: usize, m: u32, latency: Latency) -> Vec<Box<dyn Program<MultiPacket>>> {
+    let (table, orientation) = pipeline_cascade(n as u64, m, latency);
     programs_from(n, |id| {
         Box::new(PipelineProgram::new(
-            latency,
+            Arc::clone(&table),
+            orientation,
             m,
             (id == ProcId::ROOT).then_some(n as u64),
         ))

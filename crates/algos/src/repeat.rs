@@ -26,11 +26,12 @@
 //! Both pacings preserve message order and are free of receive-port
 //! conflicts (verified in strict mode).
 
-use crate::cascade::{cascade, CascadeSend, Orientation};
+use crate::cascade::{cascade, FibTable, Orientation};
 use crate::multi::{run_multi, MultiPacket, MultiReport};
 use postal_model::ratio::Ratio;
-use postal_model::{GenFib, Latency, Time};
+use postal_model::{Latency, Time};
 use postal_sim::prelude::*;
+use std::sync::Arc;
 
 /// How the originator paces successive BCAST iterations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -46,40 +47,33 @@ pub enum Pacing {
 
 /// Per-processor REPEAT program.
 pub struct RepeatProgram {
-    fib: GenFib,
-    latency: Latency,
+    /// The run's `F_λ` table, shared by all of its programs.
+    table: Arc<FibTable>,
     pacing: Pacing,
     /// `Some((n, m))` on the originator.
     root: Option<(u64, u32)>,
     /// Next message index the originator will start (PaperExact pacing).
     next_msg: u32,
-    /// Cascade cache: every iteration delegates the same ranges.
-    sends: Option<Vec<CascadeSend>>,
 }
 
 impl RepeatProgram {
-    /// Creates the program for one processor; `root` is `Some((n, m))`
-    /// for `p_0`, `None` elsewhere.
-    pub fn new(latency: Latency, pacing: Pacing, root: Option<(u64, u32)>) -> RepeatProgram {
+    /// Creates the program for one processor. `table` is the run's
+    /// `F_λ` table, built for at least the `n` processors; `root` is
+    /// `Some((n, m))` for `p_0`, `None` elsewhere.
+    pub fn new(table: Arc<FibTable>, pacing: Pacing, root: Option<(u64, u32)>) -> RepeatProgram {
         RepeatProgram {
-            fib: GenFib::new(latency),
-            latency,
+            table,
             pacing,
             root,
             next_msg: 1,
-            sends: None,
         }
     }
 
-    fn sends_for(&mut self, range_size: u64) -> Vec<CascadeSend> {
-        self.sends
-            .get_or_insert_with(|| cascade(&self.fib, range_size, Orientation::Standard))
-            .clone()
-    }
-
-    fn forward(&mut self, ctx: &mut dyn Context<MultiPacket>, msg: u32, range_size: u64) {
+    /// Every iteration delegates the same ranges: the cascade over
+    /// `range_size`, walked again for each message.
+    fn forward(&self, ctx: &mut dyn Context<MultiPacket>, msg: u32, range_size: u64) {
         let me = ctx.me().index() as u64;
-        for send in self.sends_for(range_size) {
+        for send in cascade(&self.table, range_size, Orientation::Standard) {
             ctx.send(
                 ProcId::from((me + send.offset) as usize),
                 MultiPacket {
@@ -92,7 +86,7 @@ impl RepeatProgram {
 
     /// The Lemma 10 iteration period `f_λ(n) − (λ − 1)`.
     fn period(&self, n: u64) -> Time {
-        self.fib.index(n as u128) - Time(self.latency.value() - Ratio::ONE)
+        self.table.index(n) - Time(self.table.latency().value() - Ratio::ONE)
     }
 
     /// Originator: start iteration `next_msg` now, and schedule the next.
@@ -151,9 +145,10 @@ pub fn repeat_programs(
     latency: Latency,
     pacing: Pacing,
 ) -> Vec<Box<dyn Program<MultiPacket>>> {
+    let table = Arc::new(FibTable::new(latency, n as u64));
     programs_from(n, |id| {
         Box::new(RepeatProgram::new(
-            latency,
+            Arc::clone(&table),
             pacing,
             (id == ProcId::ROOT).then_some((n as u64, m)),
         ))

@@ -7,10 +7,11 @@
 
 use postal_algos::bcast::{BcastPayload, BcastProgram};
 use postal_algos::repeat::RepeatProgram;
-use postal_algos::{bcast_programs, repeat::repeat_programs, Pacing};
+use postal_algos::{bcast_programs, repeat::repeat_programs, FibTable, Pacing};
 use postal_model::Latency;
 use postal_runtime::{run_threaded, send_programs_from, RuntimeConfig};
 use postal_sim::{ProcId, Program, Simulation, Uniform};
+use std::sync::Arc;
 
 /// Structural agreement between the event engine and a threaded run:
 /// identical (src, dst) edge multisets and per-destination counts, with
@@ -66,9 +67,10 @@ fn threaded_runtime_agrees_on_bcast() {
             lam,
             || bcast_programs(n, lam),
             || {
+                let table = Arc::new(FibTable::new(lam, n as u64));
                 send_programs_from(n, |id| {
                     Box::new(BcastProgram::new(
-                        lam,
+                        Arc::clone(&table),
                         (id == ProcId::ROOT).then_some(n as u64),
                     )) as Box<dyn Program<BcastPayload> + Send>
                 })
@@ -87,9 +89,10 @@ fn threaded_runtime_agrees_on_repeat() {
         lam,
         || repeat_programs(n, m, lam, Pacing::Greedy),
         || {
+            let table = Arc::new(FibTable::new(lam, n as u64));
             send_programs_from(n, |id| {
                 Box::new(RepeatProgram::new(
-                    lam,
+                    Arc::clone(&table),
                     Pacing::Greedy,
                     (id == ProcId::ROOT).then_some((n as u64, m)),
                 )) as Box<dyn Program<postal_algos::MultiPacket> + Send>

@@ -13,7 +13,10 @@ use postal_algos::{
     flood_schedule, run_bcast, run_dtree, run_pack, run_pipeline, run_repeat, run_repeat_greedy,
     BroadcastTree, ToSchedule,
 };
+use postal_model::lint::StreamingLint;
 use postal_model::Latency;
+use postal_obs::LintSink;
+use postal_sim::{Simulation, Uniform};
 use postal_verify::{
     assert_broadcast_clean, assert_clean, assert_ports_clean, LintOptions, Severity,
 };
@@ -45,6 +48,35 @@ fn bcast_is_lint_clean_on_the_full_grid() {
             );
         }
     }
+}
+
+#[test]
+fn algorithm_runs_stay_on_the_linter_lattice() {
+    // Inline, as `simulate --lint-inline` runs it: BCAST at λ = 2.
+    let (n, lam) = (1000, Latency::from_int(2));
+    let sink = LintSink::new(n as u32, lam, LintOptions::default());
+    Simulation::new(n, &Uniform(lam))
+        .observe(&sink)
+        .discard_trace()
+        .run(postal_algos::bcast_programs(n, lam))
+        .expect("BCAST cannot diverge");
+    let stream = sink.finish();
+    assert_eq!(stream.sends_observed(), n as u64 - 1);
+    assert_eq!(stream.exact_sends(), 0);
+
+    // Folded from a stored trace: REPEAT at λ = 5/2.
+    let (n, m, lam) = (40, 3, Latency::from_ratio(5, 2));
+    let schedule = run_repeat(n, m, lam)
+        .report
+        .trace
+        .to_schedule(n as u32, lam);
+    let mut lint = StreamingLint::new(n as u32, lam, LintOptions::broadcast_of(m.into()));
+    for s in schedule.sends() {
+        lint.advance_watermark(s.send_start);
+        lint.observe_send(s.src, s.dst, s.send_start);
+    }
+    assert_eq!(lint.index().sends_observed(), u64::from(m) * (n as u64 - 1));
+    assert_eq!(lint.exact_sends(), 0);
 }
 
 #[test]

@@ -6,7 +6,7 @@
 //! * cascade computation cost (`ablate_cascade`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use postal_algos::{cascade, Orientation};
+use postal_algos::{cascade, FibTable, Orientation};
 use postal_model::{ratio::ratio, GenFib, Latency, Ratio};
 use std::hint::black_box;
 
@@ -65,10 +65,10 @@ fn bench_clock_arithmetic(c: &mut Criterion) {
 
 fn bench_cascade(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablate_cascade");
-    let fib = GenFib::new(Latency::from_ratio(5, 2));
+    let table = FibTable::new(Latency::from_ratio(5, 2), 1 << 20);
     for n in [14u64, 1024, 1 << 20] {
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, &n| {
-            b.iter(|| black_box(cascade(&fib, black_box(n), Orientation::Standard)));
+            b.iter(|| black_box(cascade(&table, black_box(n), Orientation::Standard).count()));
         });
     }
     group.finish();

@@ -6,12 +6,13 @@
 //! column is scheduler jitter plus the queued-input-port approximation.
 
 use postal_algos::bcast::{BcastPayload, BcastProgram};
-use postal_algos::pipeline::PipelineProgram;
-use postal_algos::MultiPacket;
+use postal_algos::pipeline::{pipeline_cascade, PipelineProgram};
+use postal_algos::{FibTable, MultiPacket};
 use postal_bench::report::BenchReport;
 use postal_model::{runtimes, Latency};
 use postal_runtime::{run_threaded, send_programs_from, RuntimeConfig};
 use postal_sim::{ProcId, Program};
+use std::sync::Arc;
 use std::time::Duration;
 
 fn main() {
@@ -36,9 +37,10 @@ fn main() {
         (32, Latency::from_int(4)),
     ] {
         let model = runtimes::bcast_time(n as u128, lam).to_f64();
+        let table = Arc::new(FibTable::new(lam, n as u64));
         let programs = send_programs_from(n, |id| {
             Box::new(BcastProgram::new(
-                lam,
+                Arc::clone(&table),
                 (id == ProcId::ROOT).then_some(n as u64),
             )) as Box<dyn Program<BcastPayload> + Send>
         });
@@ -62,9 +64,11 @@ fn main() {
         (14, 6, Latency::from_ratio(5, 2)),
     ] {
         let model = runtimes::pipeline_time(n as u128, m as u64, lam).to_f64();
+        let (table, orientation) = pipeline_cascade(n as u64, m, lam);
         let programs = send_programs_from(n, |id| {
             Box::new(PipelineProgram::new(
-                lam,
+                Arc::clone(&table),
+                orientation,
                 m,
                 (id == ProcId::ROOT).then_some(n as u64),
             )) as Box<dyn Program<MultiPacket> + Send>

@@ -4,10 +4,12 @@
 //! than a hang or a panic in the harness.
 
 use postal_algos::bcast::{BcastPayload, BcastProgram};
+use postal_algos::FibTable;
 use postal_mc::{check_algo, Algo, McConfig};
 use postal_model::Latency;
 use postal_runtime::{send_programs_from, try_run_threaded, RuntimeConfig, RuntimeError};
 use postal_sim::{Context, ProcId, Program};
+use std::sync::Arc;
 
 #[test]
 fn threaded_executor_lands_on_the_model_checked_completion() {
@@ -21,9 +23,10 @@ fn threaded_executor_lands_on_the_model_checked_completion() {
         "checker proved a unique completion"
     );
 
+    let table = Arc::new(FibTable::new(lam, n as u64));
     let programs = send_programs_from(n, |id| {
         Box::new(BcastProgram::new(
-            lam,
+            Arc::clone(&table),
             (id == ProcId::ROOT).then_some(n as u64),
         )) as Box<dyn Program<BcastPayload> + Send>
     });

@@ -44,6 +44,15 @@
 //! its sends on few distinct ticks, so finalizing costs a sort per tick
 //! instead of a heap pop per send over up to n pending sends.
 //!
+//! A send's start is converted to ticks once, in
+//! [`StreamingLint::observe_send`]. The tick decides its lane and the
+//! out-of-order check against the watermark, which is kept in ticks
+//! too, and it travels with the send when it is finalized
+//! ([`StreamEvent::Send`]), so `P0001`, `P0002`, `P0003` and `P0006`
+//! decide on integers whenever both sides sit on the lattice. A start
+//! off the lattice keeps the exact lane and the passes' exact
+//! comparisons; [`StreamingLint::exact_sends`] counts such sends.
+//!
 //! ## Online vs `finish`-time passes
 //!
 //! * `P0001`/`P0002` keep one previous send per output/input port and
@@ -77,7 +86,7 @@ use crate::runtimes;
 use crate::schedule::TimedSend;
 use crate::time::Time;
 use crate::topology::{eccentricity_of, Topology, UNREACHABLE};
-use std::cmp::Reverse;
+use std::cmp::{Ordering, Reverse};
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BinaryHeap, HashMap};
 use std::mem::size_of;
@@ -117,21 +126,42 @@ impl TimeSlots {
         }
     }
 
-    /// Slot `p`'s tick count, when it holds a value on the lane.
-    fn get_ticks(&self, p: u32) -> Option<i64> {
-        match self.ticks[p as usize] {
-            EMPTY | EXACT => None,
-            k => Some(k),
-        }
+    fn put(&mut self, p: u32, t: Time) {
+        self.put_at(p, t, t.to_ticks(self.den));
     }
 
-    fn put(&mut self, p: u32, t: Time) {
-        match t.to_ticks(self.den) {
+    /// [`TimeSlots::put`] of a time whose tick count, `ticks`, the
+    /// caller already holds.
+    fn put_at(&mut self, p: u32, t: Time, ticks: Option<i64>) {
+        match ticks {
             Some(k) if self.ticks[p as usize] != EXACT => self.ticks[p as usize] = k,
             _ => {
                 self.ticks[p as usize] = EXACT;
                 self.exact.insert(p, t);
             }
+        }
+    }
+
+    /// Slot `p`'s value compared with `t`, whose tick count is `ticks`;
+    /// `None` while the slot is empty. Decided on integers whenever
+    /// both sit on the lattice.
+    fn cmp_at(&self, p: u32, t: Time, ticks: Option<i64>) -> Option<Ordering> {
+        match (self.ticks[p as usize], ticks) {
+            (EMPTY, _) => None,
+            (a, Some(k)) if a != EXACT => Some(a.cmp(&k)),
+            _ => self.get(p).map(|a| a.cmp(&t)),
+        }
+    }
+
+    /// Slot `p`'s value when `t` (whose tick count is `ticks`) starts
+    /// less than one unit after it — the shared `P0001`/`P0002` window
+    /// condition, decided on integers whenever both sit on the lattice.
+    fn less_than_one_unit_before(&self, p: u32, t: Time, ticks: Option<i64>) -> Option<Time> {
+        match (self.ticks[p as usize], ticks) {
+            (EMPTY, _) => None,
+            // Both at most TICK_LIMIT in magnitude: no overflow.
+            (a, Some(k)) if a != EXACT => (k < a + self.den).then(|| Time::from_ticks(a, self.den)),
+            _ => self.get(p).filter(|&a| t < a + Time::ONE),
         }
     }
 
@@ -202,9 +232,10 @@ impl StreamIndex {
         }
     }
 
-    /// Folds one observed send into the running aggregates.
-    fn record(&mut self, s: &TimedSend, well_formed: bool) {
-        let ticks = match (self.lam_ticks, s.send_start.to_ticks(self.den)) {
+    /// Folds one observed send, whose start is `start_ticks` ticks when
+    /// it lies on the lattice, into the running aggregates.
+    fn record(&mut self, s: &TimedSend, start_ticks: Option<i64>, well_formed: bool) {
+        let ticks = match (self.lam_ticks, start_ticks) {
             // Both ≤ TICK_LIMIT = i64::MAX/4 in magnitude: no overflow.
             (Some(l), Some(k)) => Some(k + l),
             _ => None,
@@ -282,7 +313,13 @@ impl StreamIndex {
 pub enum StreamEvent<'a> {
     /// A well-formed send, finalized in canonical
     /// `(send_start, src, dst)` order.
-    Send(&'a TimedSend),
+    Send {
+        /// The send.
+        send: &'a TimedSend,
+        /// Its start in ticks of the stream's lattice (`1/D` with
+        /// `D = λ.lattice_lcm(2)`), or `None` for a start off it.
+        ticks: Option<i64>,
+    },
     /// A structurally malformed send (`P0004` material), delivered at
     /// observation time in stream order.
     Malformed(&'a TimedSend),
@@ -358,6 +395,8 @@ pub struct StreamingLint {
     watermark: Time,
     watermark_ticks: Option<i64>,
     out_of_order: bool,
+    /// Well-formed sends whose start lies off the lattice.
+    exact_sends: u64,
 }
 
 impl StreamingLint {
@@ -391,6 +430,7 @@ impl StreamingLint {
             watermark: Time::ZERO,
             watermark_ticks: Some(0),
             out_of_order: false,
+            exact_sends: 0,
         }
     }
 
@@ -439,9 +479,16 @@ impl StreamingLint {
             dst,
             send_start,
         };
+        // The one tick conversion of this send: everything below, and
+        // every pass once it is finalized, compares on it.
+        let ticks = send_start.to_ticks(self.index.den);
         let n = self.index.n;
-        let well_formed = src < n && dst < n && src != dst && send_start >= Time::ZERO;
-        self.index.record(&s, well_formed);
+        let nonnegative = match ticks {
+            Some(k) => k >= 0,
+            None => send_start >= Time::ZERO,
+        };
+        let well_formed = src < n && dst < n && src != dst && nonnegative;
+        self.index.record(&s, ticks, well_formed);
         if !well_formed {
             let cx = StreamContext {
                 index: &self.index,
@@ -453,12 +500,16 @@ impl StreamingLint {
             }
             return;
         }
-        if send_start < self.watermark {
+        let late = match (ticks, self.watermark_ticks) {
+            (Some(k), Some(w)) => k < w,
+            _ => send_start < self.watermark,
+        };
+        if late {
             // The watermark already passed this start: finalization
             // order can no longer be canonical.
             self.out_of_order = true;
         }
-        match send_start.to_ticks(self.index.den) {
+        match ticks {
             Some(k) => {
                 let bucket = match self.pending_fast.entry(k) {
                     Entry::Occupied(e) => e.into_mut(),
@@ -474,7 +525,10 @@ impl StreamingLint {
                 self.pending_fast_peak = self.pending_fast_peak.max(self.pending_fast_bytes);
                 self.pending_fast_len += 1;
             }
-            None => self.pending_exact.push(Reverse((send_start, src, dst))),
+            None => {
+                self.exact_sends += 1;
+                self.pending_exact.push(Reverse((send_start, src, dst)));
+            }
         }
     }
 
@@ -484,8 +538,13 @@ impl StreamingLint {
     /// observed; the engine's simulation clock and the timestamps of a
     /// sorted event log both satisfy this.
     pub fn advance_watermark(&mut self, t: Time) {
-        if t > self.watermark {
-            self.watermark_ticks = t.to_ticks(self.index.den);
+        let ticks = t.to_ticks(self.index.den);
+        let raised = match (ticks, self.watermark_ticks) {
+            (Some(k), Some(w)) => k > w,
+            _ => t > self.watermark,
+        };
+        if raised {
+            self.watermark_ticks = ticks;
             self.watermark = t;
         }
         // Integer-only fast path: all pending on-lattice, watermark
@@ -502,27 +561,29 @@ impl StreamingLint {
                     self.pending_fast_bytes -= bucket.bytes();
                     let send_start = Time::from_ticks(k, den);
                     for (src, dst) in bucket.into_sorted() {
-                        self.dispatch_send(TimedSend {
+                        let s = TimedSend {
                             src,
                             dst,
                             send_start,
-                        });
+                        };
+                        self.dispatch_send(&s, Some(k));
                     }
                 }
                 return;
             }
         }
-        while let Some(s) = self.pop_min(Some(self.watermark)) {
-            self.dispatch_send(s);
+        while let Some((s, ticks)) = self.pop_min(Some(self.watermark)) {
+            self.dispatch_send(&s, ticks);
         }
     }
 
     /// Removes and returns the smallest pending send by exact
-    /// `(start, src, dst)` key, if it starts before `bound` (or whenever
-    /// `bound` is `None`). A fast-lane and an exact-lane entry can never
-    /// carry the same start time (a time either has a tick form or it
-    /// does not), so the merge is unambiguous.
-    fn pop_min(&mut self, bound: Option<Time>) -> Option<TimedSend> {
+    /// `(start, src, dst)` key, with its start in ticks when it has
+    /// them, if it starts before `bound` (or whenever `bound` is
+    /// `None`). A fast-lane and an exact-lane entry can never carry the
+    /// same start time (a time either has a tick form or it does not),
+    /// so the merge is unambiguous.
+    fn pop_min(&mut self, bound: Option<Time>) -> Option<(TimedSend, Option<i64>)> {
         let den = self.index.den;
         let fast = self.pending_fast.first_entry().map(|mut entry| {
             let (src, dst) = entry.get_mut().min();
@@ -552,23 +613,25 @@ impl StreamingLint {
         }
         if from_fast {
             let mut entry = self.pending_fast.first_entry()?;
+            let ticks = *entry.key();
             entry.get_mut().pairs.pop();
             if entry.get().pairs.is_empty() {
                 self.pending_fast_bytes -= entry.remove().bytes();
             }
             self.pending_fast_len -= 1;
+            Some((s, Some(ticks)))
         } else {
             self.pending_exact.pop();
+            Some((s, None))
         }
-        Some(s)
     }
 
-    fn dispatch_send(&mut self, s: TimedSend) {
+    fn dispatch_send(&mut self, send: &TimedSend, ticks: Option<i64>) {
         let cx = StreamContext {
             index: &self.index,
             opts: &self.opts,
         };
-        let ev = StreamEvent::Send(&s);
+        let ev = StreamEvent::Send { send, ticks };
         for pass in &mut self.passes {
             pass.on_event(&cx, &ev);
         }
@@ -579,6 +642,14 @@ impl StreamingLint {
     /// caller should lint the materialized schedule instead.
     pub fn out_of_order(&self) -> bool {
         self.out_of_order
+    }
+
+    /// Well-formed sends observed so far whose start lies off the
+    /// stream's lattice, and so took the exact pending lane and the
+    /// passes' exact comparisons. The workspace's algorithms read 0
+    /// under a uniform λ.
+    pub fn exact_sends(&self) -> u64 {
+        self.exact_sends
     }
 
     /// The running aggregates (processor count, λ, first receipts,
@@ -614,8 +685,8 @@ impl StreamingLint {
     /// report order.
     pub fn finish(mut self) -> Vec<Diagnostic> {
         // Drain: everything still pending is final now.
-        while let Some(s) = self.pop_min(None) {
-            self.dispatch_send(s);
+        while let Some((s, ticks)) = self.pop_min(None) {
+            self.dispatch_send(&s, ticks);
         }
         let mut passes = std::mem::take(&mut self.passes);
         let cx = StreamContext {
@@ -687,16 +758,6 @@ impl TickBucket {
     fn into_sorted(mut self) -> impl Iterator<Item = (u32, u32)> {
         self.sort();
         self.pairs.into_iter().rev()
-    }
-}
-
-/// Whether `b` starts less than one unit after `a` — the shared
-/// `P0001`/`P0002` window condition, on machine integers whenever both
-/// starts sit on the lattice of ticks of `1/den`.
-fn lt_one_apart(a: Time, b: Time, den: i64) -> bool {
-    match (a.to_ticks(den), b.to_ticks(den)) {
-        (Some(x), Some(y)) => y < x + den,
-        _ => b < a + Time::ONE,
     }
 }
 
@@ -789,37 +850,38 @@ impl StreamingLintPass for StreamingOutputPortPass {
     }
 
     fn on_event(&mut self, _cx: &StreamContext<'_>, ev: &StreamEvent<'_>) {
-        let StreamEvent::Send(b) = ev else {
+        let StreamEvent::Send { send: b, ticks } = *ev else {
             return;
         };
         let src = b.src;
-        if let Some(a_start) = self.prev_start.get(src) {
-            if lt_one_apart(a_start, b.send_start, self.prev_start.den) {
-                let a = TimedSend {
-                    src,
-                    dst: self.prev_dst[src as usize],
-                    send_start: a_start,
-                };
-                self.found.push((
-                    src,
-                    Diagnostic {
-                        code: LintCode::OutputPortOverlap,
-                        severity: Severity::Error,
-                        witness: None,
-                        proc: Some(src),
-                        sends: vec![a, **b],
-                        related_time: None,
-                        message: format!(
-                            "p{src} starts sends at t = {} and t = {} ({} < 1 unit apart)",
-                            a.send_start,
-                            b.send_start,
-                            b.send_start - a.send_start,
-                        ),
-                    },
-                ));
-            }
+        if let Some(a_start) = self
+            .prev_start
+            .less_than_one_unit_before(src, b.send_start, ticks)
+        {
+            let a = TimedSend {
+                src,
+                dst: self.prev_dst[src as usize],
+                send_start: a_start,
+            };
+            self.found.push((
+                src,
+                Diagnostic {
+                    code: LintCode::OutputPortOverlap,
+                    severity: Severity::Error,
+                    witness: None,
+                    proc: Some(src),
+                    sends: vec![a, *b],
+                    related_time: None,
+                    message: format!(
+                        "p{src} starts sends at t = {} and t = {} ({} < 1 unit apart)",
+                        a.send_start,
+                        b.send_start,
+                        b.send_start - a.send_start,
+                    ),
+                },
+            ));
         }
-        self.prev_start.put(src, b.send_start);
+        self.prev_start.put_at(src, b.send_start, ticks);
         self.prev_dst[src as usize] = b.dst;
     }
 
@@ -863,43 +925,44 @@ impl StreamingLintPass for StreamingInputWindowPass {
     }
 
     fn on_event(&mut self, cx: &StreamContext<'_>, ev: &StreamEvent<'_>) {
-        let StreamEvent::Send(b) = ev else {
+        let StreamEvent::Send { send: b, ticks } = *ev else {
             return;
         };
         let dst = b.dst;
-        if let Some(a_start) = self.prev_start.get(dst) {
-            // Receive finishes are send starts shifted by the constant
-            // λ, so the window condition is the same
-            // less-than-one-unit-apart comparison.
-            if lt_one_apart(a_start, b.send_start, self.prev_start.den) {
-                let a = TimedSend {
-                    src: self.prev_src[dst as usize],
-                    dst,
-                    send_start: a_start,
-                };
-                let lam = cx.index.latency();
-                let (f0, f1) = (a.recv_finish(lam), b.recv_finish(lam));
-                self.found.push((
-                    dst,
-                    Diagnostic {
-                        code: LintCode::InputWindowOverlap,
-                        severity: Severity::Error,
-                        witness: None,
-                        proc: Some(dst),
-                        sends: vec![a, **b],
-                        related_time: None,
-                        message: format!(
-                            "p{dst}'s receive windows [{}, {}] and [{}, {}] overlap",
-                            f0 - Time::ONE,
-                            f0,
-                            f1 - Time::ONE,
-                            f1,
-                        ),
-                    },
-                ));
-            }
+        // Receive finishes are send starts shifted by the constant λ, so
+        // the window condition is the same less-than-one-unit-apart
+        // comparison of starts.
+        if let Some(a_start) = self
+            .prev_start
+            .less_than_one_unit_before(dst, b.send_start, ticks)
+        {
+            let a = TimedSend {
+                src: self.prev_src[dst as usize],
+                dst,
+                send_start: a_start,
+            };
+            let lam = cx.index.latency();
+            let (f0, f1) = (a.recv_finish(lam), b.recv_finish(lam));
+            self.found.push((
+                dst,
+                Diagnostic {
+                    code: LintCode::InputWindowOverlap,
+                    severity: Severity::Error,
+                    witness: None,
+                    proc: Some(dst),
+                    sends: vec![a, *b],
+                    related_time: None,
+                    message: format!(
+                        "p{dst}'s receive windows [{}, {}] and [{}, {}] overlap",
+                        f0 - Time::ONE,
+                        f0,
+                        f1 - Time::ONE,
+                        f1,
+                    ),
+                },
+            ));
         }
-        self.prev_start.put(dst, b.send_start);
+        self.prev_start.put_at(dst, b.send_start, ticks);
         self.prev_src[dst as usize] = b.src;
     }
 
@@ -945,15 +1008,18 @@ impl StreamingLintPass for StreamingCausalityPass {
     }
 
     fn on_event(&mut self, cx: &StreamContext<'_>, ev: &StreamEvent<'_>) {
-        let StreamEvent::Send(s) = ev else {
+        let StreamEvent::Send { send: s, ticks } = *ev else {
             return;
         };
         if s.src == cx.opts.originator {
             return;
         }
-        let informed = matches!(cx.index.first_receipt(s.src), Some(t) if t <= s.send_start);
+        let informed = matches!(
+            cx.index.first_receipt.cmp_at(s.src, s.send_start, ticks),
+            Some(Ordering::Less | Ordering::Equal)
+        );
         if !informed {
-            self.found.push(**s);
+            self.found.push(*s);
         }
     }
 
@@ -1053,30 +1119,41 @@ impl StreamingLintPass for StreamingIdlePortPass {
     }
 
     fn on_event(&mut self, cx: &StreamContext<'_>, ev: &StreamEvent<'_>) {
-        let StreamEvent::Send(s) = ev else {
+        let StreamEvent::Send { send: s, ticks } = *ev else {
             return;
         };
         let src = s.src;
         let den = self.cursor.den;
         // The lattice path: the port's cursor and this start in ticks.
-        if let (Some(cur), Some(start)) = (self.cursor.get_ticks(src), s.send_start.to_ticks(den)) {
-            if start > cur {
-                self.first_gap
-                    .entry(src)
-                    .or_insert_with(|| Time::from_ticks(cur, den));
+        // A port's first send opens the cursor at the processor's
+        // informed time (garbage-tolerant when the sender is not yet
+        // informed — that is a P0003 error and suppresses this stage).
+        if let Some(start) = ticks {
+            let cur = match self.cursor.ticks[src as usize] {
+                EMPTY if src == cx.opts.originator => Some(0),
+                EMPTY => match cx.index.first_receipt.ticks[src as usize] {
+                    EMPTY => Some(start),
+                    EXACT => None,
+                    k => Some(k),
+                },
+                EXACT => None,
+                c => Some(c),
+            };
+            if let Some(cur) = cur {
+                if start > cur {
+                    self.first_gap
+                        .entry(src)
+                        .or_insert_with(|| Time::from_ticks(cur, den));
+                }
+                // At most TICK_LIMIT + den: below the lane's sentinels.
+                self.cursor.ticks[src as usize] = cur.max(start + den);
+                return;
             }
-            // At most TICK_LIMIT + den: below the lane's sentinels.
-            self.cursor.ticks[src as usize] = cur.max(start + den);
-            return;
         }
         let start = s.send_start;
         let cur = match self.cursor.get(src) {
             Some(c) => c,
             None => {
-                // First send from this port: the cursor opens at the
-                // processor's informed time (garbage-tolerant when the
-                // sender is not yet informed — that is a P0003 error
-                // and suppresses this stage).
                 let informed_at = if src == cx.opts.originator {
                     Some(Time::ZERO)
                 } else {
@@ -1264,7 +1341,7 @@ impl StreamingLintPass for StreamingNonEdgePass {
     }
 
     fn on_event(&mut self, _cx: &StreamContext<'_>, ev: &StreamEvent<'_>) {
-        let StreamEvent::Send(s) = ev else {
+        let StreamEvent::Send { send: s, .. } = *ev else {
             return;
         };
         if self.topo.is_complete() || self.topo.is_edge(s.src, s.dst) {
@@ -1276,7 +1353,7 @@ impl StreamingLintPass for StreamingNonEdgePass {
             severity: Severity::Error,
             witness: None,
             proc: Some(s.src),
-            sends: vec![**s],
+            sends: vec![*s],
             related_time: None,
             message: format!(
                 "p{} sends to p{} at t = {}, but p{}-p{} is not an edge \
@@ -1676,6 +1753,27 @@ mod tests {
         assert_eq!(lint.pending_fast_bytes, 0);
         // The passes' findings may grow it further; it never falls.
         assert!(lint.memory_bytes() >= peak);
+    }
+
+    #[test]
+    fn exact_sends_counts_well_formed_starts_off_the_lattice() {
+        // 1/3 is off the half-unit lattice of λ = 5/2 but on the sixths
+        // λ = 7/3 ticks in; the malformed self-send at 1/3 is no
+        // well-formed send and never counts.
+        let sends = [send(0, 1, 0, 1), send(0, 2, 1, 3), send(1, 1, 1, 3)];
+        for (lam, exact) in [(lam52(), 1), (Latency::from_ratio(7, 3), 0)] {
+            let mut lint = StreamingLint::new(3, lam, LintOptions::default());
+            for s in &sends {
+                lint.advance_watermark(s.send_start);
+                lint.observe_send(s.src, s.dst, s.send_start);
+            }
+            assert_eq!(lint.exact_sends(), exact, "λ={lam}");
+            let reference = lint_schedule_reference(
+                &Schedule::new(3, lam, sends.to_vec()),
+                &LintOptions::default(),
+            );
+            assert_eq!(lint.finish(), reference, "λ={lam}");
+        }
     }
 
     #[test]

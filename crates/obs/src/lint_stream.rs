@@ -135,6 +135,12 @@ impl LintStream {
         self.inner.out_of_order()
     }
 
+    /// Well-formed sends whose start lay off the stream's tick lattice
+    /// (see [`StreamingLint::exact_sends`]).
+    pub fn exact_sends(&self) -> u64 {
+        self.inner.exact_sends()
+    }
+
     /// Peak reserved linter heap bytes, by container capacity (see
     /// [`StreamingLint::memory_bytes`]).
     pub fn memory_bytes(&self) -> usize {

@@ -513,16 +513,26 @@ mod tests {
     use super::*;
     use postal_algos::bcast::{BcastPayload, BcastProgram};
     use postal_algos::repeat::{Pacing, RepeatProgram};
+    use postal_algos::FibTable;
     use postal_model::runtimes;
 
-    fn bcast_threaded(n: usize, latency: Latency) -> ThreadedReport<BcastPayload> {
-        let programs = send_programs_from(n, |id| {
+    /// BCAST programs for MPS(n, λ) rooted at `p_0`, sharing one table.
+    fn bcast_programs(n: usize, latency: Latency) -> Vec<Box<dyn Program<BcastPayload> + Send>> {
+        let table = Arc::new(FibTable::new(latency, n as u64));
+        send_programs_from(n, |id| {
             Box::new(BcastProgram::new(
-                latency,
+                Arc::clone(&table),
                 (id == ProcId::ROOT).then_some(n as u64),
             )) as Box<dyn Program<BcastPayload> + Send>
-        });
-        run_threaded(latency, RuntimeConfig::default(), programs)
+        })
+    }
+
+    fn bcast_threaded(n: usize, latency: Latency) -> ThreadedReport<BcastPayload> {
+        run_threaded(
+            latency,
+            RuntimeConfig::default(),
+            bcast_programs(n, latency),
+        )
     }
 
     #[test]
@@ -616,9 +626,10 @@ mod tests {
     fn repeat_preserves_order_on_threads() {
         let (n, m) = (8usize, 4u32);
         let lam = Latency::from_int(2);
+        let table = Arc::new(FibTable::new(lam, n as u64));
         let programs = send_programs_from(n, |id| {
             Box::new(RepeatProgram::new(
-                lam,
+                Arc::clone(&table),
                 Pacing::Greedy,
                 (id == ProcId::ROOT).then_some((n as u64, m)),
             )) as Box<dyn Program<postal_algos::MultiPacket> + Send>
@@ -695,12 +706,7 @@ mod tests {
             4,
             postal_obs::SampleSpec::tail(1),
         ));
-        let programs = send_programs_from(n, |id| {
-            Box::new(BcastProgram::new(
-                lam,
-                (id == ProcId::ROOT).then_some(n as u64),
-            )) as Box<dyn Program<BcastPayload> + Send>
-        });
+        let programs = bcast_programs(n, lam);
         let report = run_threaded_observed(
             lam,
             RuntimeConfig::default(),
@@ -739,12 +745,7 @@ mod tests {
         let n = 6;
         let lam = Latency::from_ratio(5, 2);
         let rec = Arc::new(postal_obs::MemoryRecorder::new());
-        let programs = send_programs_from(n, |id| {
-            Box::new(BcastProgram::new(
-                lam,
-                (id == ProcId::ROOT).then_some(n as u64),
-            )) as Box<dyn Program<BcastPayload> + Send>
-        });
+        let programs = bcast_programs(n, lam);
         let report = run_threaded_observed(
             lam,
             RuntimeConfig::default(),
@@ -815,10 +816,7 @@ mod tests {
 
     #[test]
     fn empty_system_terminates() {
-        let programs: Vec<Box<dyn Program<BcastPayload> + Send>> = send_programs_from(1, |_| {
-            Box::new(BcastProgram::new(Latency::TELEPHONE, Some(1)))
-                as Box<dyn Program<BcastPayload> + Send>
-        });
+        let programs = bcast_programs(1, Latency::TELEPHONE);
         let report = run_threaded(Latency::TELEPHONE, RuntimeConfig::default(), programs);
         assert_eq!(report.deliveries.len(), 0);
         assert_eq!(report.elapsed_units, 0.0);

@@ -14,13 +14,18 @@
 //! ```
 //! use postal_runtime::{run_threaded, send_programs_from, RuntimeConfig};
 //! use postal_algos::bcast::{BcastPayload, BcastProgram};
+//! use postal_algos::FibTable;
 //! use postal_model::Latency;
 //! use postal_sim::{ProcId, Program};
+//! use std::sync::Arc;
 //!
 //! let lam = Latency::from_int(2);
 //! let n = 6;
+//! // One F_λ table for the run, shared by every processor's program.
+//! let table = Arc::new(FibTable::new(lam, n as u64));
 //! let programs = send_programs_from(n, |id| {
-//!     Box::new(BcastProgram::new(lam, (id == ProcId::ROOT).then_some(n as u64)))
+//!     let root_range = (id == ProcId::ROOT).then_some(n as u64);
+//!     Box::new(BcastProgram::new(Arc::clone(&table), root_range))
 //!         as Box<dyn Program<BcastPayload> + Send>
 //! });
 //! let report = run_threaded(lam, RuntimeConfig::default(), programs);

@@ -8,6 +8,7 @@ use postal_model::Latency;
 use postal_runtime::{run_threaded, send_programs_from, RuntimeConfig};
 use postal_sim::{Idle, ProcId, Program};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 use std::time::Duration;
 
 fn config() -> RuntimeConfig {
@@ -22,9 +23,15 @@ fn gossip_on_threads_everyone_learns_everything() {
     let lam = Latency::from_int(2);
     let values: Vec<u64> = (0..n as u64).map(|i| 100 + i).collect();
 
+    let (table, orientation) = GossipProgram::stream_cascade(n, lam);
     let programs = send_programs_from(n, |id| {
-        Box::new(GossipProgram::new(id, n, values[id.index()], lam))
-            as Box<dyn Program<GossipPacket> + Send>
+        Box::new(GossipProgram::new(
+            id,
+            n,
+            values[id.index()],
+            Arc::clone(&table),
+            orientation,
+        )) as Box<dyn Program<GossipPacket> + Send>
     });
     let report = run_threaded(lam, config(), programs);
 

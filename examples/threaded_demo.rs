@@ -9,10 +9,11 @@
 
 use postal::algos::bcast::{BcastPayload, BcastProgram};
 use postal::algos::repeat::{Pacing, RepeatProgram};
-use postal::algos::MultiPacket;
+use postal::algos::{FibTable, MultiPacket};
 use postal::model::{runtimes, Latency};
 use postal::runtime::{run_threaded, send_programs_from, RuntimeConfig};
 use postal::sim::{ProcId, Program};
+use std::sync::Arc;
 use std::time::Duration;
 
 fn main() {
@@ -22,10 +23,13 @@ fn main() {
         unit: Duration::from_millis(5),
     };
 
+    // One F_λ table serves every program of both runs.
+    let table = Arc::new(FibTable::new(lambda, n as u64));
+
     // --- Single-message BCAST on threads ---
     let programs = send_programs_from(n, |id| {
         Box::new(BcastProgram::new(
-            lambda,
+            Arc::clone(&table),
             (id == ProcId::ROOT).then_some(n as u64),
         )) as Box<dyn Program<BcastPayload> + Send>
     });
@@ -47,7 +51,7 @@ fn main() {
     let m = 4u32;
     let programs = send_programs_from(n, |id| {
         Box::new(RepeatProgram::new(
-            lambda,
+            Arc::clone(&table),
             Pacing::Greedy,
             (id == ProcId::ROOT).then_some((n as u64, m)),
         )) as Box<dyn Program<MultiPacket> + Send>

@@ -4,12 +4,13 @@
 //! structure — who received what, in what order — is the contract).
 
 use postal::algos::bcast::{BcastPayload, BcastProgram};
-use postal::algos::pipeline::PipelineProgram;
-use postal::algos::MultiPacket;
+use postal::algos::pipeline::{pipeline_cascade, PipelineProgram};
+use postal::algos::{FibTable, MultiPacket};
 use postal::model::{runtimes, Latency};
 use postal::runtime::{run_threaded, send_programs_from, RuntimeConfig};
 use postal::sim::{ProcId, Program, Simulation, Uniform};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 use std::time::Duration;
 
 fn fast() -> RuntimeConfig {
@@ -37,9 +38,10 @@ fn bcast_edges_agree_between_substrates() {
     sim_edges.sort_unstable();
 
     // Threads.
+    let table = Arc::new(FibTable::new(lam, n as u64));
     let programs = send_programs_from(n, |id| {
         Box::new(BcastProgram::new(
-            lam,
+            Arc::clone(&table),
             (id == ProcId::ROOT).then_some(n as u64),
         )) as Box<dyn Program<BcastPayload> + Send>
     });
@@ -62,9 +64,11 @@ fn pipeline_delivery_multiset_agrees() {
     let sim = postal::algos::run_pipeline(n, m, lam);
     sim.verify().unwrap();
 
+    let (table, orientation) = pipeline_cascade(n as u64, m, lam);
     let programs = send_programs_from(n, |id| {
         Box::new(PipelineProgram::new(
-            lam,
+            Arc::clone(&table),
+            orientation,
             m,
             (id == ProcId::ROOT).then_some(n as u64),
         )) as Box<dyn Program<MultiPacket> + Send>
@@ -95,9 +99,10 @@ fn threaded_bcast_time_tracks_model_prediction() {
     let n = 16usize;
     let model_units = runtimes::bcast_time(n as u128, lam).to_f64();
 
+    let table = Arc::new(FibTable::new(lam, n as u64));
     let programs = send_programs_from(n, |id| {
         Box::new(BcastProgram::new(
-            lam,
+            Arc::clone(&table),
             (id == ProcId::ROOT).then_some(n as u64),
         )) as Box<dyn Program<BcastPayload> + Send>
     });

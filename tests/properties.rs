@@ -2,7 +2,8 @@
 //! latencies λ = p/q, processor counts and message counts.
 
 use postal::algos::{
-    cascade, run_bcast, run_dtree, run_pack, run_pipeline, run_repeat, BroadcastTree, Orientation,
+    cascade, run_bcast, run_dtree, run_pack, run_pipeline, run_repeat, BroadcastTree, CascadeSend,
+    FibTable, Orientation,
 };
 use postal::model::{bounds, runtimes, GenFib, Latency, Time};
 use proptest::prelude::*;
@@ -18,6 +19,26 @@ fn arb_latency() -> impl Strategy<Value = Latency> {
 /// Richer λ: arbitrary p/q in lowest terms with λ ≥ 1.
 fn arb_latency_fine() -> impl Strategy<Value = Latency> {
     (1i128..=8, 0i128..=40).prop_map(|(q, extra)| Latency::from_ratio(q + extra, q))
+}
+
+/// The cascade unrolled over a `GenFib` memo, one split at a time: the
+/// oracle the shared table's walk must repeat send for send.
+fn memo_cascade(fib: &GenFib, size: u64, orientation: Orientation) -> Vec<CascadeSend> {
+    let mut sends = Vec::new();
+    let mut s = size as u128;
+    while s > 1 {
+        let j = fib.bcast_split(s);
+        let (offset, delegated, kept) = match orientation {
+            Orientation::Standard => (j, s - j, j),
+            Orientation::Swapped => (s - j, j, s - j),
+        };
+        sends.push(CascadeSend {
+            offset: offset as u64,
+            size: delegated as u64,
+        });
+        s = kept;
+    }
+    sends
 }
 
 proptest! {
@@ -59,10 +80,34 @@ proptest! {
     #[test]
     fn cascade_partitions_range(lam in arb_latency_fine(), size in 1u64..2000,
                                 swapped in any::<bool>()) {
-        let g = GenFib::new(lam);
+        let table = FibTable::new(lam, size);
         let orientation = if swapped { Orientation::Swapped } else { Orientation::Standard };
-        let sends = cascade(&g, size, orientation);
+        let sends: Vec<CascadeSend> = cascade(&table, size, orientation).collect();
         prop_assert!(postal::algos::cascade::covers_range(&sends, size));
+    }
+
+    #[test]
+    fn table_walk_is_the_genfib_cascade(lam in arb_latency_fine(), size in 1u64..2000) {
+        let fib = GenFib::new(lam);
+        // A run's table is built for its n; a cascade asks it for any
+        // range up to n, so a table larger than the range must walk the
+        // same sends.
+        let tables = [FibTable::new(lam, size), FibTable::new(lam, 2 * size)];
+        for orientation in [Orientation::Standard, Orientation::Swapped] {
+            let oracle = memo_cascade(&fib, size, orientation);
+            for table in &tables {
+                let walked: Vec<CascadeSend> = cascade(table, size, orientation).collect();
+                prop_assert_eq!(
+                    &walked,
+                    &oracle,
+                    "λ={} size={} {:?}, table built for {}",
+                    lam,
+                    size,
+                    orientation,
+                    table.size()
+                );
+            }
+        }
     }
 
     #[test]
