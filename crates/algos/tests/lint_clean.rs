@@ -14,7 +14,7 @@ use postal_algos::{
     BroadcastTree, ToSchedule,
 };
 use postal_model::lint::StreamingLint;
-use postal_model::Latency;
+use postal_model::{Latency, TopologySpec};
 use postal_obs::LintSink;
 use postal_sim::{Simulation, Uniform};
 use postal_verify::{
@@ -77,6 +77,42 @@ fn algorithm_runs_stay_on_the_linter_lattice() {
     }
     assert_eq!(lint.index().sends_observed(), u64::from(m) * (n as u64 - 1));
     assert_eq!(lint.exact_sends(), 0);
+}
+
+#[test]
+fn linter_memory_figure_is_pinned_byte_for_byte() {
+    // The figure `simulate --lint-inline` prints as "linter memory":
+    // every container the engine reserves, by capacity, before
+    // `finish`. Ports-only leaves out the broadcast codes' state; the
+    // ring adds its `P0017` findings.
+    let (n, lam) = (1000, Latency::from_int(2));
+    let schedule = run_bcast(n, lam).trace.to_schedule(n as u32, lam);
+    let ring = TopologySpec::Ring
+        .instantiate(n as u32)
+        .expect("a ring of 1000");
+    for (what, mut lint, bytes) in [
+        (
+            "default",
+            StreamingLint::new(n as u32, lam, LintOptions::default()),
+            44_176,
+        ),
+        (
+            "ports_only",
+            StreamingLint::new(n as u32, lam, LintOptions::ports_only()),
+            36_176,
+        ),
+        (
+            "ring",
+            StreamingLint::with_topology(n as u32, lam, LintOptions::default(), &ring),
+            240_784,
+        ),
+    ] {
+        for s in schedule.sends() {
+            lint.advance_watermark(s.send_start);
+            lint.observe_send(s.src, s.dst, s.send_start);
+        }
+        assert_eq!(lint.memory_bytes(), bytes, "{what}");
+    }
 }
 
 #[test]

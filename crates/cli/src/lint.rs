@@ -4,7 +4,7 @@
 use crate::args::{parse_topology, Args, Command, Kind};
 use crate::CliError;
 use postal_model::{Latency, Time, Topology};
-use postal_obs::{JsonlParser, LineReader, LintStream, StreamOrdering};
+use postal_obs::{JsonlParser, LineReader, LintStream};
 use postal_verify::{json, lint_schedule, render, Diagnostic, LintOptions, Severity};
 use std::fs::File;
 use std::io::{BufRead as _, BufReader, Cursor, Read as _};
@@ -115,8 +115,8 @@ fn open_sniffed(path: &str) -> Result<(String, BufReader<File>), CliError> {
     Ok((first_line, reader))
 }
 
-/// The streaming linter for one run, with `Live` ordering: sound for
-/// both orders a log is written in — live emission order (sends
+/// The streaming linter for one run. Its one watermark policy is sound
+/// for both orders a log is written in — live emission order (sends
 /// announced ahead of their starts) and at()-sorted — while a shuffled
 /// log merely defers finalization to finish(), still the exact batch
 /// report.
@@ -128,8 +128,8 @@ pub(crate) fn lint_stream(
 ) -> LintStream {
     let opts = LintOptions::broadcast_of(messages);
     match topology {
-        Some(t) => LintStream::with_topology(n, lam, opts, StreamOrdering::Live, t),
-        None => LintStream::new(n, lam, opts, StreamOrdering::Live),
+        Some(t) => LintStream::with_topology(n, lam, opts, t),
+        None => LintStream::new(n, lam, opts),
     }
 }
 

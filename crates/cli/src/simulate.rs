@@ -349,11 +349,10 @@ fn lint_inline(
     let (ran, stream, dropped, sample) = match ring(a)? {
         Some(ring) => {
             let ran = run(&ring)?;
+            // `into_log` sorts the snapshot by `at()`.
             let log = ring.into_log(RunMeta::new("event", n as u32));
-            let mut events = log.events().to_vec();
-            events.sort_by_key(|e| e.at());
             let mut stream = lint_stream(n as u32, lam, m.into(), topo);
-            for ev in &events {
+            for ev in log.events() {
                 stream.on_event(ev);
             }
             let meta = log.meta();

@@ -51,8 +51,9 @@
 //! ## Architecture
 //!
 //! There is one engine: [`StreamingLint`], in the [`stream`] module,
-//! where each schedule code (`P0001`–`P0007`, `P0017`–`P0019`) is one
-//! [`StreamingLintPass`] over a send stream with O(n) memory. The simulator feeds it live and a JSONL log feeds it
+//! which checks every schedule code (`P0001`–`P0007`, `P0017`–`P0019`)
+//! over a send stream with O(n) memory, each code's state a field of
+//! the engine. The simulator feeds it live and a JSONL log feeds it
 //! line by line; [`lint_schedule`] feeds it a materialized schedule's
 //! sends, which are already in the canonical `(send_start, src, dst)`
 //! order the engine finalizes in. See the [`stream`] module docs for
@@ -71,9 +72,7 @@ use std::fmt;
 pub mod reference;
 pub mod stream;
 
-pub use stream::{
-    PassStage, StreamContext, StreamEvent, StreamIndex, StreamingLint, StreamingLintPass,
-};
+pub use stream::{StreamIndex, StreamingLint};
 
 /// Stable diagnostic codes, one per paper rule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]

@@ -22,16 +22,15 @@
 //! and a send is observed when it is *issued*, which can precede its
 //! start time (output-port serialization). The engine therefore parks
 //! observed sends in a pending queue ordered by
-//! `(send_start, src, dst)` and **finalizes** — pops and feeds to the
-//! passes — every send whose key is strictly below the watermark. As
-//! long as the caller only advances the watermark to times `t` such
-//! that every send starting before `t` has already been observed (true
-//! for the engine's clock, for timestamp-sorted logs, and for a
-//! schedule's own send list), finalization order is exactly canonical
-//! order. A send observed *late* — starting below the current
-//! watermark — sets [`StreamingLint::out_of_order`]; callers should
-//! treat the report as unreliable and lint the materialized schedule
-//! instead.
+//! `(send_start, src, dst)` and **finalizes** — pops and checks — every
+//! send whose key is strictly below the watermark. As long as the
+//! caller only advances the watermark to times `t` such that every send
+//! starting before `t` has already been observed (true for the engine's
+//! clock, for timestamp-sorted logs, and for a schedule's own send
+//! list), finalization order is exactly canonical order. A send
+//! observed *late* — starting below the current watermark — sets
+//! [`StreamingLint::out_of_order`]; callers should treat the report as
+//! unreliable and lint the materialized schedule instead.
 //!
 //! Two pending lanes keep the hot path on machine integers: an `i64`
 //! tick lane for starts on the stream's lattice and an exact-[`Time`]
@@ -47,20 +46,23 @@
 //! A send's start is converted to ticks once, in
 //! [`StreamingLint::observe_send`]. The tick decides its lane and the
 //! out-of-order check against the watermark, which is kept in ticks
-//! too, and it travels with the send when it is finalized
-//! ([`StreamEvent::Send`]), so `P0001`, `P0002`, `P0003` and `P0006`
-//! decide on integers whenever both sides sit on the lattice. A start
-//! off the lattice keeps the exact lane and the passes' exact
-//! comparisons; [`StreamingLint::exact_sends`] counts such sends.
+//! too, and it travels with the send when it is finalized, so `P0001`,
+//! `P0002`, `P0003` and `P0006` decide on integers whenever both sides
+//! sit on the lattice. A start off the lattice keeps the exact lane and
+//! the checks' exact comparisons; [`StreamingLint::exact_sends`] counts
+//! such sends.
 //!
-//! ## Online vs `finish`-time passes
+//! ## Online vs `finish`-time checks
+//!
+//! Each code keeps its own state in [`StreamingLint`]. Finalizing a
+//! send runs the online checks; [`StreamingLint::finish`] turns the
+//! state into findings, one step per code.
 //!
 //! * `P0001`/`P0002` keep one previous send per output/input port and
-//!   emit overlaps online.
+//!   detect overlaps online.
 //! * `P0003` decides violations online (a receipt informing a send can
-//!   never be observed after the send is finalized — see
-//!   [`StreamingCausalityPass`]) but renders messages at `finish`, when
-//!   first-receipt times are final.
+//!   never be observed after the send is finalized) but renders
+//!   messages at `finish`, when first-receipt times are final.
 //! * `P0004` buffers malformed sends and replays them in schedule order
 //!   at `finish`.
 //! * `P0005`/`P0007` are pure `finish`-time checks over the running
@@ -69,14 +71,14 @@
 //!   processor online, and resolves the gap against the coverage
 //!   horizon at `finish`.
 //! * `P0017` checks each finalized send against the topology online;
-//!   `P0018`/`P0019` are `finish`-time checks against the graph's BFS
-//!   distances.
+//!   `P0018`/`P0019` are `finish`-time checks against one BFS of the
+//!   graph from the originator.
 //!
-//! [`StreamingLint::finish`] runs the passes in three [`PassStage`]s
-//! (shape → broadcast → quality, with quality suppressed by any error)
-//! and sorts once into report order. `tests/lint_differential.rs` pins
-//! the report byte-identical (rendered and JSON) to the retained seed
-//! engine, [`lint_schedule_reference`](super::reference::lint_schedule_reference),
+//! `finish` emits the findings in three stages (shape → broadcast →
+//! quality, with quality suppressed by any error) and sorts once into
+//! report order. `tests/lint_differential.rs` pins the report
+//! byte-identical (rendered and JSON) to the retained seed engine,
+//! [`lint_schedule_reference`](super::reference::lint_schedule_reference),
 //! over the full acceptance grid.
 
 use super::{diag_order, Diagnostic, LintCode, LintOptions, Severity};
@@ -90,7 +92,6 @@ use std::cmp::{Ordering, Reverse};
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BinaryHeap, HashMap};
 use std::mem::size_of;
-use std::sync::{Arc, OnceLock};
 
 /// Sentinel for "no value" in a [`TimeSlots`] tick lane. Larger than
 /// any tick count a lane holds: a start or receipt sum of two counts
@@ -198,11 +199,11 @@ impl TimeSlots {
     }
 }
 
-/// The running per-stream state every streaming pass shares: processor
-/// count, λ, per-processor first-receipt times (updated as sends are
-/// observed — the minimum is order-independent) and the running
-/// completion maximum over *all* observed sends, malformed included
-/// (mirroring [`Schedule::completion`](crate::schedule::Schedule::completion)).
+/// The running per-stream state every check shares: processor count,
+/// λ, per-processor first-receipt times (updated as sends are observed
+/// — the minimum is order-independent) and the running completion
+/// maximum over *all* observed sends, malformed included (mirroring
+/// [`Schedule::completion`](crate::schedule::Schedule::completion)).
 pub struct StreamIndex {
     n: u32,
     latency: Latency,
@@ -309,76 +310,83 @@ impl StreamIndex {
     }
 }
 
-/// One unit of streamed input, handed to every registered pass.
-pub enum StreamEvent<'a> {
-    /// A well-formed send, finalized in canonical
-    /// `(send_start, src, dst)` order.
-    Send {
-        /// The send.
-        send: &'a TimedSend,
-        /// Its start in ticks of the stream's lattice (`1/D` with
-        /// `D = λ.lattice_lcm(2)`), or `None` for a start off it.
-        ticks: Option<i64>,
-    },
-    /// A structurally malformed send (`P0004` material), delivered at
-    /// observation time in stream order.
-    Malformed(&'a TimedSend),
+/// One port per processor — the output ports for `P0001`, the input
+/// ports for `P0002` — with its previous send's start and peer, and
+/// the overlaps found so far, tagged with the port's processor.
+struct Ports {
+    prev_start: TimeSlots,
+    peer: Vec<u32>,
+    found: Vec<(u32, Diagnostic)>,
 }
 
-/// What a streaming pass may look at alongside each event: the shared
-/// running index and the caller's options.
-pub struct StreamContext<'a> {
-    /// The shared running aggregates.
-    pub index: &'a StreamIndex,
-    /// What the stream is being linted as.
-    pub opts: &'a LintOptions,
-}
+impl Ports {
+    fn new(n: usize, den: i64) -> Ports {
+        Ports {
+            prev_start: TimeSlots::new(n, den),
+            peer: vec![0; n],
+            found: Vec::new(),
+        }
+    }
 
-/// When in [`StreamingLint::finish`] a pass's findings land.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PassStage {
-    /// Port and shape rules; always run. For non-broadcast lints
-    /// ([`LintOptions::ports_only`]) the report stops here, in emission
-    /// order.
-    Shape,
-    /// Broadcast validity rules; run when `opts.broadcast`.
-    Broadcast,
-    /// Quality lints; run only when no error was found, since a broken
-    /// schedule's completion time is meaningless.
-    Quality,
-}
+    /// Moves port `p` on to a send with `peer` starting at `start`
+    /// (`ticks` on the lattice), returning the previous send's start
+    /// and peer when it started less than one unit earlier.
+    fn step(&mut self, p: u32, peer: u32, start: Time, ticks: Option<i64>) -> Option<(Time, u32)> {
+        let overlap = self
+            .prev_start
+            .less_than_one_unit_before(p, start, ticks)
+            .map(|a| (a, self.peer[p as usize]));
+        self.prev_start.put_at(p, start, ticks);
+        self.peer[p as usize] = peer;
+        overlap
+    }
 
-/// One incremental check over the send stream.
-///
-/// `on_event` is called once per observed send — malformed sends at
-/// observation time, well-formed sends on finalization in canonical
-/// order — and `finish` once at end of stream. A pass must emit its
-/// `finish` diagnostics in canonical *emission* order for its code (by
-/// processor, then schedule order); the engine's final stable sort
-/// keeps equal-key diagnostics in that order, which is part of the
-/// byte-identical report contract.
-pub trait StreamingLintPass {
-    /// When in the staged sweep this pass's findings land.
-    fn stage(&self) -> PassStage;
-    /// Consumes one streamed send.
-    fn on_event(&mut self, cx: &StreamContext<'_>, ev: &StreamEvent<'_>);
-    /// Appends this pass's findings to `out` at end of stream.
-    fn finish(&mut self, cx: &StreamContext<'_>, out: &mut Vec<Diagnostic>);
-    /// Currently reserved heap bytes, by container capacity.
+    /// Appends the overlaps by processor; the stable sort keeps each
+    /// processor's overlaps in detection (= schedule) order.
+    fn findings(&mut self, out: &mut Vec<Diagnostic>) {
+        self.found.sort_by_key(|&(p, _)| p);
+        out.extend(self.found.drain(..).map(|(_, d)| d));
+    }
+
     fn memory_bytes(&self) -> usize {
-        0
+        self.prev_start.memory_bytes()
+            + self.peer.capacity() * size_of::<u32>()
+            + self.found.capacity() * size_of::<(u32, Diagnostic)>()
     }
 }
 
-/// The streaming lint engine: feeds observed sends through the
-/// registered [`StreamingLintPass`]es with bounded memory.
+/// The streaming lint engine: checks each send the watermark releases
+/// and assembles the report in [`StreamingLint::finish`].
 ///
 /// See the [module docs](self) for the watermark/finalization protocol
-/// and the pass-by-pass incremental strategy.
+/// and the code-by-code incremental strategy.
 pub struct StreamingLint {
     opts: LintOptions,
     index: StreamIndex,
-    passes: Vec<Box<dyn StreamingLintPass + Send>>,
+    /// The graph `P0017`–`P0019` check against; `None` for the complete
+    /// graph, where all three are vacuous.
+    topology: Option<Topology>,
+    /// `P0004`: the malformed sends, in observation order.
+    malformed: Vec<TimedSend>,
+    /// `P0001`: the output ports, keyed by sender.
+    out_ports: Ports,
+    /// `P0002`: the input ports, keyed by receiver. Receive finishes are
+    /// send starts shifted by the constant λ, so the window condition is
+    /// the same less-than-one-unit-apart comparison of starts.
+    in_ports: Ports,
+    /// `P0003`: finalized sends whose sender did not yet hold the
+    /// message, in finalization order. The decision is final when made:
+    /// a send finalized at watermark `w > start` has every receipt
+    /// finishing by `start` already observed, because the informing
+    /// send started at least λ earlier.
+    causality: Vec<TimedSend>,
+    /// `P0006`: each output port's busy cursor (empty unless the stream
+    /// is linted as a broadcast).
+    idle_cursor: TimeSlots,
+    /// `P0006`: each port's first idle gap.
+    first_gap: HashMap<u32, Time>,
+    /// `P0017`: the non-edge findings, in schedule order.
+    non_edges: Vec<Diagnostic>,
     /// Pending sends on the stream's tick lattice, bucketed by start
     /// tick.
     pending_fast: BTreeMap<i64, TickBucket>,
@@ -400,28 +408,23 @@ pub struct StreamingLint {
 }
 
 impl StreamingLint {
-    /// Creates an engine over `MPS(n, λ)` with the standard pass suite:
-    /// `P0004`, `P0001`, `P0002`, `P0003`, `P0005`, `P0006`, `P0007`,
-    /// in canonical emission order. When `opts.broadcast` is off only
-    /// the shape passes are registered.
+    /// Creates an engine over `MPS(n, λ)` checking `P0001`, `P0002` and
+    /// `P0004`, plus `P0003` and `P0005`–`P0007` when `opts.broadcast`.
     pub fn new(n: u32, latency: Latency, opts: LintOptions) -> StreamingLint {
         let index = StreamIndex::new(n, latency);
         let den = index.den;
-        let mut passes: Vec<Box<dyn StreamingLintPass + Send>> = vec![
-            Box::new(StreamingMalformedPass::new()),
-            Box::new(StreamingOutputPortPass::new(n as usize, den)),
-            Box::new(StreamingInputWindowPass::new(n as usize, den)),
-        ];
-        if opts.broadcast {
-            passes.push(Box::new(StreamingCausalityPass::new()));
-            passes.push(Box::new(StreamingCoveragePass));
-            passes.push(Box::new(StreamingIdlePortPass::new(n as usize, den)));
-            passes.push(Box::new(StreamingOptimalityPass));
-        }
+        let cursors = if opts.broadcast { n as usize } else { 0 };
         StreamingLint {
             opts,
             index,
-            passes,
+            topology: None,
+            malformed: Vec::new(),
+            out_ports: Ports::new(n as usize, den),
+            in_ports: Ports::new(n as usize, den),
+            causality: Vec::new(),
+            idle_cursor: TimeSlots::new(cursors, den),
+            first_gap: HashMap::new(),
+            non_edges: Vec::new(),
             pending_fast: BTreeMap::new(),
             pending_fast_len: 0,
             pending_fast_bytes: 0,
@@ -434,13 +437,13 @@ impl StreamingLint {
         }
     }
 
-    /// [`StreamingLint::new`] plus the topology-grounded passes:
-    /// `P0017` (Shape, after `P0002`), `P0019` (Broadcast, after
-    /// `P0005`, which it root-cause-suppresses) and `P0018` (Quality,
-    /// after `P0007`). On the complete graph all three are vacuous —
-    /// every pair is an edge, every processor is reachable, and the BFS
-    /// bound defers to the stronger `f_λ(n)` of `P0007` — so the output
-    /// is byte-identical to [`StreamingLint::new`]'s.
+    /// [`StreamingLint::new`] plus the topology codes: `P0017` (shape,
+    /// after `P0002`), `P0019` (broadcast, after `P0005`, which it
+    /// root-cause-suppresses) and `P0018` (quality, after `P0007`). On
+    /// the complete graph all three are vacuous — every pair is an edge,
+    /// every processor is reachable, and the BFS bound defers to the
+    /// stronger `f_λ(n)` of `P0007` — so the output is byte-identical to
+    /// [`StreamingLint::new`]'s.
     ///
     /// `topology` must be instantiated for `n` processors
     /// (out-of-range processors read as non-edges/unreachable).
@@ -450,29 +453,15 @@ impl StreamingLint {
         opts: LintOptions,
         topology: &Topology,
     ) -> StreamingLint {
-        let topo = *topology;
-        let mut engine = StreamingLint::new(n, latency, opts);
-        engine
-            .passes
-            .push(Box::new(StreamingNonEdgePass::new(topo)));
-        if opts.broadcast {
-            let dist = OriginDistances::default();
-            engine
-                .passes
-                .push(Box::new(StreamingTopologyReachabilityPass {
-                    topo,
-                    dist: dist.clone(),
-                }));
-            engine
-                .passes
-                .push(Box::new(StreamingTopologyOptimalityPass { topo, dist }));
+        StreamingLint {
+            topology: (!topology.is_complete()).then_some(*topology),
+            ..StreamingLint::new(n, latency, opts)
         }
-        engine
     }
 
-    /// Observes one send. Malformed sends are classified and dispatched
-    /// immediately; well-formed sends are parked until the watermark
-    /// passes their start time.
+    /// Observes one send. Malformed sends are set aside for `P0004` at
+    /// once; well-formed sends are parked until the watermark passes
+    /// their start time.
     pub fn observe_send(&mut self, src: u32, dst: u32, send_start: Time) {
         let s = TimedSend {
             src,
@@ -480,7 +469,7 @@ impl StreamingLint {
             send_start,
         };
         // The one tick conversion of this send: everything below, and
-        // every pass once it is finalized, compares on it.
+        // every check once it is finalized, compares on it.
         let ticks = send_start.to_ticks(self.index.den);
         let n = self.index.n;
         let nonnegative = match ticks {
@@ -490,14 +479,7 @@ impl StreamingLint {
         let well_formed = src < n && dst < n && src != dst && nonnegative;
         self.index.record(&s, ticks, well_formed);
         if !well_formed {
-            let cx = StreamContext {
-                index: &self.index,
-                opts: &self.opts,
-            };
-            let ev = StreamEvent::Malformed(&s);
-            for pass in &mut self.passes {
-                pass.on_event(&cx, &ev);
-            }
+            self.malformed.push(s);
             return;
         }
         let late = match (ticks, self.watermark_ticks) {
@@ -566,14 +548,14 @@ impl StreamingLint {
                             dst,
                             send_start,
                         };
-                        self.dispatch_send(&s, Some(k));
+                        self.finalize(&s, Some(k));
                     }
                 }
                 return;
             }
         }
         while let Some((s, ticks)) = self.pop_min(Some(self.watermark)) {
-            self.dispatch_send(&s, ticks);
+            self.finalize(&s, ticks);
         }
     }
 
@@ -626,14 +608,94 @@ impl StreamingLint {
         }
     }
 
-    fn dispatch_send(&mut self, send: &TimedSend, ticks: Option<i64>) {
-        let cx = StreamContext {
-            index: &self.index,
-            opts: &self.opts,
+    /// Runs the online checks on one send the watermark released, in
+    /// canonical order; `ticks` is its start on the lattice, if there.
+    fn finalize(&mut self, s: &TimedSend, ticks: Option<i64>) {
+        let (src, dst, start) = (s.src, s.dst, s.send_start);
+        if let Some((a_start, a_dst)) = self.out_ports.step(src, dst, start, ticks) {
+            let a = TimedSend {
+                src,
+                dst: a_dst,
+                send_start: a_start,
+            };
+            self.out_ports.found.push((src, output_overlap(a, *s)));
+        }
+        if let Some((a_start, a_src)) = self.in_ports.step(dst, src, start, ticks) {
+            let a = TimedSend {
+                src: a_src,
+                dst,
+                send_start: a_start,
+            };
+            let d = window_overlap(a, *s, self.index.latency);
+            self.in_ports.found.push((dst, d));
+        }
+        if let Some(topo) = &self.topology {
+            if !topo.is_edge(src, dst) {
+                self.non_edges.push(non_edge(*s, topo));
+            }
+        }
+        if self.opts.broadcast {
+            let informed = src == self.opts.originator
+                || matches!(
+                    self.index.first_receipt.cmp_at(src, start, ticks),
+                    Some(Ordering::Less | Ordering::Equal)
+                );
+            if !informed {
+                self.causality.push(*s);
+            }
+            self.advance_idle_cursor(s, ticks);
+        }
+    }
+
+    /// `P0006`'s online half: moves `s.src`'s busy cursor past `s` and
+    /// records the port's first idle gap. A port's first send opens the
+    /// cursor at the processor's informed time — the sender's first
+    /// receipt so far, or the send itself when there is none, a `P0003`
+    /// error that suppresses `P0006`.
+    fn advance_idle_cursor(&mut self, s: &TimedSend, ticks: Option<i64>) {
+        let src = s.src;
+        let den = self.index.den;
+        // The lattice path: the port's cursor and this start in ticks.
+        if let Some(start) = ticks {
+            let cur = match self.idle_cursor.ticks[src as usize] {
+                EMPTY if src == self.opts.originator => Some(0),
+                EMPTY => match self.index.first_receipt.ticks[src as usize] {
+                    EMPTY => Some(start),
+                    EXACT => None,
+                    k => Some(k),
+                },
+                EXACT => None,
+                c => Some(c),
+            };
+            if let Some(cur) = cur {
+                if start > cur {
+                    self.first_gap
+                        .entry(src)
+                        .or_insert_with(|| Time::from_ticks(cur, den));
+                }
+                // At most TICK_LIMIT + den: below the lane's sentinels.
+                self.idle_cursor.ticks[src as usize] = cur.max(start + den);
+                return;
+            }
+        }
+        let start = s.send_start;
+        let cur = match self.idle_cursor.get(src) {
+            Some(c) => c,
+            None => self.informed_at(src).unwrap_or(start),
         };
-        let ev = StreamEvent::Send { send, ticks };
-        for pass in &mut self.passes {
-            pass.on_event(&cx, &ev);
+        if start > cur {
+            self.first_gap.entry(src).or_insert(cur);
+        }
+        self.idle_cursor.put(src, cur.max(start + Time::ONE));
+    }
+
+    /// When `p` holds the message: zero for the originator, its first
+    /// receipt observed so far for everyone else.
+    fn informed_at(&self, p: u32) -> Option<Time> {
+        if p == self.opts.originator {
+            Some(Time::ZERO)
+        } else {
+            self.index.first_receipt(p)
         }
     }
 
@@ -646,7 +708,7 @@ impl StreamingLint {
 
     /// Well-formed sends observed so far whose start lies off the
     /// stream's lattice, and so took the exact pending lane and the
-    /// passes' exact comparisons. The workspace's algorithms read 0
+    /// checks' exact comparisons. The workspace's algorithms read 0
     /// under a uniform λ.
     pub fn exact_sends(&self) -> u64 {
         self.exact_sends
@@ -665,54 +727,446 @@ impl StreamingLint {
 
     /// Peak reserved linter heap bytes, by container capacity: the
     /// pending lanes' high-water marks, the shared index, and every
-    /// pass's state (none of which shrink). This is the number the
+    /// code's state (none of which shrink). This is the number the
     /// `exp_stream_lint` budget gates, so it bounds the linter's peak
     /// whenever it is read.
     pub fn memory_bytes(&self) -> usize {
         self.pending_fast_peak
             + self.pending_exact.capacity() * size_of::<Reverse<(Time, u32, u32)>>()
             + self.index.memory_bytes()
-            + self.passes.iter().map(|p| p.memory_bytes()).sum::<usize>()
+            + self.malformed.capacity() * size_of::<TimedSend>()
+            + self.out_ports.memory_bytes()
+            + self.in_ports.memory_bytes()
+            + self.causality.capacity() * size_of::<TimedSend>()
+            + self.idle_cursor.memory_bytes()
+            + self.first_gap.capacity() * (size_of::<(u32, Time)>() + size_of::<u64>())
+            + self.non_edges.capacity() * size_of::<Diagnostic>()
     }
 
-    /// Finalizes every pending send, runs each pass's `finish` stage by
-    /// stage, and returns the report.
+    /// Finalizes every pending send and returns the report.
     ///
-    /// Shape findings come first (returned unsorted when the stream is
-    /// not linted as a broadcast — the engine's historical ports-only
-    /// contract), then broadcast validity, then — only when no error
-    /// was found — the quality lints, with one final stable sort into
-    /// report order.
+    /// Shape findings come first (`P0004`, `P0001`, `P0002`, `P0017`;
+    /// returned unsorted when the stream is not linted as a broadcast,
+    /// the ports-only report contract), then broadcast
+    /// validity (`P0003`, `P0005`, `P0019`), then — only when no error
+    /// was found, since a broken schedule's completion time is
+    /// meaningless — the quality lints (`P0006`, `P0007`, `P0018`),
+    /// with one final stable sort into report order. Each code emits in
+    /// its canonical order (by processor, then schedule order), which
+    /// the stable sort keeps among equal keys.
     pub fn finish(mut self) -> Vec<Diagnostic> {
         // Drain: everything still pending is final now.
         while let Some((s, ticks)) = self.pop_min(None) {
-            self.dispatch_send(&s, ticks);
+            self.finalize(&s, ticks);
         }
-        let mut passes = std::mem::take(&mut self.passes);
-        let cx = StreamContext {
-            index: &self.index,
-            opts: &self.opts,
-        };
         let mut diags = Vec::new();
-        let mut run_stage = |stage: PassStage, out: &mut Vec<Diagnostic>| {
-            for pass in &mut passes {
-                if pass.stage() == stage {
-                    pass.finish(&cx, out);
-                }
-            }
-        };
-        run_stage(PassStage::Shape, &mut diags);
+        self.malformed_findings(&mut diags);
+        self.out_ports.findings(&mut diags);
+        self.in_ports.findings(&mut diags);
+        diags.append(&mut self.non_edges);
         if !self.opts.broadcast {
             return diags;
         }
-        run_stage(PassStage::Broadcast, &mut diags);
-        if diags.iter().any(|d| d.severity == Severity::Error) {
-            diags.sort_by_key(diag_order);
-            return diags;
+        self.causality_findings(&mut diags);
+        self.coverage_findings(&mut diags);
+        // One BFS from the originator serves P0019 and P0018.
+        let graph = self
+            .topology
+            .map(|t| (t, t.bfs_distances(self.opts.originator)));
+        if let Some((topo, dist)) = &graph {
+            self.reachability_findings(topo, dist, &mut diags);
         }
-        run_stage(PassStage::Quality, &mut diags);
+        if !diags.iter().any(|d| d.severity == Severity::Error) {
+            self.idle_findings(&mut diags);
+            self.optimality_findings(&mut diags);
+            if let Some((topo, dist)) = &graph {
+                self.topology_optimality_findings(topo, dist, &mut diags);
+            }
+        }
         diags.sort_by_key(diag_order);
         diags
+    }
+
+    /// `P0004`: the malformed sends in schedule order, which
+    /// [`Schedule::new`](crate::schedule::Schedule::new) sorts by
+    /// `(start, src, dst)`.
+    fn malformed_findings(&mut self, out: &mut Vec<Diagnostic>) {
+        self.malformed.sort_by_key(|s| (s.send_start, s.src, s.dst));
+        let n = self.index.n;
+        let lam = self.index.latency;
+        for s in &self.malformed {
+            let what = if s.src == s.dst {
+                "self-send"
+            } else if s.src >= n || s.dst >= n {
+                "endpoint out of range"
+            } else {
+                "negative start time"
+            };
+            out.push(Diagnostic {
+                code: LintCode::MalformedSend,
+                severity: Severity::Error,
+                witness: None,
+                proc: Some(s.src),
+                sends: vec![*s],
+                related_time: None,
+                message: format!(
+                    "{what}: p{} -> p{} at t = {} in MPS({n}, {lam})",
+                    s.src, s.dst, s.send_start
+                ),
+            });
+        }
+    }
+
+    /// `P0003`: the violations found online, with the sender's final
+    /// first-receipt time.
+    fn causality_findings(&self, out: &mut Vec<Diagnostic>) {
+        for s in &self.causality {
+            let knows_at = self.index.first_receipt(s.src);
+            out.push(Diagnostic {
+                code: LintCode::CausalityViolation,
+                severity: Severity::Error,
+                witness: None,
+                proc: Some(s.src),
+                sends: vec![*s],
+                related_time: knows_at,
+                message: match knows_at {
+                    Some(t) => format!(
+                        "p{} sends at t = {} but first holds the message at t = {}",
+                        s.src, s.send_start, t
+                    ),
+                    None => format!(
+                        "p{} sends at t = {} but never receives the message",
+                        s.src, s.send_start
+                    ),
+                },
+            });
+        }
+    }
+
+    /// `P0005`: every processor but the originator that never receives.
+    fn coverage_findings(&self, out: &mut Vec<Diagnostic>) {
+        for p in 0..self.index.n {
+            if p != self.opts.originator && self.index.first_receipt(p).is_none() {
+                out.push(Diagnostic {
+                    code: LintCode::UninformedProcessor,
+                    severity: Severity::Error,
+                    witness: None,
+                    proc: Some(p),
+                    sends: Vec::new(),
+                    related_time: None,
+                    message: format!("p{p} never receives the broadcast message"),
+                });
+            }
+        }
+    }
+
+    /// `P0019`: the processors `dist` (BFS from the originator over
+    /// `topo`) cannot reach. No schedule can inform them, so the
+    /// graph-level finding root-cause-suppresses the `P0005` already in
+    /// `out` for each — the way `P0012` silences downstream findings in
+    /// `postal-abs`.
+    fn reachability_findings(&self, topo: &Topology, dist: &[u32], out: &mut Vec<Diagnostic>) {
+        let orig = self.opts.originator;
+        let cut: Vec<u32> = (0..self.index.n)
+            .filter(|&p| {
+                p != orig && dist.get(p as usize).copied().unwrap_or(UNREACHABLE) == UNREACHABLE
+            })
+            .collect();
+        if cut.is_empty() {
+            return;
+        }
+        let mut suppressed: Vec<u32> = Vec::new();
+        out.retain(|d| {
+            let cover = d.code == LintCode::UninformedProcessor
+                && d.proc.is_some_and(|p| cut.binary_search(&p).is_ok());
+            if cover {
+                suppressed.push(d.proc.unwrap_or(u32::MAX));
+            }
+            !cover
+        });
+        let spec = topo.spec();
+        for p in cut {
+            let note = if suppressed.contains(&p) {
+                " (suppresses the timing-level P0005)"
+            } else {
+                ""
+            };
+            out.push(Diagnostic {
+                code: LintCode::TopologyPartitionUnreachable,
+                severity: Severity::Error,
+                witness: None,
+                proc: Some(p),
+                sends: Vec::new(),
+                related_time: None,
+                message: format!(
+                    "p{p} has no path from the originator p{orig} in the {spec} \
+                     topology — no schedule can inform it{note}"
+                ),
+            });
+        }
+    }
+
+    /// `P0006`: resolves each port's first idle gap against the
+    /// coverage horizon.
+    ///
+    /// Only the first gap matters: the rule reports the earliest gap
+    /// whose hypothetical delivery beats some processor's actual
+    /// receipt, and that test is monotone — the receipt it compares
+    /// against does not depend on the gap, so if the earliest gap fails
+    /// the test every later (larger) gap fails too.
+    ///
+    /// The cursor opened at the first-receipt time read when the port's
+    /// first send finalized. In an error-free run that value was already
+    /// final (causality holds, so the informing receipt precedes the
+    /// first send, and later receipts finish strictly later); in a run
+    /// with errors this stage never runs.
+    fn idle_findings(&self, out: &mut Vec<Diagnostic>) {
+        let idx = &self.index;
+        let lam = idx.latency.as_time();
+
+        // The coverage horizon and the two latest first-receipts
+        // (distinct processors): enough to answer "does any processor
+        // other than `src` first receive after time x?" in O(1).
+        let mut completion_of_coverage = Time::ZERO;
+        let mut latest: Option<(Time, u32)> = None;
+        let mut second: Option<(Time, u32)> = None;
+        for p in 0..idx.n {
+            let Some(t) = idx.first_receipt(p) else {
+                continue;
+            };
+            completion_of_coverage = completion_of_coverage.max(t);
+            if latest.is_none_or(|(lt, lp)| (t, p) > (lt, lp)) {
+                second = latest;
+                latest = Some((t, p));
+            } else if second.is_none_or(|(st, sp)| (t, p) > (st, sp)) {
+                second = Some((t, p));
+            }
+        }
+        let receipt_after = |x: Time, src: u32| -> Option<(Time, u32)> {
+            match latest {
+                Some((t, q)) if q != src && t > x => Some((t, q)),
+                Some((_, q)) if q == src => second.filter(|&(t, _)| t > x),
+                _ => None,
+            }
+        };
+
+        for src in 0..idx.n {
+            let Some(informed_at) = self.informed_at(src) else {
+                continue;
+            };
+            // The candidate gap: the first recorded idle gap, else the
+            // open-ended gap after the last send (the port's whole
+            // informed life, for a port that never sent).
+            let gap = match self.idle_cursor.get(src) {
+                None => (informed_at < completion_of_coverage).then_some(informed_at),
+                Some(c) => match self.first_gap.get(&src) {
+                    Some(&g) => Some(g),
+                    None => (c < completion_of_coverage).then_some(c),
+                },
+            };
+            let Some(g) = gap else {
+                continue;
+            };
+            let hypothetical = g + lam;
+            // An uninformed-at-g processor whose eventual receipt
+            // is strictly later than the hypothetical delivery.
+            if let Some((t, q)) = receipt_after(hypothetical, src) {
+                out.push(Diagnostic {
+                    code: LintCode::IdlePortWaste,
+                    severity: Severity::Warn,
+                    witness: None,
+                    proc: Some(src),
+                    sends: Vec::new(),
+                    related_time: Some(g),
+                    message: format!(
+                        "p{src} is informed and idle from t = {g} although a send then \
+                         would reach p{q} at t = {hypothetical}, earlier than its actual \
+                         receipt at t = {t}"
+                    ),
+                });
+            }
+        }
+    }
+
+    /// `P0007`: the completion time against `f_λ(n)` / the Lemma 8
+    /// bound.
+    fn optimality_findings(&self, out: &mut Vec<Diagnostic>) {
+        let n = self.index.n;
+        let lam = self.index.latency;
+        // Only sensible when there is something to broadcast to.
+        if n < 2 {
+            return;
+        }
+        let completion = self.index.completion();
+        let m = self.opts.messages.max(1);
+        let optimal = if m == 1 {
+            GenFib::new(lam).index(n as u128)
+        } else {
+            runtimes::multi_lower_bound(n as u128, m, lam)
+        };
+        if completion < optimal {
+            out.push(Diagnostic {
+                code: LintCode::OptimalityGap,
+                severity: Severity::Error,
+                witness: None,
+                proc: None,
+                sends: Vec::new(),
+                related_time: Some(optimal),
+                message: format!(
+                    "completes at t = {completion}, beating the proven lower bound {optimal} \
+                     for {m} message(s) in MPS({n}, {lam}) — the schedule cannot be a full \
+                     broadcast"
+                ),
+            });
+        } else if completion > optimal {
+            let (severity, bound_name) = if m == 1 {
+                (Severity::Warn, "the optimum f_lambda(n)")
+            } else {
+                // The Lemma 8 bound is not always attainable, so a gap
+                // against it is informational, not a defect.
+                (
+                    Severity::Info,
+                    "the Lemma 8 lower bound (m-1) + f_lambda(n)",
+                )
+            };
+            out.push(Diagnostic {
+                code: LintCode::OptimalityGap,
+                severity,
+                witness: None,
+                proc: None,
+                sends: Vec::new(),
+                related_time: Some(optimal),
+                message: format!(
+                    "completes at t = {completion}; {bound_name} is {optimal} \
+                     (gap {} units)",
+                    completion - optimal
+                ),
+            });
+        }
+    }
+
+    /// `P0018`: the completion time against the BFS bound
+    /// `(m−1) + λ·ecc(originator)` over `topo` — a message reaching a
+    /// processor at graph distance `d` traverses `d` edges at λ per hop.
+    /// The sparse-graph analogue of `P0007`'s Lemma 8 gap.
+    fn topology_optimality_findings(
+        &self,
+        topo: &Topology,
+        dist: &[u32],
+        out: &mut Vec<Diagnostic>,
+    ) {
+        if self.index.n < 2 {
+            return;
+        }
+        let spec = topo.spec();
+        let orig = self.opts.originator;
+        let completion = self.index.completion();
+        let m = self.opts.messages.max(1);
+        let lam = self.index.latency.as_time();
+        let bound = Time::from_int(m as i128 - 1) + lam.mul_int(eccentricity_of(dist) as i128);
+        if completion < bound {
+            out.push(Diagnostic {
+                code: LintCode::TopologyOptimalityGap,
+                severity: Severity::Error,
+                witness: None,
+                proc: None,
+                sends: Vec::new(),
+                related_time: Some(bound),
+                message: format!(
+                    "completes at t = {completion}, beating the {spec} topology \
+                     lower bound {bound} for {m} message(s) from p{orig} — some \
+                     transfer must bypass the graph"
+                ),
+            });
+        } else if completion > bound {
+            // Like the Lemma 8 bound, λ·ecc is not always attainable:
+            // a gap is suspect for one message, informational beyond.
+            let severity = if m == 1 {
+                Severity::Warn
+            } else {
+                Severity::Info
+            };
+            out.push(Diagnostic {
+                code: LintCode::TopologyOptimalityGap,
+                severity,
+                witness: None,
+                proc: None,
+                sends: Vec::new(),
+                related_time: Some(bound),
+                message: format!(
+                    "completes at t = {completion}; the {spec} topology lower \
+                     bound (m-1) + lambda*ecc(p{orig}) is {bound} (gap {} units)",
+                    completion - bound
+                ),
+            });
+        }
+    }
+}
+
+/// `P0001`: sends `a` then `b` leave one output port less than one
+/// unit apart.
+#[cold]
+fn output_overlap(a: TimedSend, b: TimedSend) -> Diagnostic {
+    let src = b.src;
+    Diagnostic {
+        code: LintCode::OutputPortOverlap,
+        severity: Severity::Error,
+        witness: None,
+        proc: Some(src),
+        sends: vec![a, b],
+        related_time: None,
+        message: format!(
+            "p{src} starts sends at t = {} and t = {} ({} < 1 unit apart)",
+            a.send_start,
+            b.send_start,
+            b.send_start - a.send_start,
+        ),
+    }
+}
+
+/// `P0002`: the receive windows of sends `a` then `b` overlap at one
+/// input port.
+#[cold]
+fn window_overlap(a: TimedSend, b: TimedSend, lam: Latency) -> Diagnostic {
+    let dst = b.dst;
+    let (f0, f1) = (a.recv_finish(lam), b.recv_finish(lam));
+    Diagnostic {
+        code: LintCode::InputWindowOverlap,
+        severity: Severity::Error,
+        witness: None,
+        proc: Some(dst),
+        sends: vec![a, b],
+        related_time: None,
+        message: format!(
+            "p{dst}'s receive windows [{}, {}] and [{}, {}] overlap",
+            f0 - Time::ONE,
+            f0,
+            f1 - Time::ONE,
+            f1,
+        ),
+    }
+}
+
+/// `P0017`: send `s` crosses a pair that is not an edge of `topo`.
+#[cold]
+fn non_edge(s: TimedSend, topo: &Topology) -> Diagnostic {
+    Diagnostic {
+        code: LintCode::NonEdgeSend,
+        severity: Severity::Error,
+        witness: None,
+        proc: Some(s.src),
+        sends: vec![s],
+        related_time: None,
+        message: format!(
+            "p{} sends to p{} at t = {}, but p{}-p{} is not an edge \
+             of the {} topology",
+            s.src,
+            s.dst,
+            s.send_start,
+            s.src,
+            s.dst,
+            topo.spec()
+        ),
     }
 }
 
@@ -761,765 +1215,6 @@ impl TickBucket {
     }
 }
 
-/// `P0004`, streaming: malformed sends buffer at observation and
-/// replay in schedule order at `finish`.
-pub struct StreamingMalformedPass {
-    found: Vec<TimedSend>,
-}
-
-impl StreamingMalformedPass {
-    /// Creates the pass with an empty buffer.
-    pub fn new() -> StreamingMalformedPass {
-        StreamingMalformedPass { found: Vec::new() }
-    }
-}
-
-impl Default for StreamingMalformedPass {
-    fn default() -> StreamingMalformedPass {
-        StreamingMalformedPass::new()
-    }
-}
-
-impl StreamingLintPass for StreamingMalformedPass {
-    fn stage(&self) -> PassStage {
-        PassStage::Shape
-    }
-
-    fn on_event(&mut self, _cx: &StreamContext<'_>, ev: &StreamEvent<'_>) {
-        if let StreamEvent::Malformed(s) = ev {
-            self.found.push(**s);
-        }
-    }
-
-    fn finish(&mut self, cx: &StreamContext<'_>, out: &mut Vec<Diagnostic>) {
-        // Schedule order: `Schedule::new` sorts by (start, src, dst).
-        self.found.sort_by_key(|s| (s.send_start, s.src, s.dst));
-        let n = cx.index.n();
-        let lam = cx.index.latency();
-        for s in &self.found {
-            let what = if s.src == s.dst {
-                "self-send"
-            } else if s.src >= n || s.dst >= n {
-                "endpoint out of range"
-            } else {
-                "negative start time"
-            };
-            out.push(Diagnostic {
-                code: LintCode::MalformedSend,
-                severity: Severity::Error,
-                witness: None,
-                proc: Some(s.src),
-                sends: vec![*s],
-                related_time: None,
-                message: format!(
-                    "{what}: p{} -> p{} at t = {} in MPS({n}, {lam})",
-                    s.src, s.dst, s.send_start
-                ),
-            });
-        }
-    }
-
-    fn memory_bytes(&self) -> usize {
-        self.found.capacity() * size_of::<TimedSend>()
-    }
-}
-
-/// `P0001`, streaming: one previous send per output port; overlaps are
-/// detected online and grouped by processor at `finish`.
-pub struct StreamingOutputPortPass {
-    prev_start: TimeSlots,
-    prev_dst: Vec<u32>,
-    found: Vec<(u32, Diagnostic)>,
-}
-
-impl StreamingOutputPortPass {
-    /// Creates the pass for `n` processors whose send times tick at
-    /// `1/den` (the lattice of [`StreamIndex`]).
-    pub fn new(n: usize, den: i64) -> StreamingOutputPortPass {
-        StreamingOutputPortPass {
-            prev_start: TimeSlots::new(n, den),
-            prev_dst: vec![0; n],
-            found: Vec::new(),
-        }
-    }
-}
-
-impl StreamingLintPass for StreamingOutputPortPass {
-    fn stage(&self) -> PassStage {
-        PassStage::Shape
-    }
-
-    fn on_event(&mut self, _cx: &StreamContext<'_>, ev: &StreamEvent<'_>) {
-        let StreamEvent::Send { send: b, ticks } = *ev else {
-            return;
-        };
-        let src = b.src;
-        if let Some(a_start) = self
-            .prev_start
-            .less_than_one_unit_before(src, b.send_start, ticks)
-        {
-            let a = TimedSend {
-                src,
-                dst: self.prev_dst[src as usize],
-                send_start: a_start,
-            };
-            self.found.push((
-                src,
-                Diagnostic {
-                    code: LintCode::OutputPortOverlap,
-                    severity: Severity::Error,
-                    witness: None,
-                    proc: Some(src),
-                    sends: vec![a, *b],
-                    related_time: None,
-                    message: format!(
-                        "p{src} starts sends at t = {} and t = {} ({} < 1 unit apart)",
-                        a.send_start,
-                        b.send_start,
-                        b.send_start - a.send_start,
-                    ),
-                },
-            ));
-        }
-        self.prev_start.put_at(src, b.send_start, ticks);
-        self.prev_dst[src as usize] = b.dst;
-    }
-
-    fn finish(&mut self, _cx: &StreamContext<'_>, out: &mut Vec<Diagnostic>) {
-        // Emission order is per src ascending; the stable sort keeps
-        // each processor's overlaps in detection (= schedule) order.
-        self.found.sort_by_key(|(src, _)| *src);
-        out.extend(self.found.drain(..).map(|(_, d)| d));
-    }
-
-    fn memory_bytes(&self) -> usize {
-        self.prev_start.memory_bytes()
-            + self.prev_dst.capacity() * size_of::<u32>()
-            + self.found.capacity() * size_of::<(u32, Diagnostic)>()
-    }
-}
-
-/// `P0002`, streaming: one previous receive window per input port;
-/// overlaps are detected online and grouped by processor at `finish`.
-pub struct StreamingInputWindowPass {
-    prev_start: TimeSlots,
-    prev_src: Vec<u32>,
-    found: Vec<(u32, Diagnostic)>,
-}
-
-impl StreamingInputWindowPass {
-    /// Creates the pass for `n` processors whose send times tick at
-    /// `1/den` (the lattice of [`StreamIndex`]).
-    pub fn new(n: usize, den: i64) -> StreamingInputWindowPass {
-        StreamingInputWindowPass {
-            prev_start: TimeSlots::new(n, den),
-            prev_src: vec![0; n],
-            found: Vec::new(),
-        }
-    }
-}
-
-impl StreamingLintPass for StreamingInputWindowPass {
-    fn stage(&self) -> PassStage {
-        PassStage::Shape
-    }
-
-    fn on_event(&mut self, cx: &StreamContext<'_>, ev: &StreamEvent<'_>) {
-        let StreamEvent::Send { send: b, ticks } = *ev else {
-            return;
-        };
-        let dst = b.dst;
-        // Receive finishes are send starts shifted by the constant λ, so
-        // the window condition is the same less-than-one-unit-apart
-        // comparison of starts.
-        if let Some(a_start) = self
-            .prev_start
-            .less_than_one_unit_before(dst, b.send_start, ticks)
-        {
-            let a = TimedSend {
-                src: self.prev_src[dst as usize],
-                dst,
-                send_start: a_start,
-            };
-            let lam = cx.index.latency();
-            let (f0, f1) = (a.recv_finish(lam), b.recv_finish(lam));
-            self.found.push((
-                dst,
-                Diagnostic {
-                    code: LintCode::InputWindowOverlap,
-                    severity: Severity::Error,
-                    witness: None,
-                    proc: Some(dst),
-                    sends: vec![a, *b],
-                    related_time: None,
-                    message: format!(
-                        "p{dst}'s receive windows [{}, {}] and [{}, {}] overlap",
-                        f0 - Time::ONE,
-                        f0,
-                        f1 - Time::ONE,
-                        f1,
-                    ),
-                },
-            ));
-        }
-        self.prev_start.put_at(dst, b.send_start, ticks);
-        self.prev_src[dst as usize] = b.src;
-    }
-
-    fn finish(&mut self, _cx: &StreamContext<'_>, out: &mut Vec<Diagnostic>) {
-        self.found.sort_by_key(|(dst, _)| *dst);
-        out.extend(self.found.drain(..).map(|(_, d)| d));
-    }
-
-    fn memory_bytes(&self) -> usize {
-        self.prev_start.memory_bytes()
-            + self.prev_src.capacity() * size_of::<u32>()
-            + self.found.capacity() * size_of::<(u32, Diagnostic)>()
-    }
-}
-
-/// `P0003`, streaming: the violation *decision* is made online — when a
-/// send is finalized at watermark `w > start`, every receipt finishing
-/// at or before `start` has already been observed (its informing send
-/// started at least λ earlier), so "the sender did not hold the message
-/// yet" is final. The message *text* needs the sender's eventual
-/// first-receipt time, so violations buffer in finalization (= arena)
-/// order and render at `finish`.
-pub struct StreamingCausalityPass {
-    found: Vec<TimedSend>,
-}
-
-impl StreamingCausalityPass {
-    /// Creates the pass with an empty buffer.
-    pub fn new() -> StreamingCausalityPass {
-        StreamingCausalityPass { found: Vec::new() }
-    }
-}
-
-impl Default for StreamingCausalityPass {
-    fn default() -> StreamingCausalityPass {
-        StreamingCausalityPass::new()
-    }
-}
-
-impl StreamingLintPass for StreamingCausalityPass {
-    fn stage(&self) -> PassStage {
-        PassStage::Broadcast
-    }
-
-    fn on_event(&mut self, cx: &StreamContext<'_>, ev: &StreamEvent<'_>) {
-        let StreamEvent::Send { send: s, ticks } = *ev else {
-            return;
-        };
-        if s.src == cx.opts.originator {
-            return;
-        }
-        let informed = matches!(
-            cx.index.first_receipt.cmp_at(s.src, s.send_start, ticks),
-            Some(Ordering::Less | Ordering::Equal)
-        );
-        if !informed {
-            self.found.push(*s);
-        }
-    }
-
-    fn finish(&mut self, cx: &StreamContext<'_>, out: &mut Vec<Diagnostic>) {
-        for s in &self.found {
-            let knows_at = cx.index.first_receipt(s.src);
-            out.push(Diagnostic {
-                code: LintCode::CausalityViolation,
-                severity: Severity::Error,
-                witness: None,
-                proc: Some(s.src),
-                sends: vec![*s],
-                related_time: knows_at,
-                message: match knows_at {
-                    Some(t) => format!(
-                        "p{} sends at t = {} but first holds the message at t = {}",
-                        s.src, s.send_start, t
-                    ),
-                    None => format!(
-                        "p{} sends at t = {} but never receives the message",
-                        s.src, s.send_start
-                    ),
-                },
-            });
-        }
-    }
-
-    fn memory_bytes(&self) -> usize {
-        self.found.capacity() * size_of::<TimedSend>()
-    }
-}
-
-/// `P0005`, streaming: a pure `finish`-time sweep of the running
-/// first-receipt table.
-pub struct StreamingCoveragePass;
-
-impl StreamingLintPass for StreamingCoveragePass {
-    fn stage(&self) -> PassStage {
-        PassStage::Broadcast
-    }
-
-    fn on_event(&mut self, _cx: &StreamContext<'_>, _ev: &StreamEvent<'_>) {}
-
-    fn finish(&mut self, cx: &StreamContext<'_>, out: &mut Vec<Diagnostic>) {
-        let idx = cx.index;
-        for p in 0..idx.n() {
-            if p != cx.opts.originator && idx.first_receipt(p).is_none() {
-                out.push(Diagnostic {
-                    code: LintCode::UninformedProcessor,
-                    severity: Severity::Error,
-                    witness: None,
-                    proc: Some(p),
-                    sends: Vec::new(),
-                    related_time: None,
-                    message: format!("p{p} never receives the broadcast message"),
-                });
-            }
-        }
-    }
-}
-
-/// `P0006`, streaming: tracks each output port's busy cursor and its
-/// *first* idle gap online, and resolves that gap against the coverage
-/// horizon at `finish`.
-///
-/// Only the first gap matters: the rule reports the earliest gap whose
-/// hypothetical delivery beats some processor's actual receipt,
-/// and that test is monotone — the receipt it compares against does not
-/// depend on the gap, so if the earliest gap fails the test every later
-/// (larger) gap fails too.
-///
-/// The per-processor informed time is read from the running
-/// first-receipt table when the port's first send finalizes. In an
-/// error-free run that value is already final (causality holds, so the
-/// informing receipt precedes the first send, and later receipts finish
-/// strictly later); in a run with errors the quality stage is
-/// suppressed and the state is never read.
-pub struct StreamingIdlePortPass {
-    cursor: TimeSlots,
-    first_gap: HashMap<u32, Time>,
-}
-
-impl StreamingIdlePortPass {
-    /// Creates the pass for `n` processors whose send times tick at
-    /// `1/den` (the lattice of [`StreamIndex`]).
-    pub fn new(n: usize, den: i64) -> StreamingIdlePortPass {
-        StreamingIdlePortPass {
-            cursor: TimeSlots::new(n, den),
-            first_gap: HashMap::new(),
-        }
-    }
-}
-
-impl StreamingLintPass for StreamingIdlePortPass {
-    fn stage(&self) -> PassStage {
-        PassStage::Quality
-    }
-
-    fn on_event(&mut self, cx: &StreamContext<'_>, ev: &StreamEvent<'_>) {
-        let StreamEvent::Send { send: s, ticks } = *ev else {
-            return;
-        };
-        let src = s.src;
-        let den = self.cursor.den;
-        // The lattice path: the port's cursor and this start in ticks.
-        // A port's first send opens the cursor at the processor's
-        // informed time (garbage-tolerant when the sender is not yet
-        // informed — that is a P0003 error and suppresses this stage).
-        if let Some(start) = ticks {
-            let cur = match self.cursor.ticks[src as usize] {
-                EMPTY if src == cx.opts.originator => Some(0),
-                EMPTY => match cx.index.first_receipt.ticks[src as usize] {
-                    EMPTY => Some(start),
-                    EXACT => None,
-                    k => Some(k),
-                },
-                EXACT => None,
-                c => Some(c),
-            };
-            if let Some(cur) = cur {
-                if start > cur {
-                    self.first_gap
-                        .entry(src)
-                        .or_insert_with(|| Time::from_ticks(cur, den));
-                }
-                // At most TICK_LIMIT + den: below the lane's sentinels.
-                self.cursor.ticks[src as usize] = cur.max(start + den);
-                return;
-            }
-        }
-        let start = s.send_start;
-        let cur = match self.cursor.get(src) {
-            Some(c) => c,
-            None => {
-                let informed_at = if src == cx.opts.originator {
-                    Some(Time::ZERO)
-                } else {
-                    cx.index.first_receipt(src)
-                };
-                informed_at.unwrap_or(start)
-            }
-        };
-        if start > cur {
-            self.first_gap.entry(src).or_insert(cur);
-        }
-        self.cursor.put(src, cur.max(start + Time::ONE));
-    }
-
-    fn finish(&mut self, cx: &StreamContext<'_>, out: &mut Vec<Diagnostic>) {
-        let idx = cx.index;
-        let n = idx.n();
-        let lam = idx.latency().as_time();
-
-        // The coverage horizon and the two latest first-receipts
-        // (distinct processors): enough to answer "does any processor
-        // other than `src` first receive after time x?" in O(1).
-        let mut completion_of_coverage = Time::ZERO;
-        let mut latest: Option<(Time, u32)> = None;
-        let mut second: Option<(Time, u32)> = None;
-        for p in 0..n {
-            let Some(t) = idx.first_receipt(p) else {
-                continue;
-            };
-            completion_of_coverage = completion_of_coverage.max(t);
-            if latest.is_none_or(|(lt, lp)| (t, p) > (lt, lp)) {
-                second = latest;
-                latest = Some((t, p));
-            } else if second.is_none_or(|(st, sp)| (t, p) > (st, sp)) {
-                second = Some((t, p));
-            }
-        }
-        let receipt_after = |x: Time, src: u32| -> Option<(Time, u32)> {
-            match latest {
-                Some((t, q)) if q != src && t > x => Some((t, q)),
-                Some((_, q)) if q == src => second.filter(|&(t, _)| t > x),
-                _ => None,
-            }
-        };
-
-        for src in 0..n {
-            let informed_at = if src == cx.opts.originator {
-                Some(Time::ZERO)
-            } else {
-                idx.first_receipt(src)
-            };
-            let Some(informed_at) = informed_at else {
-                continue;
-            };
-            // The candidate gap: the first recorded idle gap, else the
-            // open-ended gap after the last send (the port's whole
-            // informed life, for a port that never sent).
-            let gap = match self.cursor.get(src) {
-                None => (informed_at < completion_of_coverage).then_some(informed_at),
-                Some(c) => match self.first_gap.get(&src) {
-                    Some(&g) => Some(g),
-                    None => (c < completion_of_coverage).then_some(c),
-                },
-            };
-            let Some(g) = gap else {
-                continue;
-            };
-            let hypothetical = g + lam;
-            // An uninformed-at-g processor whose eventual receipt
-            // is strictly later than the hypothetical delivery.
-            if let Some((t, q)) = receipt_after(hypothetical, src) {
-                out.push(Diagnostic {
-                    code: LintCode::IdlePortWaste,
-                    severity: Severity::Warn,
-                    witness: None,
-                    proc: Some(src),
-                    sends: Vec::new(),
-                    related_time: Some(g),
-                    message: format!(
-                        "p{src} is informed and idle from t = {g} although a send then \
-                         would reach p{q} at t = {hypothetical}, earlier than its actual \
-                         receipt at t = {t}"
-                    ),
-                });
-            }
-        }
-    }
-
-    fn memory_bytes(&self) -> usize {
-        self.cursor.memory_bytes()
-            + self.first_gap.capacity() * (size_of::<(u32, Time)>() + size_of::<u64>())
-    }
-}
-
-/// `P0007`, streaming: a pure `finish`-time check of the running
-/// completion maximum against `f_λ(n)` / the Lemma 8 bound.
-pub struct StreamingOptimalityPass;
-
-impl StreamingLintPass for StreamingOptimalityPass {
-    fn stage(&self) -> PassStage {
-        PassStage::Quality
-    }
-
-    fn on_event(&mut self, _cx: &StreamContext<'_>, _ev: &StreamEvent<'_>) {}
-
-    fn finish(&mut self, cx: &StreamContext<'_>, out: &mut Vec<Diagnostic>) {
-        let n = cx.index.n();
-        let lam = cx.index.latency();
-        // Only sensible when there is something to broadcast to.
-        if n < 2 {
-            return;
-        }
-        let completion = cx.index.completion();
-        let m = cx.opts.messages.max(1);
-        let optimal = if m == 1 {
-            GenFib::new(lam).index(n as u128)
-        } else {
-            runtimes::multi_lower_bound(n as u128, m, lam)
-        };
-        if completion < optimal {
-            out.push(Diagnostic {
-                code: LintCode::OptimalityGap,
-                severity: Severity::Error,
-                witness: None,
-                proc: None,
-                sends: Vec::new(),
-                related_time: Some(optimal),
-                message: format!(
-                    "completes at t = {completion}, beating the proven lower bound {optimal} \
-                     for {m} message(s) in MPS({n}, {lam}) — the schedule cannot be a full \
-                     broadcast"
-                ),
-            });
-        } else if completion > optimal {
-            let (severity, bound_name) = if m == 1 {
-                (Severity::Warn, "the optimum f_lambda(n)")
-            } else {
-                // The Lemma 8 bound is not always attainable, so a gap
-                // against it is informational, not a defect.
-                (
-                    Severity::Info,
-                    "the Lemma 8 lower bound (m-1) + f_lambda(n)",
-                )
-            };
-            out.push(Diagnostic {
-                code: LintCode::OptimalityGap,
-                severity,
-                witness: None,
-                proc: None,
-                sends: Vec::new(),
-                related_time: Some(optimal),
-                message: format!(
-                    "completes at t = {completion}; {bound_name} is {optimal} \
-                     (gap {} units)",
-                    completion - optimal
-                ),
-            });
-        }
-    }
-}
-
-/// `P0017`, streaming: well-formed sends arrive in canonical schedule
-/// order (the finalization protocol's guarantee), so non-edge findings
-/// are detected online and appended verbatim at `finish`. Malformed
-/// sends (`P0004`) have no defined endpoints on the graph and are not
-/// re-reported here.
-pub struct StreamingNonEdgePass {
-    topo: Topology,
-    found: Vec<Diagnostic>,
-}
-
-impl StreamingNonEdgePass {
-    /// Creates the pass over the given communication graph.
-    pub fn new(topo: Topology) -> StreamingNonEdgePass {
-        StreamingNonEdgePass {
-            topo,
-            found: Vec::new(),
-        }
-    }
-}
-
-impl StreamingLintPass for StreamingNonEdgePass {
-    fn stage(&self) -> PassStage {
-        PassStage::Shape
-    }
-
-    fn on_event(&mut self, _cx: &StreamContext<'_>, ev: &StreamEvent<'_>) {
-        let StreamEvent::Send { send: s, .. } = *ev else {
-            return;
-        };
-        if self.topo.is_complete() || self.topo.is_edge(s.src, s.dst) {
-            return;
-        }
-        let spec = self.topo.spec();
-        self.found.push(Diagnostic {
-            code: LintCode::NonEdgeSend,
-            severity: Severity::Error,
-            witness: None,
-            proc: Some(s.src),
-            sends: vec![*s],
-            related_time: None,
-            message: format!(
-                "p{} sends to p{} at t = {}, but p{}-p{} is not an edge \
-                 of the {spec} topology",
-                s.src, s.dst, s.send_start, s.src, s.dst
-            ),
-        });
-    }
-
-    fn finish(&mut self, _cx: &StreamContext<'_>, out: &mut Vec<Diagnostic>) {
-        out.append(&mut self.found);
-    }
-
-    fn memory_bytes(&self) -> usize {
-        self.found.capacity() * size_of::<Diagnostic>()
-    }
-}
-
-/// The BFS distances from the originator over the topology, computed
-/// once per lint on first use and shared by `P0019` (reachability) and
-/// `P0018` (eccentricity).
-#[derive(Clone, Default)]
-struct OriginDistances(Arc<OnceLock<Vec<u32>>>);
-
-impl OriginDistances {
-    fn get(&self, topo: &Topology, origin: u32) -> &[u32] {
-        self.0.get_or_init(|| topo.bfs_distances(origin))
-    }
-}
-
-/// `P0019`, streaming: a pure `finish`-time BFS over the topology. A
-/// processor with no path from the originator can never be informed,
-/// by any schedule, so the graph-level finding root-cause-suppresses
-/// the `P0005` the coverage pass (registered earlier in the Broadcast
-/// stage) already emitted for it — the way `P0012` silences downstream
-/// findings in `postal-abs`.
-pub struct StreamingTopologyReachabilityPass {
-    /// The communication graph to check reachability over.
-    pub topo: Topology,
-    dist: OriginDistances,
-}
-
-impl StreamingLintPass for StreamingTopologyReachabilityPass {
-    fn stage(&self) -> PassStage {
-        PassStage::Broadcast
-    }
-
-    fn on_event(&mut self, _cx: &StreamContext<'_>, _ev: &StreamEvent<'_>) {}
-
-    fn finish(&mut self, cx: &StreamContext<'_>, out: &mut Vec<Diagnostic>) {
-        if self.topo.is_complete() {
-            return;
-        }
-        let n = cx.index.n();
-        let orig = cx.opts.originator;
-        let spec = self.topo.spec();
-        let dist = self.dist.get(&self.topo, orig);
-        let cut: Vec<u32> = (0..n)
-            .filter(|&p| {
-                p != orig && dist.get(p as usize).copied().unwrap_or(UNREACHABLE) == UNREACHABLE
-            })
-            .collect();
-        if cut.is_empty() {
-            return;
-        }
-        let mut suppressed: Vec<u32> = Vec::new();
-        out.retain(|d| {
-            let cover = d.code == LintCode::UninformedProcessor
-                && d.proc.is_some_and(|p| cut.binary_search(&p).is_ok());
-            if cover {
-                suppressed.push(d.proc.unwrap_or(u32::MAX));
-            }
-            !cover
-        });
-        for p in cut {
-            let note = if suppressed.contains(&p) {
-                " (suppresses the timing-level P0005)"
-            } else {
-                ""
-            };
-            out.push(Diagnostic {
-                code: LintCode::TopologyPartitionUnreachable,
-                severity: Severity::Error,
-                witness: None,
-                proc: Some(p),
-                sends: Vec::new(),
-                related_time: None,
-                message: format!(
-                    "p{p} has no path from the originator p{orig} in the {spec} \
-                     topology — no schedule can inform it{note}"
-                ),
-            });
-        }
-    }
-}
-
-/// `P0018`, streaming: a pure `finish`-time check of the running
-/// completion maximum against the BFS bound `(m−1) + λ·ecc(originator)`
-/// — a message reaching a processor at graph distance `d` traverses `d`
-/// edges at λ per hop. The sparse-graph analogue of `P0007`'s Lemma 8
-/// gap; never emitted for the complete graph, where `P0007`'s `f_λ(n)`
-/// bound is stronger.
-pub struct StreamingTopologyOptimalityPass {
-    /// The communication graph whose eccentricity grounds the bound.
-    pub topo: Topology,
-    dist: OriginDistances,
-}
-
-impl StreamingLintPass for StreamingTopologyOptimalityPass {
-    fn stage(&self) -> PassStage {
-        PassStage::Quality
-    }
-
-    fn on_event(&mut self, _cx: &StreamContext<'_>, _ev: &StreamEvent<'_>) {}
-
-    fn finish(&mut self, cx: &StreamContext<'_>, out: &mut Vec<Diagnostic>) {
-        let n = cx.index.n();
-        if self.topo.is_complete() || n < 2 {
-            return;
-        }
-        let lam = cx.index.latency();
-        let spec = self.topo.spec();
-        let orig = cx.opts.originator;
-        let completion = cx.index.completion();
-        let m = cx.opts.messages.max(1);
-        let ecc = eccentricity_of(self.dist.get(&self.topo, orig));
-        let bound = Time::from_int(m as i128 - 1) + lam.as_time().mul_int(ecc as i128);
-        if completion < bound {
-            out.push(Diagnostic {
-                code: LintCode::TopologyOptimalityGap,
-                severity: Severity::Error,
-                witness: None,
-                proc: None,
-                sends: Vec::new(),
-                related_time: Some(bound),
-                message: format!(
-                    "completes at t = {completion}, beating the {spec} topology \
-                     lower bound {bound} for {m} message(s) from p{orig} — some \
-                     transfer must bypass the graph"
-                ),
-            });
-        } else if completion > bound {
-            // Like the Lemma 8 bound, λ·ecc is not always attainable:
-            // a gap is suspect for one message, informational beyond.
-            let severity = if m == 1 {
-                Severity::Warn
-            } else {
-                Severity::Info
-            };
-            out.push(Diagnostic {
-                code: LintCode::TopologyOptimalityGap,
-                severity,
-                witness: None,
-                proc: None,
-                sends: Vec::new(),
-                related_time: Some(bound),
-                message: format!(
-                    "completes at t = {completion}; the {spec} topology lower \
-                     bound (m-1) + lambda*ecc(p{orig}) is {bound} (gap {} units)",
-                    completion - bound
-                ),
-            });
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::super::reference::lint_schedule_reference;
@@ -1544,7 +1239,7 @@ mod tests {
         diags.iter().map(|d| d.code).collect()
     }
 
-    /// A messy schedule exercising every pass at once.
+    /// A messy schedule exercising every code at once.
     fn messy() -> Schedule {
         Schedule::new(
             5,
@@ -1699,7 +1394,7 @@ mod tests {
     #[test]
     fn observation_order_within_a_watermark_step_is_immaterial() {
         // Three same-instant sends observed in reverse processor order:
-        // the pending lane restores canonical order before any pass
+        // the pending lane restores canonical order before any check
         // sees them.
         let sends = [send(2, 3, 0, 1), send(1, 2, 0, 1), send(0, 1, 0, 1)];
         let mut lint = StreamingLint::new(4, Latency::from_int(2), LintOptions::ports_only());
@@ -1751,7 +1446,7 @@ mod tests {
         lint.advance_watermark(Time::from_int(i128::from(n)));
         assert_eq!(lint.pending_len(), 0);
         assert_eq!(lint.pending_fast_bytes, 0);
-        // The passes' findings may grow it further; it never falls.
+        // The findings may grow it further; it never falls.
         assert!(lint.memory_bytes() >= peak);
     }
 

@@ -19,8 +19,8 @@
 //!
 //! Every topology is *formula-backed*: adjacency is decided
 //! arithmetically from the spec, so a `Topology` is a few words of
-//! `Copy` data with no adjacency lists — `is_edge` is O(1) (O(log n)
-//! for `mbg`) and the whole oracle is free to embed in lint passes.
+//! `Copy` data with no adjacency lists — `is_edge` is O(1) on every
+//! graph and the whole oracle is free to embed in the linter.
 //!
 //! The graph-theoretic broadcast lower bound used by lint code `P0018`
 //! is `(m−1) + λ·ecc(originator)`: a message reaching a processor at
@@ -255,15 +255,18 @@ impl Topology {
             TopologySpec::Mbg { .. } => {
                 // Knödel W_{Δ,n}: vertex 2j is (1, j), vertex 2j+1 is
                 // (2, j); (1, j) – (2, (j + 2^k − 1) mod n/2) for
-                // 0 ≤ k < Δ = ⌊log₂ n⌋.
+                // 0 ≤ k < Δ = ⌊log₂ n⌋. Every offset 2^k − 1 is below
+                // 2^(Δ−1) ≤ n/2, so (1, j) – (2, j′) is an edge exactly
+                // when d = (j′ − j) mod n/2 has d + 1 a power of two and
+                // d < 2^(Δ−1).
                 if u % 2 == v % 2 {
                     return false;
                 }
                 let (a, b) = if u.is_multiple_of(2) { (u, v) } else { (v, u) };
-                let (j, jp) = (a / 2, b / 2);
                 let half = self.n / 2;
+                let d = (b / 2 + half - a / 2) % half;
                 let delta = 31 - self.n.leading_zeros();
-                (0..delta).any(|k| (j + ((1u32 << k) - 1) % half) % half == jp)
+                (d + 1).is_power_of_two() && d < 1 << (delta - 1)
             }
         }
     }
@@ -475,11 +478,14 @@ mod tests {
             topo("torus:3x4", 12),
             topo("hypercube:0", 1),
             topo("hypercube:4", 16),
-            topo("mbg:2", 2),
-            topo("mbg:6", 6),
-            topo("mbg:24", 24),
         ] {
             assert_consistent(&t);
+        }
+        // Every Knödel size up to 130, and both sides of 2^8: `is_edge`
+        // decides by one difference, `for_each_neighbor` walks the Δ
+        // offsets.
+        for n in (2..=130).step_by(2).chain([254, 256, 258]) {
+            assert_consistent(&topo(&format!("mbg:{n}"), n));
         }
     }
 

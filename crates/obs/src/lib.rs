@@ -70,7 +70,7 @@ pub use chrome::to_chrome_trace;
 pub use event::{ObsEvent, PortSide, PortSpan};
 pub use hist::StreamingHistogram;
 pub use jsonl::{from_jsonl, to_jsonl, JsonlParser, LineReader};
-pub use lint_stream::{LintSink, LintStream, StreamOrdering};
+pub use lint_stream::{LintSink, LintStream};
 pub use log::{port_busy_times, ObsError, ObsLog, RunMeta};
 pub use metrics::{Histogram, MetricsSummary};
 pub use prometheus::to_prometheus;

@@ -3,7 +3,7 @@
 //!
 //! [`LintStream`] adapts an event stream to
 //! [`postal_model::lint::StreamingLint`]: it extracts the send facts
-//! the lint passes consume and drives the engine's watermark from the
+//! the lint checks consume and drives the engine's watermark from the
 //! stream's notion of time. [`LintSink`] wraps a `LintStream` in a
 //! [`Recorder`] so a simulation can lint itself *while it runs* —
 //! `Simulation::observe(&sink)` plus a trace-discarding run mode is a
@@ -13,32 +13,32 @@
 //!
 //! The engine finalizes a pending send once the watermark strictly
 //! passes its start time, and relies on the caller never to advance the
-//! watermark past a send it has yet to observe. What "the stream's
-//! notion of time" means differs by source, so [`LintStream`] has two
-//! orderings:
+//! watermark past a send it has yet to observe. [`LintStream`] keeps
+//! one policy, built for a running engine's *scheduling* order: a
+//! `Send` event carries a **future** start time (the output port books
+//! ahead), so send timestamps never drive the watermark, and neither
+//! does `Crash` (fault plans are announced up front, before the clock
+//! reaches them). A queued `Recv`'s start can likewise lie ahead of the
+//! clock, so receives advance the watermark by their *arrival* — the
+//! instant the engine processed the delivery. Every other event
+//! (`Wake`, `Drop`, `Violation`, `Truncated`) is emitted exactly when
+//! the clock reaches its timestamp and advances the watermark as-is.
+//! The live feed must be single-threaded (the discrete-event engine); a
+//! threaded run records into a ring and replays the sorted snapshot.
 //!
-//! * [`StreamOrdering::Live`] — the stream comes from a running engine,
-//!   in *scheduling* order: a `Send` event carries a **future** start
-//!   time (the output port books ahead), so send timestamps must never
-//!   drive the watermark, and neither may `Crash` (fault plans are
-//!   announced up front, before the clock reaches them). A queued
-//!   `Recv`'s start can likewise lie ahead of the clock, so receives
-//!   advance the watermark by their *arrival* — the instant the engine
-//!   processed the delivery. Every other event (`Wake`, `Drop`,
-//!   `Violation`, `Truncated`) is emitted exactly when the clock
-//!   reaches its timestamp and advances the watermark as-is. Assumes a
-//!   single-threaded feed (the discrete-event engines); a threaded run
-//!   should record into a ring and replay the sorted snapshot instead.
-//! * [`StreamOrdering::SortedLog`] — the stream is sorted by timestamp
-//!   (a JSONL log, or a recorder snapshot's canonical order): *every*
-//!   event's [`ObsEvent::at`] may drive the watermark, including
-//!   `Send`s, because a send's `at` is its own start time and
-//!   finalization is strict-below. A genuinely out-of-order log trips
-//!   the engine's [`out_of_order`](LintStream::out_of_order) flag.
+//! The same policy is sound on a log sorted by [`ObsEvent::at`] (a
+//! JSONL log, or a recorder snapshot's canonical order). Each event
+//! moves the watermark to at most its own `at`: a receive's arrival
+//! never exceeds its `at` (its start), and the others move it to their
+//! `at` or not at all. A send's `at` is its start, so in a sorted log
+//! every send starting before the watermark was read before the event
+//! that raised it, and finalization is strict-below. A log sorted any
+//! other way can trip the engine's
+//! [`out_of_order`](LintStream::out_of_order) flag.
 //!
-//! Under either policy a `Truncated` event is also latched into
-//! [`LintStream::truncated`] so the caller can apply the usual
-//! absence-lint downgrades to the finished report.
+//! A `Truncated` event is also latched into [`LintStream::truncated`]
+//! so the caller can apply the usual absence-lint downgrades to the
+//! finished report.
 
 use crate::event::ObsEvent;
 use crate::recorder::Recorder;
@@ -46,37 +46,19 @@ use postal_model::lint::{Diagnostic, LintOptions, StreamingLint};
 use postal_model::Latency;
 use std::sync::Mutex;
 
-/// How the event stream feeding a [`LintStream`] is ordered. See the
-/// [module docs](self) for the watermark policy each implies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StreamOrdering {
-    /// Events arrive in engine emission order: sends are announced
-    /// ahead of their start times.
-    Live,
-    /// Events arrive sorted by [`ObsEvent::at`].
-    SortedLog,
-}
-
 /// An [`ObsEvent`]-to-lint adapter: push events, collect the finished
 /// `P0001`–`P0007` report. Construct one per run.
 pub struct LintStream {
     inner: StreamingLint,
-    ordering: StreamOrdering,
     truncated: bool,
 }
 
 impl LintStream {
     /// Creates the adapter for a run over `MPS(n, λ)`, linted under
-    /// `opts`, fed in `ordering` order.
-    pub fn new(
-        n: u32,
-        latency: Latency,
-        opts: LintOptions,
-        ordering: StreamOrdering,
-    ) -> LintStream {
+    /// `opts`.
+    pub fn new(n: u32, latency: Latency, opts: LintOptions) -> LintStream {
         LintStream {
             inner: StreamingLint::new(n, latency, opts),
-            ordering,
             truncated: false,
         }
     }
@@ -88,31 +70,22 @@ impl LintStream {
         n: u32,
         latency: Latency,
         opts: LintOptions,
-        ordering: StreamOrdering,
         topology: &postal_model::Topology,
     ) -> LintStream {
         LintStream {
             inner: StreamingLint::with_topology(n, latency, opts, topology),
-            ordering,
             truncated: false,
         }
     }
 
-    /// Consumes one event: advances the watermark per the ordering's
-    /// policy and forwards send facts to the lint engine.
+    /// Consumes one event: advances the watermark per the
+    /// [module's policy](self) and forwards send facts to the lint
+    /// engine.
     pub fn on_event(&mut self, ev: &ObsEvent) {
-        match self.ordering {
-            StreamOrdering::SortedLog => self.inner.advance_watermark(ev.at()),
-            // Live feeds announce sends (and crash plans) ahead of
-            // time; everything else is emitted at the current clock. A
-            // queued receive's `at()` (its start) can also lie ahead of
-            // the clock, so its arrival — the moment the engine
-            // processed the delivery — drives the watermark instead.
-            StreamOrdering::Live => match *ev {
-                ObsEvent::Send { .. } | ObsEvent::Crash { .. } => {}
-                ObsEvent::Recv { arrival, .. } => self.inner.advance_watermark(arrival),
-                _ => self.inner.advance_watermark(ev.at()),
-            },
+        match *ev {
+            ObsEvent::Send { .. } | ObsEvent::Crash { .. } => {}
+            ObsEvent::Recv { arrival, .. } => self.inner.advance_watermark(arrival),
+            _ => self.inner.advance_watermark(ev.at()),
         }
         match *ev {
             ObsEvent::Send {
@@ -169,11 +142,9 @@ impl LintStream {
 /// it: attach with `Simulation::observe(&sink)`, then take the report
 /// with [`LintSink::finish`] after the run returns.
 ///
-/// The stream is assumed [`StreamOrdering::Live`] unless constructed
-/// otherwise; for threaded feeds record into a
-/// [`RingRecorder`](crate::RingRecorder) and replay the sorted snapshot
-/// through a [`LintStream`] instead — a live watermark is only sound
-/// for a single-threaded engine clock.
+/// For threaded feeds record into a [`RingRecorder`](crate::RingRecorder)
+/// and replay the sorted snapshot through a [`LintStream`] instead — a
+/// live watermark is only sound for a single-threaded engine clock.
 pub struct LintSink {
     inner: Mutex<LintStream>,
 }
@@ -181,18 +152,8 @@ pub struct LintSink {
 impl LintSink {
     /// Creates a sink linting a live run over `MPS(n, λ)` under `opts`.
     pub fn new(n: u32, latency: Latency, opts: LintOptions) -> LintSink {
-        LintSink::with_ordering(n, latency, opts, StreamOrdering::Live)
-    }
-
-    /// Creates a sink with an explicit stream ordering.
-    pub fn with_ordering(
-        n: u32,
-        latency: Latency,
-        opts: LintOptions,
-        ordering: StreamOrdering,
-    ) -> LintSink {
         LintSink {
-            inner: Mutex::new(LintStream::new(n, latency, opts, ordering)),
+            inner: Mutex::new(LintStream::new(n, latency, opts)),
         }
     }
 
@@ -205,13 +166,7 @@ impl LintSink {
         topology: &postal_model::Topology,
     ) -> LintSink {
         LintSink {
-            inner: Mutex::new(LintStream::with_topology(
-                n,
-                latency,
-                opts,
-                StreamOrdering::Live,
-                topology,
-            )),
+            inner: Mutex::new(LintStream::with_topology(n, latency, opts, topology)),
         }
     }
 
@@ -306,7 +261,7 @@ mod tests {
 
     #[test]
     fn live_feed_matches_batch() {
-        let mut stream = LintStream::new(3, lam(), LintOptions::default(), StreamOrdering::Live);
+        let mut stream = LintStream::new(3, lam(), LintOptions::default());
         for ev in live_feed() {
             stream.on_event(&ev);
         }
@@ -319,8 +274,7 @@ mod tests {
     fn sorted_log_feed_matches_batch() {
         let mut events = live_feed();
         events.sort_by_key(|e| e.at());
-        let mut stream =
-            LintStream::new(3, lam(), LintOptions::default(), StreamOrdering::SortedLog);
+        let mut stream = LintStream::new(3, lam(), LintOptions::default());
         for ev in &events {
             stream.on_event(ev);
         }
@@ -339,7 +293,7 @@ mod tests {
 
     #[test]
     fn truncated_event_is_latched() {
-        let mut stream = LintStream::new(3, lam(), LintOptions::default(), StreamOrdering::Live);
+        let mut stream = LintStream::new(3, lam(), LintOptions::default());
         stream.on_event(&ObsEvent::Truncated {
             processed: 7,
             limit: 7,

@@ -11,9 +11,7 @@
 use postal_model::lint::{lint_schedule, Diagnostic, LintCode, LintOptions, Severity};
 use postal_model::schedule::{Schedule, TimedSend};
 use postal_model::{Latency, Time};
-use postal_obs::{
-    LintSink, LintStream, ObsEvent, Recorder, RingRecorder, RunMeta, SampleSpec, StreamOrdering,
-};
+use postal_obs::{LintSink, LintStream, ObsEvent, Recorder, RingRecorder, RunMeta, SampleSpec};
 use std::sync::Arc;
 use std::thread;
 
@@ -69,8 +67,8 @@ fn batch(schedule: &Schedule) -> Vec<Diagnostic> {
 }
 
 /// Replays a log's events through a `LintStream` and returns the report.
-fn replay(n: u32, events: &[ObsEvent], ordering: StreamOrdering) -> Vec<Diagnostic> {
-    let mut stream = LintStream::new(n, lam(), LintOptions::default(), ordering);
+fn replay(n: u32, events: &[ObsEvent]) -> Vec<Diagnostic> {
+    let mut stream = LintStream::new(n, lam(), LintOptions::default());
     for ev in events {
         stream.on_event(ev);
     }
@@ -82,7 +80,7 @@ fn replay(n: u32, events: &[ObsEvent], ordering: StreamOrdering) -> Vec<Diagnost
 fn interleaved_shard_writes_replay_to_the_batch_report() {
     // Threads scatter one run's events across the recorder's shards in
     // nondeterministic global order; the sorted snapshot must still
-    // replay to the exact batch report under both orderings.
+    // replay to the exact batch report.
     let n = 33;
     let (schedule, events) = star(n);
     let ring = Arc::new(RingRecorder::with_spec(1 << 12, SampleSpec::all()));
@@ -100,18 +98,13 @@ fn interleaved_shard_writes_replay_to_the_batch_report() {
     let ring = Arc::try_unwrap(ring).expect("threads joined");
     let log = ring.into_log(RunMeta::new("test", n).latency(lam()));
 
-    let want = batch(&schedule);
+    // The live watermark policy is sound over a time-sorted feed:
+    // arrivals never pass the position's timestamp, so nothing
+    // finalizes early.
     assert_eq!(
-        replay(n, log.events(), StreamOrdering::SortedLog),
-        want,
+        replay(n, log.events()),
+        batch(&schedule),
         "sorted replay diverges from batch"
-    );
-    // Live over a time-sorted feed is also sound: arrivals never
-    // precede the position's timestamp, so nothing finalizes early.
-    assert_eq!(
-        replay(n, log.events(), StreamOrdering::Live),
-        want,
-        "live replay of the sorted log diverges from batch"
     );
 }
 
@@ -141,10 +134,7 @@ fn dead_writer_thread_loses_nothing_already_recorded() {
     let ring = Arc::try_unwrap(ring).expect("threads joined");
     let log = ring.into_log(RunMeta::new("test", n).latency(lam()));
     assert_eq!(log.len(), events.len(), "no recorded event may be lost");
-    assert_eq!(
-        replay(n, log.events(), StreamOrdering::SortedLog),
-        batch(&schedule)
-    );
+    assert_eq!(replay(n, log.events()), batch(&schedule));
 }
 
 #[test]

@@ -18,9 +18,7 @@ use postal_model::latency::INPUT_LAMBDA_BITS;
 use postal_model::schedule::{Schedule, TimedSend};
 use postal_model::time::{INPUT_DENOM_BITS, INPUT_NUMER_BITS};
 use postal_model::{Latency, Ratio, Time};
-use postal_obs::{
-    from_jsonl, to_jsonl, LintStream, ObsError, ObsEvent, ObsLog, RunMeta, StreamOrdering,
-};
+use postal_obs::{from_jsonl, to_jsonl, LintStream, ObsError, ObsEvent, ObsLog, RunMeta};
 use postal_verify::json::{parse_schedule_reader, schedule_to_json};
 use postal_verify::{jsonl_to_schedule_file, lint_schedule, LintOptions, TopologySpec};
 use proptest::prelude::*;
@@ -495,9 +493,9 @@ proptest! {
         // Streaming lint, as `lint --stream` runs it.
         let log = from_jsonl(&text).unwrap();
         let mut stream = if ring {
-            LintStream::with_topology(n, lam, opts, StreamOrdering::Live, &topo)
+            LintStream::with_topology(n, lam, opts, &topo)
         } else {
-            LintStream::new(n, lam, opts, StreamOrdering::Live)
+            LintStream::new(n, lam, opts)
         };
         for e in log.events() {
             stream.on_event(e);

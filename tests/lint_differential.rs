@@ -9,11 +9,13 @@
 //! n ≤ 64, λ ∈ {1, 2, 5/2, 7/3}, m ≤ 4) and over adversarially dirtied
 //! schedules where every code `P0001`–`P0007` actually fires, comparing
 //! the exact bytes the CLI would print. λ = 7/3 keeps receive windows
-//! off the half-unit lattice, exercising the engine's exact lanes.
+//! off the half-unit lattice, exercising the engine's exact lanes, and
+//! BCAST from a rotated root exercises every rule that names the
+//! originator.
 
 use postal::algos::{
-    flood_schedule, run_bcast, run_dtree, run_pack, run_pipeline, run_repeat, run_repeat_greedy,
-    BroadcastTree, ToSchedule,
+    flood_schedule, run_bcast, run_bcast_from, run_dtree, run_pack, run_pipeline, run_repeat,
+    run_repeat_greedy, BroadcastTree, ToSchedule,
 };
 use postal::model::lint::reference::lint_schedule_reference;
 use postal::model::schedule::{Schedule, TimedSend};
@@ -129,6 +131,43 @@ fn dirty_schedules_are_byte_identical() {
                             &opts,
                             &format!("{what} idx={idx} tree n={n} λ={lam}"),
                         );
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn rotated_originator_grid_is_byte_identical() {
+    // BCAST from a non-zero root, linted from that root and from p0,
+    // where the mismatch makes P0003 and P0005 fire, plus every shift
+    // and drop mutation: the rules that single out the originator
+    // (P0003's and P0005's exemption, P0006's first port cursor) must
+    // follow `LintOptions::originator`, not processor 0.
+    for lam in lambdas() {
+        for n in 2..=24usize {
+            let mut roots = vec![1, n / 2, n - 1];
+            roots.dedup();
+            for root in roots {
+                let bcast = run_bcast_from(root, n, lam)
+                    .trace
+                    .to_schedule(n as u32, lam);
+                for originator in [root as u32, 0] {
+                    let opts = LintOptions {
+                        originator,
+                        ..LintOptions::default()
+                    };
+                    let context =
+                        format!("bcast from p{root} linted from p{originator} n={n} λ={lam}");
+                    assert_identical(&bcast, &opts, &context);
+                    for idx in 0..bcast.len() {
+                        for (what, dirty) in [
+                            ("shift", shift_back_one(&bcast, idx)),
+                            ("drop", drop_send(&bcast, idx)),
+                        ] {
+                            assert_identical(&dirty, &opts, &format!("{what} idx={idx} {context}"));
+                        }
                     }
                 }
             }

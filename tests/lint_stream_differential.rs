@@ -4,11 +4,11 @@
 //! (every shipped broadcast algorithm, n ≤ 64, λ ∈ {1, 2, 5/2, 7/3},
 //! m ≤ 4, plus adversarially dirtied and lazy schedules) as a sorted
 //! event log through `LintStream`, and pins the report **byte-identical**
-//! to the seed oracle `lint_schedule_reference`. The replay drives the
-//! watermark from receive arrivals as well as send starts — off the
+//! to the seed oracle `lint_schedule_reference`. The replay advances
+//! the watermark by receive arrivals, not send starts — off the
 //! half-unit lattice when λ = 7/3 — and feeds sends that share a start
 //! in reverse canonical order, so finalization order comes from the
-//! engine's pending heap, not from the feed.
+//! engine's pending lanes, not from the feed.
 //!
 //! The second half compares the two CLI paths over recorder logs. The
 //! batch path is exactly what `postal-cli lint` does to a JSONL log:
@@ -36,7 +36,6 @@ use postal::verify::{
 };
 use postal_obs::{
     to_jsonl, LintStream, ObsEvent, ObsLog, Recorder, RingRecorder, RunMeta, SampleSpec,
-    StreamOrdering,
 };
 
 fn lambdas() -> Vec<Latency> {
@@ -82,12 +81,7 @@ fn sorted_log_events(schedule: &Schedule) -> Vec<ObsEvent> {
 /// bytes: rendered report and JSON array, plus the raw diagnostic
 /// values.
 fn assert_identical(schedule: &Schedule, opts: &LintOptions, context: &str) {
-    let mut stream = LintStream::new(
-        schedule.n(),
-        schedule.latency(),
-        *opts,
-        StreamOrdering::SortedLog,
-    );
+    let mut stream = LintStream::new(schedule.n(), schedule.latency(), *opts);
     for ev in sorted_log_events(schedule) {
         stream.on_event(&ev);
     }
@@ -247,7 +241,7 @@ fn batch_report(log: &ObsLog, opts: &LintOptions) -> Vec<Diagnostic> {
 fn streamed_report(log: &ObsLog, opts: &LintOptions) -> Vec<Diagnostic> {
     let meta = log.meta();
     let lam = meta.lambda.expect("uniform lambda");
-    let mut stream = LintStream::new(meta.n, lam, *opts, StreamOrdering::Live);
+    let mut stream = LintStream::new(meta.n, lam, *opts);
     for ev in log.events() {
         stream.on_event(ev);
     }
