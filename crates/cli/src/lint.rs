@@ -4,10 +4,10 @@
 use crate::args::{parse_topology, Args, Command, Kind};
 use crate::CliError;
 use postal_model::{Latency, Time, Topology};
-use postal_obs::{JsonlParser, LineReader, LintStream};
+use postal_obs::{looks_like_log, JsonlParser, LineReader, LintStream};
 use postal_verify::{json, lint_schedule, render, Diagnostic, LintOptions, Severity};
 use std::fs::File;
-use std::io::{BufRead as _, BufReader, Cursor, Read as _};
+use std::io::{self, BufRead, BufReader, Cursor, Read as _};
 
 pub(crate) const LINT: Command = Command {
     name: "lint",
@@ -47,8 +47,8 @@ fn lint(a: &Args) -> Result<String, CliError> {
     // first content line is read eagerly to sniff the format — an
     // observability JSONL log announces itself with a run header; a
     // schedule file is a single JSON object. Both reduce to a Schedule.
-    let (first_line, reader) = open_sniffed(path)?;
-    let is_jsonl = first_line.contains("\"type\":\"run\"");
+    let file = open_sniffed(path)?;
+    let is_jsonl = looks_like_log(&file.first_line);
     if a.get("--stream").is_some() {
         if !is_jsonl {
             return Err(CliError::Invalid(format!(
@@ -56,15 +56,13 @@ fn lint(a: &Args) -> Result<String, CliError> {
                  (\"type\":\"run\" header); schedule JSON is linted whole — drop --stream"
             )));
         }
-        return lint_streaming(&req, Cursor::new(first_line).chain(reader));
+        return lint_streaming(&req, file.jsonl());
     }
     let invalid = |e: &dyn std::fmt::Display| CliError::Invalid(format!("{path}: {e}"));
     let parsed = if is_jsonl {
-        postal_verify::jsonl_to_schedule_file(Cursor::new(first_line).chain(reader))
-            .map_err(|e| invalid(&e))?
+        postal_verify::jsonl_to_schedule_file(file.jsonl()).map_err(|e| invalid(&e))?
     } else {
-        json::parse_schedule_reader(Cursor::new(first_line).chain(reader))
-            .map_err(|e| invalid(&e))?
+        json::parse_schedule_reader(file.schedule()).map_err(|e| invalid(&e))?
     };
     let dropped = parsed.dropped_events.unwrap_or(0);
     let truncated = parsed.truncated;
@@ -89,30 +87,75 @@ fn lint(a: &Args) -> Result<String, CliError> {
     outcome(&req, raw, facts)
 }
 
+/// A file opened for linting, its first content line read ahead to
+/// tell the format.
+struct Sniffed {
+    /// The first line that holds more than whitespace, less a leading
+    /// UTF-8 byte-order mark; empty when the file has none.
+    first_line: String,
+    /// The lines before it, each blank once a leading BOM is dropped.
+    lines_before: u64,
+    /// The bytes before its text: those lines, and its own BOM.
+    bytes_before: u64,
+    rest: BufReader<File>,
+}
+
+impl Sniffed {
+    /// The file as the JSONL reader reads it: an empty line stands in
+    /// for each line skipped, so `line N` counts every line of the file.
+    fn jsonl(self) -> impl BufRead {
+        let count = self.lines_before;
+        self.after(b'\n', count)
+    }
+
+    /// The file as the schedule-JSON reader reads it: a space stands in
+    /// for each byte skipped, so `byte N` is the offset in the file.
+    fn schedule(self) -> impl BufRead {
+        let count = self.bytes_before;
+        self.after(b' ', count)
+    }
+
+    /// `count` copies of `filler`, then the first content line and the
+    /// rest of the file.
+    fn after(self, filler: u8, count: u64) -> impl BufRead {
+        BufReader::new(io::repeat(filler).take(count))
+            .chain(Cursor::new(self.first_line))
+            .chain(self.rest)
+    }
+}
+
 /// Opens `path` for lint-format sniffing: skips a UTF-8 byte-order mark
 /// and any leading blank lines (editors and shell heredocs prepend
-/// both), returning the first content line plus the rest of the file.
-/// The returned line has the BOM already stripped, so chaining it back
-/// in front of the reader reconstructs a clean document.
-fn open_sniffed(path: &str) -> Result<(String, BufReader<File>), CliError> {
+/// both), keeping count of what it skipped so that error locations
+/// still count from the start of the file.
+fn open_sniffed(path: &str) -> Result<Sniffed, CliError> {
     let cannot = |e: &dyn std::fmt::Display| CliError::Invalid(format!("cannot read {path}: {e}"));
     let handle = File::open(path).map_err(|e| cannot(&e))?;
-    let mut reader = BufReader::new(handle);
+    let mut rest = BufReader::new(handle);
     let mut first_line = String::new();
+    let (mut lines_before, mut bytes_before) = (0, 0);
     loop {
         first_line.clear();
-        let n = reader.read_line(&mut first_line).map_err(|e| cannot(&e))?;
-        if n == 0 {
+        let read = rest.read_line(&mut first_line).map_err(|e| cannot(&e))?;
+        if read == 0 {
             break; // EOF: hand the (blank) line to the parser for its error.
         }
         if first_line.starts_with('\u{feff}') {
             first_line.replace_range(..'\u{feff}'.len_utf8(), "");
         }
         if !first_line.trim().is_empty() {
+            bytes_before += (read - first_line.len()) as u64;
             break;
         }
+        lines_before += 1;
+        bytes_before += read as u64;
     }
-    Ok((first_line, reader))
+    Ok(Sniffed {
+        first_line,
+        lines_before,
+        bytes_before,
+        rest,
+    })
 }
 
 /// The streaming linter for one run. Its one watermark policy is sound
@@ -136,7 +179,7 @@ pub(crate) fn lint_stream(
 /// The `lint --stream` path: folds a JSONL event log through the
 /// streaming lint engine line by line — O(n) linter memory, no
 /// materialized schedule — and renders the exact batch report.
-fn lint_streaming(req: &Request, log: impl std::io::BufRead) -> Result<String, CliError> {
+fn lint_streaming(req: &Request, log: impl BufRead) -> Result<String, CliError> {
     let path = req.path;
     let invalid = |e: &dyn std::fmt::Display| CliError::Invalid(format!("{path}: {e}"));
     let mut parser = JsonlParser::new();

@@ -681,7 +681,8 @@ impl std::error::Error for ParseRatioError {}
 impl FromStr for Ratio {
     type Err = ParseRatioError;
 
-    /// Parses `"3"`, `"5/2"`, or a decimal such as `"2.5"`.
+    /// Parses `"3"`, `"5/2"`, or a decimal such as `"2.5"`. A value an
+    /// `i128` fraction cannot hold is an error, not a panic.
     #[inline]
     fn from_str(s: &str) -> Result<Ratio, ParseRatioError> {
         match parse_digits(s.as_bytes()) {
@@ -737,7 +738,9 @@ fn parse_general(s: &str) -> Result<Ratio, ParseRatioError> {
     if let Some((n, d)) = s.split_once('/') {
         let num: i128 = n.trim().parse().map_err(|_| ParseRatioError(s.into()))?;
         let den: i128 = d.trim().parse().map_err(|_| ParseRatioError(s.into()))?;
-        if den == 0 {
+        // Reducing may negate either part, and `i128::MIN` has no
+        // negation.
+        if den == 0 || num == i128::MIN || den == i128::MIN {
             return Err(ParseRatioError(s.into()));
         }
         return Ok(Ratio::new(num, den));
@@ -756,13 +759,21 @@ fn parse_general(s: &str) -> Result<Ratio, ParseRatioError> {
         let scale = 10i128
             .checked_pow(frac_part.len() as u32)
             .ok_or_else(|| ParseRatioError(s.into()))?;
-        let frac_ratio = Ratio::new(frac, scale);
-        let int_ratio = Ratio::from_int(int);
-        return Ok(if neg {
-            int_ratio - frac_ratio
-        } else {
-            int_ratio + frac_ratio
-        });
+        // int ± p/q is (int·q ± p)/q, reduced because p/q is: an
+        // overflow is a parse error, not a panic.
+        let Ratio { num: p, den: q } = Ratio::new(frac, scale);
+        let num = int
+            .checked_mul(q)
+            .and_then(|v| {
+                if neg {
+                    v.checked_sub(p)
+                } else {
+                    v.checked_add(p)
+                }
+            })
+            .filter(|&v| v != i128::MIN)
+            .ok_or_else(|| ParseRatioError(s.into()))?;
+        return Ok(Ratio::from_reduced(num, q));
     }
     let n: i128 = s.parse().map_err(|_| ParseRatioError(s.into()))?;
     Ok(Ratio::from_int(n))
@@ -885,6 +896,34 @@ mod tests {
         assert!("1/0".parse::<Ratio>().is_err());
         assert!("abc".parse::<Ratio>().is_err());
         assert!("1.2e3".parse::<Ratio>().is_err());
+    }
+
+    #[test]
+    fn unrepresentable_text_is_an_error_not_a_panic() {
+        let max = i128::MAX;
+        let min = i128::MIN;
+        for text in [
+            format!("{max}.5"),
+            format!("{min}.5"),
+            format!("{min}.0"),
+            format!("{min}/-1"),
+            format!("1/{min}"),
+        ] {
+            assert!(text.parse::<Ratio>().is_err(), "{text}");
+        }
+        // The largest decimals that fit still parse exactly.
+        assert_eq!(
+            format!("{max}.0").parse::<Ratio>(),
+            Ok(Ratio::from_int(max))
+        );
+        assert_eq!(
+            format!("{}.5", max / 2 - 1).parse::<Ratio>(),
+            Ok(ratio(max - 2, 2))
+        );
+        assert_eq!(
+            format!("-{}.5", max / 2 - 1).parse::<Ratio>(),
+            Ok(ratio(2 - max, 2))
+        );
     }
 
     #[test]

@@ -14,7 +14,10 @@
 //!
 //! The parser accepts exactly the flat objects the writer emits (string,
 //! integer and boolean values — no nesting), keeping the hermetic
-//! workspace free of a JSON dependency.
+//! workspace free of a JSON dependency. It reads each line in one pass:
+//! the first value of every key it knows is decoded by that key's type
+//! (integer, time, text or boolean) as the scan reaches it, and a value
+//! that does not decode is kept for the error its getter raises.
 
 use crate::event::ObsEvent;
 use crate::log::{ObsError, ObsLog, RunMeta};
@@ -133,104 +136,103 @@ pub fn to_jsonl(log: &ObsLog) -> String {
     out
 }
 
-/// One parsed flat-object field value, borrowed from its line.
-#[derive(Clone, Copy)]
-enum Tok<'a> {
-    Str(&'a str),
-    Num(&'a str),
-    Bool(bool),
+/// Whether `line`, the first line of a file that holds more than
+/// whitespace, marks the file as a JSONL log: it holds `"type"`, `:`
+/// and `"run"` with nothing between them but the whitespace the reader
+/// skips around tokens. A search, not a parse, so a header with a
+/// syntax error still marks its file as a log, and the reader reports
+/// the error with its line.
+pub fn looks_like_log(line: &str) -> bool {
+    let bytes = line.as_bytes();
+    line.match_indices("\"type\"").any(|(at, key)| {
+        let colon = skip_ws(bytes, at + key.len());
+        bytes.get(colon) == Some(&b':')
+            && bytes[skip_ws(bytes, colon + 1)..].starts_with(b"\"run\"")
+    })
 }
 
-/// Parses one flat JSON object (`{"key": value, ...}`; values are
-/// strings, numbers or booleans) into `fields`, borrowing every value
-/// from `line`.
-fn parse_flat<'a>(line: &'a str, fields: &mut Fields<'a>) -> Result<(), ObsError> {
-    let lineno = fields.lineno;
-    let err = |what: &str| ObsError(format!("line {lineno}: {what}"));
-    let bytes = line.as_bytes();
-    let mut pos = 0usize;
-    let skip_ws = |pos: &mut usize| {
-        while *pos < bytes.len() && (bytes[*pos] as char).is_ascii_whitespace() {
-            *pos += 1;
+/// The first position at or after `pos` that does not hold ASCII
+/// whitespace (`u8::is_ascii_whitespace`, form feed included). Every
+/// byte above `' '` stops it after one compare.
+#[inline(always)]
+fn skip_ws(bytes: &[u8], mut pos: usize) -> usize {
+    while let Some(&b) = bytes.get(pos) {
+        if b > b' ' || !b.is_ascii_whitespace() {
+            break;
         }
-    };
-    let parse_string = |pos: &mut usize| -> Result<&'a str, ObsError> {
-        if bytes.get(*pos) != Some(&b'"') {
-            return Err(err("expected '\"'"));
-        }
-        let start = *pos + 1;
-        match bytes[start..].iter().position(|&b| b == b'"' || b == b'\\') {
-            Some(len) if bytes[start + len] == b'"' => {
-                *pos = start + len + 1;
-                // Both ends border a '"' byte, so they are char boundaries.
-                Ok(&line[start..start + len])
-            }
-            Some(_) => Err(err("escapes are not used in obs logs")),
-            None => Err(err("unterminated string")),
-        }
-    };
-
-    skip_ws(&mut pos);
-    if bytes.get(pos) != Some(&b'{') {
-        return Err(err("expected '{'"));
-    }
-    pos += 1;
-    skip_ws(&mut pos);
-    if bytes.get(pos) == Some(&b'}') {
         pos += 1;
-    } else {
-        loop {
-            skip_ws(&mut pos);
-            let key = parse_string(&mut pos)?;
-            skip_ws(&mut pos);
-            if bytes.get(pos) != Some(&b':') {
-                return Err(err("expected ':'"));
-            }
-            pos += 1;
-            skip_ws(&mut pos);
-            let val = match bytes.get(pos) {
-                Some(b'"') => Tok::Str(parse_string(&mut pos)?),
-                Some(b't') if line[pos..].starts_with("true") => {
-                    pos += 4;
-                    Tok::Bool(true)
-                }
-                Some(b'f') if line[pos..].starts_with("false") => {
-                    pos += 5;
-                    Tok::Bool(false)
-                }
-                Some(&b) if b == b'-' || b.is_ascii_digit() => {
-                    let start = pos;
-                    while pos < bytes.len()
-                        && (bytes[pos].is_ascii_digit()
-                            || matches!(bytes[pos], b'-' | b'+' | b'.' | b'e' | b'E'))
-                    {
-                        pos += 1;
-                    }
-                    Tok::Num(&line[start..pos])
-                }
-                _ => return Err(err("expected a string, number or boolean value")),
-            };
-            fields.set(key, val);
-            skip_ws(&mut pos);
-            match bytes.get(pos) {
-                Some(b',') => pos += 1,
-                Some(b'}') => {
-                    pos += 1;
-                    break;
-                }
-                _ => return Err(err("expected ',' or '}'")),
-            }
-        }
     }
-    skip_ws(&mut pos);
-    if pos != bytes.len() {
-        return Err(err("trailing characters after object"));
+    pos
+}
+
+/// Whether `line` is blank as `str::trim` reads it (Unicode
+/// whitespace). An ASCII byte after the leading ASCII whitespace
+/// decides it without `trim`.
+#[inline]
+fn is_blank(line: &str) -> bool {
+    let bytes = line.as_bytes();
+    match bytes.get(skip_ws(bytes, 0)) {
+        None => true,
+        // Vertical tab is whitespace to `trim` but not to `skip_ws`.
+        Some(&b) if b.is_ascii() && b != 0x0b => false,
+        Some(_) => line.trim().is_empty(),
     }
-    Ok(())
+}
+
+/// A syntax error in one line, worded by [`Syntax::at`].
+#[derive(Clone, Copy)]
+enum Syntax {
+    OpenBrace,
+    Quote,
+    Colon,
+    Value,
+    CommaOrBrace,
+    Trailing,
+    Unterminated,
+    Escape,
+}
+
+impl Syntax {
+    /// The error, located on line `lineno`.
+    #[cold]
+    fn at(self, lineno: usize) -> ObsError {
+        let what = match self {
+            Syntax::OpenBrace => "expected '{'",
+            Syntax::Quote => "expected '\"'",
+            Syntax::Colon => "expected ':'",
+            Syntax::Value => "expected a string, number or boolean value",
+            Syntax::CommaOrBrace => "expected ',' or '}'",
+            Syntax::Trailing => "trailing characters after object",
+            Syntax::Unterminated => "unterminated string",
+            Syntax::Escape => "escapes are not used in obs logs",
+        };
+        ObsError(format!("line {lineno}: {what}"))
+    }
+}
+
+/// The string whose opening `"` is at `pos`: the bounds of its text,
+/// which has no escape.
+#[inline(always)]
+fn string(bytes: &[u8], pos: usize) -> Result<(usize, usize), Syntax> {
+    let start = pos + 1;
+    match bytes[start..].iter().position(|&b| b == b'"' || b == b'\\') {
+        Some(len) if bytes[start + len] == b'"' => Ok((start, start + len)),
+        Some(_) => Err(Syntax::Escape),
+        None => Err(Syntax::Unterminated),
+    }
+}
+
+/// How a value was written.
+#[derive(Clone, Copy, Debug, Default)]
+enum Tok {
+    #[default]
+    Str,
+    Num,
+    Bool,
 }
 
 /// The keys the reader knows: every field of the `"run"` header and of
-/// each event kind. Each has one slot in [`Fields`].
+/// each event kind. Each has one entry in [`Fields`].
 #[derive(Clone, Copy)]
 enum Key {
     Type,
@@ -257,6 +259,17 @@ enum Key {
 
 /// Number of [`Key`]s.
 const KEYS: usize = 20;
+
+/// What a key's value decodes to.
+enum Ty {
+    /// A `u64`, as `str::parse` reads a number token.
+    Int,
+    /// A [`Ratio`], from a string or a number token.
+    Time,
+    /// A string's text.
+    Text,
+    Bool,
+}
 
 impl Key {
     /// The key named `name`, if the reader knows it.
@@ -312,94 +325,259 @@ impl Key {
             Key::RingCapacity => "ring_capacity",
         }
     }
+
+    /// The type the key's value is read as; each key has one reader.
+    fn ty(self) -> Ty {
+        match self {
+            Key::Seq
+            | Key::Src
+            | Key::Dst
+            | Key::Proc
+            | Key::Processed
+            | Key::Limit
+            | Key::N
+            | Key::Messages
+            | Key::Dropped
+            | Key::RingCapacity => Ty::Int,
+            Key::Start | Key::Finish | Key::Arrival | Key::At | Key::BusyUntil | Key::Lambda => {
+                Ty::Time
+            }
+            Key::Type | Key::Engine | Key::Sample => Ty::Text,
+            Key::Queued => Ty::Bool,
+        }
+    }
+
+    fn bit(self) -> u32 {
+        1 << self as u32
+    }
 }
 
-/// The fields of one line, borrowed from it: one slot per [`Key`],
-/// holding the value of the key's first occurrence. Values under keys
-/// the reader does not know are dropped once tokenized.
-struct Fields<'a> {
-    slots: [Option<Tok<'a>>; KEYS],
+/// The field table a line is read into, reused from line to line. For
+/// each [`Key`], `seen` says whether the line named it and `bad`
+/// whether its first value did not decode by the key's type; the value
+/// is in `int` (integers and booleans), `time`, or `span` (a string's
+/// bounds in the line). A value that did not decode keeps its `span`
+/// and token `kind` for the getter's error. Later occurrences of a key,
+/// and keys the reader does not know, are checked for syntax and
+/// dropped. Entries outside `seen` hold an earlier line's values and
+/// are never read.
+#[derive(Debug, Default)]
+struct Fields {
+    seen: u32,
+    bad: u32,
+    int: [u64; KEYS],
+    time: [Ratio; KEYS],
+    span: [(usize, usize); KEYS],
+    kind: [Tok; KEYS],
+}
+
+impl Fields {
+    /// Reads one flat JSON object (`{"key": value, ...}`; values are
+    /// strings, numbers or booleans) in one pass, decoding the first
+    /// value of each known key as it goes.
+    fn scan(&mut self, line: &str) -> Result<(), Syntax> {
+        self.seen = 0;
+        self.bad = 0;
+        let bytes = line.as_bytes();
+        let mut pos = skip_ws(bytes, 0);
+        if bytes.get(pos) != Some(&b'{') {
+            return Err(Syntax::OpenBrace);
+        }
+        pos = skip_ws(bytes, pos + 1);
+        if bytes.get(pos) == Some(&b'}') {
+            pos += 1;
+        } else {
+            loop {
+                pos = skip_ws(bytes, pos);
+                if bytes.get(pos) != Some(&b'"') {
+                    return Err(Syntax::Quote);
+                }
+                let (start, end) = string(bytes, pos)?;
+                // Both ends border a '"' byte, so they are char
+                // boundaries.
+                let key = Key::of(&line[start..end]).filter(|k| self.seen & k.bit() == 0);
+                pos = skip_ws(bytes, end + 1);
+                if bytes.get(pos) != Some(&b':') {
+                    return Err(Syntax::Colon);
+                }
+                pos = skip_ws(bytes, pos + 1);
+                let start = pos;
+                // The token's kind, its text's bounds, and its value as
+                // an integer or a boolean where it has one.
+                let (kind, span, int) = match bytes.get(pos) {
+                    Some(b'"') => {
+                        let (start, end) = string(bytes, pos)?;
+                        pos = end + 1;
+                        (Tok::Str, (start, end), None)
+                    }
+                    Some(b't') if bytes[pos..].starts_with(b"true") => {
+                        pos += 4;
+                        (Tok::Bool, (start, pos), Some(1))
+                    }
+                    Some(b'f') if bytes[pos..].starts_with(b"false") => {
+                        pos += 5;
+                        (Tok::Bool, (start, pos), Some(0))
+                    }
+                    Some(&b) if b == b'-' || b.is_ascii_digit() => {
+                        // A `u64` exactly when `str::parse` reads one:
+                        // digits only, no overflow.
+                        let mut int = Some(0u64);
+                        while let Some(&b) = bytes.get(pos) {
+                            if b.is_ascii_digit() {
+                                int = int.and_then(|v| {
+                                    v.checked_mul(10)?.checked_add(u64::from(b - b'0'))
+                                });
+                            } else if matches!(b, b'-' | b'+' | b'.' | b'e' | b'E') {
+                                int = None;
+                            } else {
+                                break;
+                            }
+                            pos += 1;
+                        }
+                        (Tok::Num, (start, pos), int)
+                    }
+                    _ => return Err(Syntax::Value),
+                };
+                if let Some(key) = key {
+                    self.put(key, kind, line, span, int);
+                }
+                pos = skip_ws(bytes, pos);
+                match bytes.get(pos) {
+                    Some(b',') => pos += 1,
+                    Some(b'}') => {
+                        pos += 1;
+                        break;
+                    }
+                    _ => return Err(Syntax::CommaOrBrace),
+                }
+            }
+        }
+        if skip_ws(bytes, pos) != bytes.len() {
+            return Err(Syntax::Trailing);
+        }
+        Ok(())
+    }
+
+    /// Records the first value of `key`, a `kind` token at `span` in
+    /// `line`, decoded by the key's type; `int` is the token's value as
+    /// an integer or a boolean, if it has one. A span's ends are char
+    /// boundaries: a string's border a '"' byte, and a number or boolean
+    /// token is ASCII throughout.
+    #[inline(always)]
+    fn put(&mut self, key: Key, kind: Tok, line: &str, span: (usize, usize), int: Option<u64>) {
+        let k = key as usize;
+        self.seen |= key.bit();
+        self.kind[k] = kind;
+        self.span[k] = span;
+        let decoded = match (key.ty(), kind, int) {
+            (Ty::Int, Tok::Num, Some(v)) | (Ty::Bool, Tok::Bool, Some(v)) => {
+                self.int[k] = v;
+                true
+            }
+            (Ty::Time, Tok::Str | Tok::Num, _) => match line[span.0..span.1].parse() {
+                Ok(t) => {
+                    self.time[k] = t;
+                    true
+                }
+                Err(_) => false,
+            },
+            (Ty::Text, Tok::Str, _) => true,
+            _ => false,
+        };
+        if !decoded {
+            self.bad |= key.bit();
+        }
+    }
+}
+
+/// A scanned line: its [`Fields`], the line they point into, and its
+/// number. The getters return a key's decoded value, or the error for
+/// a key the line lacks or whose value did not decode.
+struct Row<'f, 'a> {
+    fields: &'f Fields,
+    line: &'a str,
     lineno: usize,
 }
 
-impl<'a> Fields<'a> {
-    /// An empty table for line `lineno`.
-    fn new(lineno: usize) -> Fields<'a> {
-        Fields {
-            slots: [None; KEYS],
-            lineno,
-        }
-    }
-
-    /// Records `val` under `name`, unless the line named that key
-    /// before or the reader does not know it.
-    #[inline]
-    fn set(&mut self, name: &str, val: Tok<'a>) {
-        if let Some(key) = Key::of(name) {
-            self.slots[key as usize].get_or_insert(val);
-        }
-    }
-
+impl<'a> Row<'_, 'a> {
+    #[cold]
     fn err(&self, what: String) -> ObsError {
         ObsError(format!("line {}: {}", self.lineno, what))
     }
 
     /// Whether the line holds `key`.
     fn has(&self, key: Key) -> bool {
-        self.slots[key as usize].is_some()
+        self.fields.seen & key.bit() != 0
     }
 
-    /// The value of the first field named `key`.
-    fn get(&self, key: Key) -> Result<Tok<'a>, ObsError> {
-        self.slots[key as usize].ok_or_else(|| self.err(format!("missing field {:?}", key.name())))
+    /// The text of `key`'s first value, which the line holds: a
+    /// string's contents, or a number or boolean token.
+    fn text(&self, key: Key) -> &'a str {
+        let (start, end) = self.fields.span[key as usize];
+        &self.line[start..end]
     }
 
-    fn u64(&self, key: Key) -> Result<u64, ObsError> {
-        match self.get(key)? {
-            Tok::Num(t) => t
-                .parse()
-                .map_err(|_| self.err(format!("{:?} is not a nonnegative integer", key.name()))),
-            _ => Err(self.err(format!("{:?} must be a number", key.name()))),
+    /// The error for a `key` the line lacks or whose first value did
+    /// not decode by the key's type.
+    #[cold]
+    #[inline(never)]
+    fn wrong(&self, key: Key) -> ObsError {
+        let name = key.name();
+        if !self.has(key) {
+            return self.err(format!("missing field {name:?}"));
+        }
+        self.err(match (key.ty(), self.fields.kind[key as usize]) {
+            (Ty::Int, Tok::Num) => format!("{name:?} is not a nonnegative integer"),
+            (Ty::Int, _) => format!("{name:?} must be a number"),
+            (Ty::Time, Tok::Bool) => format!("{name:?} must be a time"),
+            (Ty::Time, _) => format!("{name:?}: cannot parse {:?} as a rational", self.text(key)),
+            (Ty::Text, _) => format!("{name:?} must be a string"),
+            (Ty::Bool, _) => format!("{name:?} must be a boolean"),
+        })
+    }
+
+    /// `read()`, the value of `key`, if its first value decoded.
+    #[inline(always)]
+    fn value<T>(&self, key: Key, read: impl FnOnce() -> T) -> Result<T, ObsError> {
+        if (self.fields.seen & !self.fields.bad) & key.bit() != 0 {
+            Ok(read())
+        } else {
+            Err(self.wrong(key))
         }
     }
 
+    #[inline]
+    fn u64(&self, key: Key) -> Result<u64, ObsError> {
+        self.value(key, || self.fields.int[key as usize])
+    }
+
+    #[inline]
     fn u32(&self, key: Key) -> Result<u32, ObsError> {
         u32::try_from(self.u64(key)?)
             .map_err(|_| self.err(format!("{:?} out of range", key.name())))
     }
 
+    #[inline]
     fn ratio(&self, key: Key) -> Result<Ratio, ObsError> {
-        let text = match self.get(key)? {
-            Tok::Str(s) | Tok::Num(s) => s,
-            Tok::Bool(_) => return Err(self.err(format!("{:?} must be a time", key.name()))),
-        };
-        text.parse::<Ratio>().map_err(|_| {
-            self.err(format!(
-                "{:?}: cannot parse {text:?} as a rational",
-                key.name()
-            ))
-        })
+        self.value(key, || self.fields.time[key as usize])
     }
 
     /// A time within the input bounds ([`Time::check_input`]).
+    #[inline]
     fn time(&self, key: Key) -> Result<Time, ObsError> {
         Time(self.ratio(key)?)
             .check_input()
             .map_err(|e| self.err(format!("{:?}: {e}", key.name())))
     }
 
+    #[inline]
     fn bool(&self, key: Key) -> Result<bool, ObsError> {
-        match self.get(key)? {
-            Tok::Bool(b) => Ok(b),
-            _ => Err(self.err(format!("{:?} must be a boolean", key.name()))),
-        }
+        self.value(key, || self.fields.int[key as usize] != 0)
     }
 
+    #[inline]
     fn str(&self, key: Key) -> Result<&'a str, ObsError> {
-        match self.get(key)? {
-            Tok::Str(s) => Ok(s),
-            _ => Err(self.err(format!("{:?} must be a string", key.name()))),
-        }
+        self.value(key, || self.text(key))
     }
 }
 
@@ -413,13 +591,15 @@ impl<'a> Fields<'a> {
 /// Because no event is retained internally, a consumer that folds
 /// events as they arrive (e.g. `postal-verify`'s JSONL-to-schedule
 /// reduction) processes a log in O(1) parser memory regardless of its
-/// length. A line's fields are borrowed from it, not copied, so an
-/// event line costs no heap allocation; [`LineReader`] supplies lines
-/// from any reader the same way.
+/// length. A line is decoded into one field table the parser reuses,
+/// with strings left in the line, so an event line costs no heap
+/// allocation; [`LineReader`] supplies lines from any reader the same
+/// way.
 #[derive(Debug, Default)]
 pub struct JsonlParser {
     meta: Option<RunMeta>,
     lineno: usize,
+    fields: Fields,
 }
 
 impl JsonlParser {
@@ -442,11 +622,15 @@ impl JsonlParser {
     pub fn line(&mut self, line: &str) -> Result<Option<ObsEvent>, ObsError> {
         self.lineno += 1;
         let lineno = self.lineno;
-        if line.trim().is_empty() {
+        if is_blank(line) {
             return Ok(None);
         }
-        let mut f = Fields::new(lineno);
-        parse_flat(line, &mut f)?;
+        self.fields.scan(line).map_err(|e| e.at(lineno))?;
+        let f = Row {
+            fields: &self.fields,
+            line,
+            lineno,
+        };
         let kind = f.str(Key::Type)?;
         if kind == "run" {
             if self.meta.is_some() {
@@ -743,6 +927,52 @@ mod tests {
             lines.next_line().unwrap_err().to_string(),
             "read error: stream did not contain valid UTF-8"
         );
+    }
+
+    #[test]
+    fn blank_lines_are_what_trim_calls_blank() {
+        let chars = [
+            ' ', '\t', '\n', '\x0b', '\x0c', '\r', '\x1c', '\0', '\u{85}', '\u{a0}', '\u{2003}',
+            '\u{feff}', '{', 'x',
+        ];
+        let mut lines = vec![String::new()];
+        for _ in 0..3 {
+            let longer: Vec<String> = lines
+                .iter()
+                .flat_map(|l| chars.iter().map(move |&c| format!("{l}{c}")))
+                .collect();
+            lines.extend(longer);
+        }
+        for line in &lines {
+            assert_eq!(is_blank(line), line.trim().is_empty(), "{line:?}");
+        }
+    }
+
+    #[test]
+    fn a_log_is_told_by_its_header_key_and_the_reader_whitespace() {
+        for line in [
+            r#"{"type":"run","n":3}"#,
+            r#"{"type": "run", "n": 3}"#,
+            "{ \"type\"\t:\x0c\r \"run\" }",
+            r#"{"engine":"e","type" :"run"}"#,
+            r#"{"type":"send","type":"run"}"#,
+            r#"{"type": "run", "n": 3,}"#,
+        ] {
+            assert!(looks_like_log(line), "{line:?}");
+        }
+        for line in [
+            r#"{"n":3,"lambda":2,"sends":[]}"#,
+            r#"{"type":"runs"}"#,
+            r#"{"type":"send"}"#,
+            r#"{"kind":"run"}"#,
+            r#"{"x":"type","y":"run"}"#,
+            "{\"type\"\x0b:\"run\"}",
+            "{\"type\":\u{a0}\"run\"}",
+            r#"{"type":run}"#,
+            "",
+        ] {
+            assert!(!looks_like_log(line), "{line:?}");
+        }
     }
 
     #[test]

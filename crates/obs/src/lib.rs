@@ -69,7 +69,7 @@ pub mod sample;
 pub use chrome::to_chrome_trace;
 pub use event::{ObsEvent, PortSide, PortSpan};
 pub use hist::StreamingHistogram;
-pub use jsonl::{from_jsonl, to_jsonl, JsonlParser, LineReader};
+pub use jsonl::{from_jsonl, looks_like_log, to_jsonl, JsonlParser, LineReader};
 pub use lint_stream::{LintSink, LintStream};
 pub use log::{port_busy_times, ObsError, ObsLog, RunMeta};
 pub use metrics::{Histogram, MetricsSummary};
