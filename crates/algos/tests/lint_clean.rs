@@ -13,13 +13,15 @@ use postal_algos::{
     flood_schedule, run_bcast, run_dtree, run_pack, run_pipeline, run_repeat, run_repeat_greedy,
     BroadcastTree, ToSchedule,
 };
-use postal_model::lint::StreamingLint;
+use postal_model::lint::{LintCode, StreamingLint};
+use postal_model::schedule::TimedSend;
 use postal_model::{Latency, TopologySpec};
 use postal_obs::LintSink;
 use postal_sim::{Simulation, Uniform};
 use postal_verify::{
     assert_broadcast_clean, assert_clean, assert_ports_clean, LintOptions, Severity,
 };
+use std::mem::size_of;
 
 fn lambdas() -> Vec<Latency> {
     vec![
@@ -84,7 +86,9 @@ fn linter_memory_figure_is_pinned_byte_for_byte() {
     // The figure `simulate --lint-inline` prints as "linter memory":
     // every container the engine reserves, by capacity, before
     // `finish`. Ports-only leaves out the broadcast codes' state; the
-    // ring adds its `P0017` findings.
+    // ring adds its `P0017` findings: 240,784 bytes of containers plus
+    // the messages and send lists those findings own, summed from the
+    // finished report (`finish` moves each finding without copying it).
     let (n, lam) = (1000, Latency::from_int(2));
     let schedule = run_bcast(n, lam).trace.to_schedule(n as u32, lam);
     let ring = TopologySpec::Ring
@@ -111,7 +115,15 @@ fn linter_memory_figure_is_pinned_byte_for_byte() {
             lint.advance_watermark(s.send_start);
             lint.observe_send(s.src, s.dst, s.send_start);
         }
-        assert_eq!(lint.memory_bytes(), bytes, "{what}");
+        let counted = lint.memory_bytes();
+        let held: usize = lint
+            .finish()
+            .iter()
+            .filter(|d| d.code == LintCode::NonEdgeSend)
+            .map(|d| d.message.capacity() + d.sends.capacity() * size_of::<TimedSend>())
+            .sum();
+        assert_eq!(what == "ring", held > 0, "{what}: held findings");
+        assert_eq!(counted, bytes + held, "{what}");
     }
 }
 

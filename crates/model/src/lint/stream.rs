@@ -44,7 +44,11 @@
 //! instead of a heap pop per send over up to n pending sends.
 //!
 //! A send's start is converted to ticks once, in
-//! [`StreamingLint::observe_send`]. The tick decides its lane and the
+//! [`StreamingLint::observe_send`], or arrives as ticks from a caller
+//! on the same lattice through [`StreamingLint::observe_send_ticks`]
+//! (and the watermark through
+//! [`StreamingLint::advance_watermark_ticks`]), as a running simulator
+//! hands them to the inline lint sink. The tick decides its lane and the
 //! out-of-order check against the watermark, which is kept in ticks
 //! too, and it travels with the send when it is finalized, so `P0001`,
 //! `P0002`, `P0003` and `P0006` decide on integers whenever both sides
@@ -86,7 +90,7 @@ use crate::fib::GenFib;
 use crate::latency::Latency;
 use crate::runtimes;
 use crate::schedule::TimedSend;
-use crate::time::Time;
+use crate::time::{Time, TICK_LIMIT};
 use crate::topology::{eccentricity_of, Topology, UNREACHABLE};
 use std::cmp::{Ordering, Reverse};
 use std::collections::btree_map::Entry;
@@ -242,6 +246,7 @@ impl StreamIndex {
             _ => None,
         };
         match ticks {
+            Some(k) if well_formed => return self.record_ticks(s.dst, k),
             Some(k) => self.completion_ticks = self.completion_ticks.max(k),
             None => {
                 let rf = s.recv_finish(self.latency);
@@ -253,15 +258,19 @@ impl StreamIndex {
         }
         if well_formed {
             self.sends += 1;
-            match ticks {
-                Some(k) => self.first_receipt.set_min_ticks(s.dst, k),
-                None => self
-                    .first_receipt
-                    .set_min(s.dst, s.recv_finish(self.latency)),
-            }
+            self.first_receipt
+                .set_min(s.dst, s.recv_finish(self.latency));
         } else {
             self.malformed += 1;
         }
+    }
+
+    /// Folds one well-formed send to `dst` whose receive finishes
+    /// `receipt` ticks into the run.
+    fn record_ticks(&mut self, dst: u32, receipt: i64) {
+        self.completion_ticks = self.completion_ticks.max(receipt);
+        self.sends += 1;
+        self.first_receipt.set_min_ticks(dst, receipt);
     }
 
     /// Processor count of the stream under lint.
@@ -352,7 +361,18 @@ impl Ports {
         self.prev_start.memory_bytes()
             + self.peer.capacity() * size_of::<u32>()
             + self.found.capacity() * size_of::<(u32, Diagnostic)>()
+            + self
+                .found
+                .iter()
+                .map(|(_, d)| finding_heap_bytes(d))
+                .sum::<usize>()
     }
+}
+
+/// The heap a held finding owns beyond its own struct: its message and
+/// its list of offending sends.
+fn finding_heap_bytes(d: &Diagnostic) -> usize {
+    d.message.capacity() + d.sends.capacity() * size_of::<TimedSend>()
 }
 
 /// The streaming lint engine: checks each send the watermark releases
@@ -400,8 +420,10 @@ pub struct StreamingLint {
     pending_fast_peak: usize,
     /// Pending off-lattice sends, keyed `(start, src, dst)`.
     pending_exact: BinaryHeap<Reverse<(Time, u32, u32)>>,
-    watermark: Time,
+    /// The watermark in ticks, when it lies on the lattice.
     watermark_ticks: Option<i64>,
+    /// The watermark when `watermark_ticks` is `None`.
+    watermark_exact: Time,
     out_of_order: bool,
     /// Well-formed sends whose start lies off the lattice.
     exact_sends: u64,
@@ -430,8 +452,8 @@ impl StreamingLint {
             pending_fast_bytes: 0,
             pending_fast_peak: 0,
             pending_exact: BinaryHeap::new(),
-            watermark: Time::ZERO,
             watermark_ticks: Some(0),
+            watermark_exact: Time::ZERO,
             out_of_order: false,
             exact_sends: 0,
         }
@@ -471,47 +493,76 @@ impl StreamingLint {
         // The one tick conversion of this send: everything below, and
         // every check once it is finalized, compares on it.
         let ticks = send_start.to_ticks(self.index.den);
-        let n = self.index.n;
         let nonnegative = match ticks {
             Some(k) => k >= 0,
             None => send_start >= Time::ZERO,
         };
-        let well_formed = src < n && dst < n && src != dst && nonnegative;
+        let well_formed = self.pair_in_range(src, dst) && nonnegative;
         self.index.record(&s, ticks, well_formed);
         if !well_formed {
             self.malformed.push(s);
             return;
         }
-        let late = match (ticks, self.watermark_ticks) {
-            (Some(k), Some(w)) => k < w,
-            _ => send_start < self.watermark,
+        match ticks {
+            Some(k) => self.park_ticks(src, dst, k),
+            None => {
+                if send_start < self.watermark() {
+                    self.out_of_order = true;
+                }
+                self.exact_sends += 1;
+                self.pending_exact.push(Reverse((send_start, src, dst)));
+            }
+        }
+    }
+
+    /// [`StreamingLint::observe_send`] of a send starting `start` ticks
+    /// of `1/`[`tick_denominator`](StreamingLint::tick_denominator) into
+    /// the stream, for a caller that keeps time on the stream's own
+    /// lattice: a well-formed send takes the tick lane with no
+    /// conversion. Any other send (malformed, or past
+    /// [`TICK_LIMIT`]) goes through
+    /// `observe_send` with its exact start, so both entries give the
+    /// same report.
+    pub fn observe_send_ticks(&mut self, src: u32, dst: u32, start: i64) {
+        match self.index.lam_ticks {
+            Some(l) if self.pair_in_range(src, dst) && (0..=TICK_LIMIT).contains(&start) => {
+                // Both ≤ TICK_LIMIT = i64::MAX/4: no overflow.
+                self.index.record_ticks(dst, start + l);
+                self.park_ticks(src, dst, start);
+            }
+            _ => self.observe_send(src, dst, Time::from_ticks(start, self.index.den)),
+        }
+    }
+
+    /// Whether `src → dst` joins two distinct processors of the run.
+    fn pair_in_range(&self, src: u32, dst: u32) -> bool {
+        let n = self.index.n;
+        src < n && dst < n && src != dst
+    }
+
+    /// Parks a well-formed send starting `k` ticks in on the tick lane.
+    fn park_ticks(&mut self, src: u32, dst: u32, k: i64) {
+        let late = match self.watermark_ticks {
+            Some(w) => k < w,
+            None => Time::from_ticks(k, self.index.den) < self.watermark_exact,
         };
         if late {
             // The watermark already passed this start: finalization
             // order can no longer be canonical.
             self.out_of_order = true;
         }
-        match ticks {
-            Some(k) => {
-                let bucket = match self.pending_fast.entry(k) {
-                    Entry::Occupied(e) => e.into_mut(),
-                    Entry::Vacant(e) => {
-                        self.pending_fast_bytes += BUCKET_BYTES;
-                        e.insert(TickBucket::default())
-                    }
-                };
-                let cap = bucket.pairs.capacity();
-                bucket.push((src, dst));
-                self.pending_fast_bytes +=
-                    (bucket.pairs.capacity() - cap) * size_of::<(u32, u32)>();
-                self.pending_fast_peak = self.pending_fast_peak.max(self.pending_fast_bytes);
-                self.pending_fast_len += 1;
+        let bucket = match self.pending_fast.entry(k) {
+            Entry::Occupied(e) => e.into_mut(),
+            Entry::Vacant(e) => {
+                self.pending_fast_bytes += BUCKET_BYTES;
+                e.insert(TickBucket::default())
             }
-            None => {
-                self.exact_sends += 1;
-                self.pending_exact.push(Reverse((send_start, src, dst)));
-            }
-        }
+        };
+        let cap = bucket.pairs.capacity();
+        bucket.push((src, dst));
+        self.pending_fast_bytes += (bucket.pairs.capacity() - cap) * size_of::<(u32, u32)>();
+        self.pending_fast_peak = self.pending_fast_peak.max(self.pending_fast_bytes);
+        self.pending_fast_len += 1;
     }
 
     /// Raises the watermark to `t` (never lowers it) and finalizes
@@ -520,15 +571,48 @@ impl StreamingLint {
     /// observed; the engine's simulation clock and the timestamps of a
     /// sorted event log both satisfy this.
     pub fn advance_watermark(&mut self, t: Time) {
-        let ticks = t.to_ticks(self.index.den);
-        let raised = match (ticks, self.watermark_ticks) {
-            (Some(k), Some(w)) => k > w,
-            _ => t > self.watermark,
+        match t.to_ticks(self.index.den) {
+            Some(k) => self.advance_watermark_ticks(k),
+            None => {
+                if t > self.watermark() {
+                    self.watermark_ticks = None;
+                    self.watermark_exact = t;
+                }
+                self.drain_below_watermark();
+            }
+        }
+    }
+
+    /// [`StreamingLint::advance_watermark`] to `t` ticks of
+    /// `1/`[`tick_denominator`](StreamingLint::tick_denominator), with
+    /// no conversion; a tick count past
+    /// [`TICK_LIMIT`] goes through
+    /// `advance_watermark` with its exact time.
+    pub fn advance_watermark_ticks(&mut self, t: i64) {
+        if t.unsigned_abs() > TICK_LIMIT as u64 {
+            return self.advance_watermark(Time::from_ticks(t, self.index.den));
+        }
+        let raised = match self.watermark_ticks {
+            Some(w) => t > w,
+            None => Time::from_ticks(t, self.index.den) > self.watermark_exact,
         };
         if raised {
-            self.watermark_ticks = ticks;
-            self.watermark = t;
+            self.watermark_ticks = Some(t);
         }
+        self.drain_below_watermark();
+    }
+
+    /// The watermark as an exact time.
+    fn watermark(&self) -> Time {
+        match self.watermark_ticks {
+            Some(w) => Time::from_ticks(w, self.index.den),
+            None => self.watermark_exact,
+        }
+    }
+
+    /// Finalizes every pending send starting strictly before the
+    /// watermark.
+    fn drain_below_watermark(&mut self) {
         // Integer-only fast path: all pending on-lattice, watermark
         // on-lattice.
         if self.pending_exact.is_empty() {
@@ -554,7 +638,8 @@ impl StreamingLint {
                 return;
             }
         }
-        while let Some((s, ticks)) = self.pop_min(Some(self.watermark)) {
+        let bound = self.watermark();
+        while let Some((s, ticks)) = self.pop_min(Some(bound)) {
             self.finalize(&s, ticks);
         }
     }
@@ -714,6 +799,13 @@ impl StreamingLint {
         self.exact_sends
     }
 
+    /// The stream's tick denominator `D = λ.lattice_lcm(2)`: the tick
+    /// entries [`StreamingLint::observe_send_ticks`] and
+    /// [`StreamingLint::advance_watermark_ticks`] count ticks of `1/D`.
+    pub fn tick_denominator(&self) -> i64 {
+        self.index.den
+    }
+
     /// The running aggregates (processor count, λ, first receipts,
     /// completion).
     pub fn index(&self) -> &StreamIndex {
@@ -727,7 +819,8 @@ impl StreamingLint {
 
     /// Peak reserved linter heap bytes, by container capacity: the
     /// pending lanes' high-water marks, the shared index, and every
-    /// code's state (none of which shrink). This is the number the
+    /// code's state (none of which shrink), the held findings' messages
+    /// and send lists included. This is the number the
     /// `exp_stream_lint` budget gates, so it bounds the linter's peak
     /// whenever it is read.
     pub fn memory_bytes(&self) -> usize {
@@ -741,6 +834,7 @@ impl StreamingLint {
             + self.idle_cursor.memory_bytes()
             + self.first_gap.capacity() * (size_of::<(u32, Time)>() + size_of::<u64>())
             + self.non_edges.capacity() * size_of::<Diagnostic>()
+            + self.non_edges.iter().map(finding_heap_bytes).sum::<usize>()
     }
 
     /// Finalizes every pending send and returns the report.
@@ -1479,6 +1573,33 @@ mod tests {
         assert!(!lint.out_of_order());
         lint.observe_send(0, 2, Time::ONE); // starts below the watermark
         assert!(lint.out_of_order());
+    }
+
+    #[test]
+    fn tick_entries_give_the_exact_entries_report() {
+        // λ = 5/2 ticks in halves. Beside on-lattice sends: a self-send
+        // and a negative start (malformed), a late send, and a start
+        // and a watermark past TICK_LIMIT, which take the exact entries.
+        let far = TICK_LIMIT + 1;
+        let sends = [(0, 1, 0), (1, 1, 2), (0, 2, -2), (1, 3, 6), (2, 3, far)];
+        let watermarks = [5, 3, far + 1];
+        let mut by_ticks = StreamingLint::new(4, lam52(), LintOptions::default());
+        let mut by_time = StreamingLint::new(4, lam52(), LintOptions::default());
+        assert_eq!(by_ticks.tick_denominator(), 2);
+        for (i, &(src, dst, k)) in sends.iter().enumerate() {
+            by_ticks.observe_send_ticks(src, dst, k);
+            by_time.observe_send(src, dst, Time::from_ticks(k, 2));
+            if let Some(&w) = watermarks.get(i) {
+                by_ticks.advance_watermark_ticks(w);
+                by_time.advance_watermark(Time::from_ticks(w, 2));
+            }
+        }
+        assert!(by_ticks.out_of_order());
+        assert_eq!(by_ticks.exact_sends(), 1);
+        assert_eq!(by_ticks.index().malformed_observed(), 2);
+        assert_eq!(by_ticks.index().completion(), by_time.index().completion());
+        assert_eq!(by_ticks.memory_bytes(), by_time.memory_bytes());
+        assert_eq!(by_ticks.finish(), by_time.finish());
     }
 
     #[test]

@@ -39,12 +39,35 @@
 //! A `Truncated` event is also latched into [`LintStream::truncated`]
 //! so the caller can apply the usual absence-lint downgrades to the
 //! finished report.
+//!
+//! ## Ticks from a running engine
+//!
+//! The simulator hands its sends and receives to a recorder as `i64`
+//! ticks of its run's lattice
+//! ([`Recorder::record_send_ticks`], [`Recorder::record_recv_ticks`]).
+//! [`LintSink`] overrides both: when the run's denominator is the
+//! linter's own, `λ.lattice_lcm(2)` (always so under a uniform λ), the
+//! tick goes straight into
+//! [`StreamingLint::observe_send_ticks`] or
+//! [`StreamingLint::advance_watermark_ticks`] and no [`Time`] is built;
+//! under another denominator it is converted to its exact `Time`
+//! first. A send and a receive go through the same two steps whether
+//! they come as ticks or as an [`ObsEvent`], so the policy above is
+//! written once.
 
 use crate::event::ObsEvent;
 use crate::recorder::Recorder;
 use postal_model::lint::{Diagnostic, LintOptions, StreamingLint};
-use postal_model::Latency;
-use std::sync::Mutex;
+use postal_model::{Latency, Time};
+use std::sync::{Mutex, MutexGuard};
+
+/// An event time as the stream is handed it: ticks of the linter's own
+/// lattice, or an exact time.
+#[derive(Clone, Copy)]
+enum At {
+    Ticks(i64),
+    Exact(Time),
+}
 
 /// An [`ObsEvent`]-to-lint adapter: push events, collect the finished
 /// `P0001`–`P0007` report. Construct one per run.
@@ -83,16 +106,44 @@ impl LintStream {
     /// engine.
     pub fn on_event(&mut self, ev: &ObsEvent) {
         match *ev {
-            ObsEvent::Send { .. } | ObsEvent::Crash { .. } => {}
-            ObsEvent::Recv { arrival, .. } => self.inner.advance_watermark(arrival),
-            _ => self.inner.advance_watermark(ev.at()),
-        }
-        match *ev {
             ObsEvent::Send {
                 src, dst, start, ..
-            } => self.inner.observe_send(src, dst, start),
-            ObsEvent::Truncated { .. } => self.truncated = true,
-            _ => {}
+            } => self.send(src, dst, At::Exact(start)),
+            ObsEvent::Recv { arrival, .. } => self.recv(At::Exact(arrival)),
+            ObsEvent::Crash { .. } => {}
+            ObsEvent::Truncated { at, .. } => {
+                self.inner.advance_watermark(at);
+                self.truncated = true;
+            }
+            _ => self.inner.advance_watermark(ev.at()),
+        }
+    }
+
+    /// A send can start later than the clock that issued it (its output
+    /// port books ahead): it is parked, and never moves the watermark.
+    fn send(&mut self, src: u32, dst: u32, start: At) {
+        match start {
+            At::Ticks(k) => self.inner.observe_send_ticks(src, dst, k),
+            At::Exact(t) => self.inner.observe_send(src, dst, t),
+        }
+    }
+
+    /// A receive is processed at its arrival, which moves the watermark;
+    /// its start can lie ahead of the clock.
+    fn recv(&mut self, arrival: At) {
+        match arrival {
+            At::Ticks(k) => self.inner.advance_watermark_ticks(k),
+            At::Exact(t) => self.inner.advance_watermark(t),
+        }
+    }
+
+    /// `k` ticks of `1/den`, on the linter's lattice when `den` is its
+    /// own.
+    fn at(&self, k: i64, den: i64) -> At {
+        if den == self.inner.tick_denominator() {
+            At::Ticks(k)
+        } else {
+            At::Exact(Time::from_ticks(k, den))
         }
     }
 
@@ -177,14 +228,35 @@ impl LintSink {
     pub fn finish(self) -> LintStream {
         self.inner.into_inner().unwrap_or_else(|e| e.into_inner())
     }
+
+    fn lock(&self) -> MutexGuard<'_, LintStream> {
+        self.inner.lock().unwrap_or_else(|e| e.into_inner())
+    }
 }
 
 impl Recorder for LintSink {
     fn record(&self, event: ObsEvent) {
-        self.inner
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .on_event(&event);
+        self.lock().on_event(&event);
+    }
+
+    fn record_send_ticks(&self, _seq: u64, src: u32, dst: u32, start: i64, den: i64) {
+        let mut stream = self.lock();
+        let start = stream.at(start, den);
+        stream.send(src, dst, start);
+    }
+
+    fn record_recv_ticks(
+        &self,
+        _seq: u64,
+        _src: u32,
+        _dst: u32,
+        arrival: i64,
+        _start: i64,
+        den: i64,
+    ) {
+        let mut stream = self.lock();
+        let arrival = stream.at(arrival, den);
+        stream.recv(arrival);
     }
 }
 

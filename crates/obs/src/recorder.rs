@@ -8,9 +8,27 @@
 //! mutex-guarded append-only buffer — contention is one short critical
 //! section per message, far below the engines' own costs ("lock-free
 //! enough" for runs of millions of events).
+//!
+//! ## Sends and receives on the run's tick lattice
+//!
+//! The discrete-event engine keeps every time as an `i64` count of
+//! ticks of `1/den`, the run's lattice. For its two hot events it calls
+//! [`Recorder::record_send_ticks`] (a send's start) and
+//! [`Recorder::record_recv_ticks`] (a receive's arrival and start)
+//! with those ticks and `den`, whenever the times have a tick form (a
+//! receive only when the run discards its trace: a stored trace builds
+//! the exact times anyway). Every other event, and any time off the
+//! lattice, reaches [`Recorder::record`] as an exact [`ObsEvent`].
+//! The provided defaults build exactly the `ObsEvent::Send` and
+//! `ObsEvent::Recv` the engine would have built and pass them to
+//! `record`, so a recorder sees the same stream either way and a custom
+//! recorder needs only `record`. Only a consumer that works on ticks
+//! itself overrides them: [`LintSink`](crate::LintSink) hands the ticks
+//! to the streaming linter without building a [`Time`].
 
 use crate::event::ObsEvent;
 use crate::log::{ObsLog, RunMeta};
+use postal_model::Time;
 use std::sync::Mutex;
 
 /// An event sink. Implementations must tolerate concurrent calls.
@@ -18,6 +36,43 @@ pub trait Recorder: Send + Sync {
     /// Records one event. Ordering between threads is not guaranteed;
     /// consumers sort by timestamp/sequence as needed.
     fn record(&self, event: ObsEvent);
+
+    /// Records message `seq`'s send from `src` to `dst`, starting
+    /// `start` ticks of `1/den` into the run. The default records the
+    /// [`ObsEvent::Send`] of that start, with its finish one unit later.
+    fn record_send_ticks(&self, seq: u64, src: u32, dst: u32, start: i64, den: i64) {
+        let start = Time::from_ticks(start, den);
+        self.record(ObsEvent::Send {
+            seq,
+            src,
+            dst,
+            start,
+            finish: start + Time::ONE,
+        });
+    }
+
+    /// Records message `seq`'s receive at `dst`, arriving `arrival`
+    /// ticks of `1/den` into the run and starting `start ≥ arrival`
+    /// ticks in (later only when the input port queued it). The default
+    /// records the [`ObsEvent::Recv`] of those times, with its finish
+    /// one unit after the start.
+    fn record_recv_ticks(&self, seq: u64, src: u32, dst: u32, arrival: i64, start: i64, den: i64) {
+        let at = Time::from_ticks(arrival, den);
+        let begun = if start == arrival {
+            at
+        } else {
+            Time::from_ticks(start, den)
+        };
+        self.record(ObsEvent::Recv {
+            seq,
+            src,
+            dst,
+            arrival: at,
+            start: begun,
+            finish: begun + Time::ONE,
+            queued: start > arrival,
+        });
+    }
 }
 
 /// A recorder that discards everything (the default when a run is not

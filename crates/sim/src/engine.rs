@@ -33,8 +33,14 @@
 //! latency model's [`LatencyModel::tick_denominator`] `D`, so every
 //! event time and port-free time is an `i64` count of ticks of `1/D`,
 //! and a [`Time`] is built only where a program reads
-//! [`Context::now`], the stored trace keeps one, or a recorder is
-//! attached. [`Simulation::run_reference`] is the original seed engine —
+//! [`Context::now`], the stored trace keeps one, or an attached
+//! recorder is handed an [`ObsEvent`]. Sends, and the receives of a run
+//! that discards its trace, reach the recorder as ticks
+//! ([`Recorder::record_send_ticks`], [`Recorder::record_recv_ticks`])
+//! whenever their times lie on the lattice; the defaults of those
+//! methods build the same events, so only a recorder that works on
+//! ticks itself (the inline lint sink) skips the exact times.
+//! [`Simulation::run_reference`] is the original seed engine —
 //! exact rationals on a binary heap — kept verbatim as the behavioral
 //! pin: `tests/engine_differential.rs` asserts the two produce
 //! identical traces, violations, counters and observability streams
@@ -283,6 +289,8 @@ impl<'a> Simulation<'a> {
 
     /// Streams every engine event (sends, receives, violations, faults,
     /// wake-ups) into an observability recorder as the run executes.
+    /// Sends and receives on the run's lattice come through the
+    /// recorder's tick methods (see the [module docs](self)).
     pub fn observe(mut self, recorder: &'a dyn Recorder) -> Simulation<'a> {
         self.recorder = Some(recorder);
         self
@@ -400,7 +408,14 @@ impl<'a> Simulation<'a> {
                         continue;
                     }
                     st.proc_stats[dst as usize].recvs += 1;
-                    if st.recorder.is_some() || !st.discard_trace {
+                    if st.discard_trace {
+                        if let Some(r) = st.recorder {
+                            st.record_recv(r, seq, src, dst, arrival, recv_start);
+                        }
+                        // `time` is this receive's finish instant; the
+                        // running max replaces Trace::completion_time.
+                        st.completion = st.clock.max(st.completion, time);
+                    } else {
                         let (at, start, finish) = st.clock.recv_times(arrival, recv_start);
                         if st.recorder.is_some() {
                             st.emit(ObsEvent::Recv {
@@ -413,25 +428,18 @@ impl<'a> Simulation<'a> {
                                 queued: start > at,
                             });
                         }
-                        if !st.discard_trace {
-                            let send_start = st.clock.time(send_start);
-                            st.trace.push(Transfer {
-                                seq: SendSeq(seq),
-                                src: ProcId(src),
-                                dst: ProcId(dst),
-                                send_start,
-                                send_finish: send_start + Time::ONE,
-                                arrival: at,
-                                recv_start: start,
-                                recv_finish: finish,
-                                payload: payload.clone(),
-                            });
-                        }
-                    }
-                    if st.discard_trace {
-                        // `time` is this receive's finish instant; the
-                        // running max replaces Trace::completion_time.
-                        st.completion = st.clock.max(st.completion, time);
+                        let send_start = st.clock.time(send_start);
+                        st.trace.push(Transfer {
+                            seq: SendSeq(seq),
+                            src: ProcId(src),
+                            dst: ProcId(dst),
+                            send_start,
+                            send_finish: send_start + Time::ONE,
+                            arrival: at,
+                            recv_start: start,
+                            recv_finish: finish,
+                            payload: payload.clone(),
+                        });
                     }
                     ctx.me = ProcId(dst);
                     ctx.now = st.clock.stamp(time);
@@ -1065,6 +1073,34 @@ impl<'r, P: Clone> FastState<'r, P> {
         }
     }
 
+    /// Records a receive of a run that discards its trace: as ticks
+    /// when its arrival and start are on the lattice, so no [`Time`] is
+    /// built for it, and as an exact [`ObsEvent::Recv`] otherwise.
+    fn record_recv(
+        &self,
+        r: &dyn Recorder,
+        seq: u64,
+        src: u32,
+        dst: u32,
+        arrival: Tick,
+        recv_start: Tick,
+    ) {
+        if arrival.0 >= 0 && recv_start.0 >= 0 {
+            r.record_recv_ticks(seq, src, dst, arrival.0, recv_start.0, self.clock.den);
+        } else {
+            let (at, start, finish) = self.clock.recv_times(arrival, recv_start);
+            r.record(ObsEvent::Recv {
+                seq,
+                src,
+                dst,
+                arrival: at,
+                start,
+                finish,
+                queued: start > at,
+            });
+        }
+    }
+
     fn crashed(&self, proc: u32, t: Tick) -> bool {
         self.has_crashes && self.faults.crashed(ProcId(proc), self.clock.time(t))
     }
@@ -1119,15 +1155,19 @@ impl<'r, P: Clone> FastState<'r, P> {
                 }
             }
             let arrival = self.arrival(src, dst, send_start, latency);
-            if self.recorder.is_some() {
-                let start = self.clock.time(send_start);
-                self.emit(ObsEvent::Send {
-                    seq,
-                    src: src.0,
-                    dst: dst.0,
-                    start,
-                    finish: start + Time::ONE,
-                });
+            if let Some(r) = self.recorder {
+                if send_start.0 >= 0 {
+                    r.record_send_ticks(seq, src.0, dst.0, send_start.0, self.clock.den);
+                } else {
+                    let start = self.clock.time(send_start);
+                    r.record(ObsEvent::Send {
+                        seq,
+                        src: src.0,
+                        dst: dst.0,
+                        start,
+                        finish: start + Time::ONE,
+                    });
+                }
             }
             self.queue.push(
                 self.clock.stamp(arrival),
