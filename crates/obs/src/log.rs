@@ -232,9 +232,10 @@ pub(crate) fn port_span(e: &ObsEvent) -> Option<PortSpan> {
 
 /// Per-processor busy time `(send_busy, recv_busy)` summed from a span
 /// stream: a slice of spans, or an iterator that yields them as events
-/// stream by. `sim::Trace::port_busy_times`, the metrics summary and so
-/// the Prometheus exporter all delegate here, so there is exactly one
-/// definition of "port busy" in the workspace.
+/// stream by. `sim::Trace::port_busy_times` delegates here. The metrics
+/// summary sums the same spans inside its own pass (on tick counts when
+/// the log lies on a lattice), and `crates/obs/tests/export_differential.rs`
+/// holds the two equal.
 ///
 /// # Panics
 /// Panics if a span names a processor outside `0..n`.

@@ -2,9 +2,11 @@
 
 use crate::event::ObsEvent;
 use crate::hist::StreamingHistogram;
-use crate::log::{port_busy_times, port_span, ObsLog};
+use crate::log::ObsLog;
+use postal_model::time::tick_lattice;
 use postal_model::Time;
 use std::collections::HashMap;
+use std::ops::{AddAssign, Sub};
 
 /// A fixed-bucket histogram over model-time durations (in units).
 ///
@@ -141,91 +143,25 @@ pub struct MetricsSummary {
 }
 
 impl MetricsSummary {
-    /// Computes every counter and histogram from a log in one pass: the
-    /// counters and histograms take each event as the span stream that
-    /// [`port_busy_times`] sums goes by, so no span list is built.
+    /// Computes every counter and histogram from a log in one pass.
     /// Processors outside `0..n`, which a log read from a file can
     /// name, are left out of the per-processor counts and busy times.
+    ///
+    /// When every time the summary reads (a send's span, a receive's
+    /// arrival and span) lies on one tick lattice ([`tick_lattice`]),
+    /// the pass folds on `i64` tick counts: busy time is summed in
+    /// `i128` ticks and made a [`Time`] once per processor, and a
+    /// latency or queue-delay sample is a tick difference over the
+    /// lattice's denominator (converted exactly past 2⁵³ ticks), the
+    /// same `f64` as [`Time::to_f64`] of the exact difference. A log
+    /// off every lattice folds on exact times, summing busy time as
+    /// [`crate::port_busy_times`] does. Both arms take the same events
+    /// in the same order, so the `f64` sums agree.
     pub fn from_log(log: &ObsLog) -> MetricsSummary {
-        let n = log.meta().n as usize;
-        let mut s = MetricsSummary {
-            n,
-            sends: vec![0; n],
-            recvs: vec![0; n],
-            queued_recvs: 0,
-            violations: 0,
-            drops: 0,
-            crashes: 0,
-            wakes: 0,
-            out_busy: Vec::new(),
-            in_busy: Vec::new(),
-            completion: Time::ZERO,
-            latency: Histogram::default(),
-            queue_delay: Histogram::default(),
-            latency_sketch: StreamingHistogram::new(),
-            queue_delay_sketch: StreamingHistogram::new(),
-            out_utilization_sketch: StreamingHistogram::new(),
-            dropped_events: log.meta().dropped_events.unwrap_or(0),
-            truncated: false,
-            sample: log.meta().sample.clone(),
-        };
-        // One entry per send, allocated once.
-        let sends = log
-            .events()
-            .iter()
-            .filter(|e| matches!(e, ObsEvent::Send { .. }))
-            .count();
-        let mut send_starts: HashMap<u64, Time> = HashMap::with_capacity(sends);
-        let mut completion = None;
-        let spans = log.events().iter().filter_map(|e| {
-            match *e {
-                ObsEvent::Send {
-                    seq, src, start, ..
-                } => {
-                    if let Some(c) = s.sends.get_mut(src as usize) {
-                        *c += 1;
-                    }
-                    send_starts.insert(seq, start);
-                }
-                ObsEvent::Recv {
-                    seq,
-                    dst,
-                    arrival,
-                    start,
-                    finish,
-                    queued,
-                    ..
-                } => {
-                    if let Some(c) = s.recvs.get_mut(dst as usize) {
-                        *c += 1;
-                    }
-                    s.queued_recvs += u64::from(queued);
-                    completion = completion.max(Some(finish));
-                    if let Some(&sent) = send_starts.get(&seq) {
-                        let sample = (finish - sent).to_f64();
-                        s.latency.observe(sample);
-                        s.latency_sketch.observe(sample);
-                    }
-                    let delay = (start - arrival).to_f64();
-                    s.queue_delay.observe(delay);
-                    s.queue_delay_sketch.observe(delay);
-                }
-                ObsEvent::Violation { .. } => s.violations += 1,
-                ObsEvent::Drop { .. } => s.drops += 1,
-                ObsEvent::Crash { .. } => s.crashes += 1,
-                ObsEvent::Wake { .. } => s.wakes += 1,
-                ObsEvent::Truncated { .. } => s.truncated = true,
-            }
-            port_span(e).filter(|span| (span.proc as usize) < n)
-        });
-        (s.out_busy, s.in_busy) = port_busy_times(n, spans).into_iter().unzip();
-        // As `ObsLog::completion_time`: the last receive's finish.
-        s.completion = completion.unwrap_or(Time::ZERO);
-        for p in 0..n {
-            let (out, _) = s.utilization(p);
-            s.out_utilization_sketch.observe(out);
+        match tick_lattice(log.events().iter().flat_map(read_times)) {
+            Some(den) => fold(log, Ticks(den)),
+            None => fold(log, Exact),
         }
-        s
     }
 
     /// The `q`-quantile of end-to-end message latency, from the
@@ -285,6 +221,199 @@ impl MetricsSummary {
             .map(|i| (horizon - self.out_busy[i].to_f64()).max(0.0))
             .sum()
     }
+}
+
+/// The times [`MetricsSummary::from_log`] reads from an event: a send's
+/// span, and a receive's arrival and span.
+fn read_times(e: &ObsEvent) -> impl Iterator<Item = Time> {
+    let (times, k) = match *e {
+        ObsEvent::Send { start, finish, .. } => ([start, finish, finish], 2),
+        ObsEvent::Recv {
+            arrival,
+            start,
+            finish,
+            ..
+        } => ([arrival, start, finish], 3),
+        _ => ([Time::ZERO; 3], 0),
+    };
+    times.into_iter().take(k)
+}
+
+/// How the summary's fold holds a time: as a tick count or exactly.
+trait Form: Copy {
+    /// A point in time.
+    type T: Copy + Ord;
+    /// A time or a sum of durations, wide enough for any sum of spans.
+    type Sum: Copy + Default + From<Self::T> + Sub<Output = Self::Sum> + AddAssign;
+    fn of(self, t: Time) -> Self::T;
+    /// `to − from`, in units.
+    fn units(self, from: Self::T, to: Self::T) -> f64;
+    fn time(self, sum: Self::Sum) -> Time;
+}
+
+/// Ticks of `1/D` on a lattice from [`tick_lattice`], which bounds
+/// every tick count by `TICK_LIMIT`, so a difference fits an `i64`.
+#[derive(Clone, Copy)]
+struct Ticks(i64);
+
+impl Form for Ticks {
+    type T = i64;
+    type Sum = i128;
+
+    #[inline]
+    fn of(self, t: Time) -> i64 {
+        t.to_ticks(self.0)
+            .expect("tick_lattice bounds every tick count")
+    }
+
+    #[inline]
+    fn units(self, from: i64, to: i64) -> f64 {
+        let d = to - from;
+        // Below 2⁵³ both operands are exact `f64`s, so the quotient is
+        // the correctly rounded value, as for the reduced fraction.
+        if d.unsigned_abs() < 1 << 53 {
+            d as f64 / self.0 as f64
+        } else {
+            Time::from_ticks(d, self.0).to_f64()
+        }
+    }
+
+    fn time(self, sum: i128) -> Time {
+        Time::new(sum, i128::from(self.0))
+    }
+}
+
+/// Exact times, for a log off every lattice.
+#[derive(Clone, Copy)]
+struct Exact;
+
+impl Form for Exact {
+    type T = Time;
+    type Sum = Time;
+
+    fn of(self, t: Time) -> Time {
+        t
+    }
+
+    fn units(self, from: Time, to: Time) -> f64 {
+        (to - from).to_f64()
+    }
+
+    fn time(self, sum: Time) -> Time {
+        sum
+    }
+}
+
+/// The duration `to − from`.
+fn span<F: Form>(from: F::T, to: F::T) -> F::Sum {
+    F::Sum::from(to) - F::Sum::from(from)
+}
+
+/// The one pass of [`MetricsSummary::from_log`], on times of `form`.
+fn fold<F: Form>(log: &ObsLog, form: F) -> MetricsSummary {
+    let events = log.events();
+    let n = log.meta().n as usize;
+    let mut s = MetricsSummary {
+        n,
+        sends: vec![0; n],
+        recvs: vec![0; n],
+        queued_recvs: 0,
+        violations: 0,
+        drops: 0,
+        crashes: 0,
+        wakes: 0,
+        out_busy: Vec::new(),
+        in_busy: Vec::new(),
+        completion: Time::ZERO,
+        latency: Histogram::default(),
+        queue_delay: Histogram::default(),
+        latency_sketch: StreamingHistogram::new(),
+        queue_delay_sketch: StreamingHistogram::new(),
+        out_utilization_sketch: StreamingHistogram::new(),
+        dropped_events: log.meta().dropped_events.unwrap_or(0),
+        truncated: false,
+        sample: log.meta().sample.clone(),
+    };
+    // Each send's start by seq: an engine numbers its sends 0, 1, …,
+    // so a seq below the send count has a slot; a log read from a file
+    // can name any seq, and those go to the map. A later send with the
+    // same seq replaces the earlier one.
+    let sends = events
+        .iter()
+        .filter(|e| matches!(e, ObsEvent::Send { .. }))
+        .count();
+    let mut starts: Vec<Option<F::T>> = vec![None; sends];
+    let mut late: HashMap<u64, F::T> = HashMap::new();
+    let mut busy = vec![(F::Sum::default(), F::Sum::default()); n];
+    let mut completion = None;
+    for e in events {
+        match *e {
+            ObsEvent::Send {
+                seq,
+                src,
+                start,
+                finish,
+                ..
+            } => {
+                let start = form.of(start);
+                if let Some(c) = s.sends.get_mut(src as usize) {
+                    *c += 1;
+                    busy[src as usize].0 += span::<F>(start, form.of(finish));
+                }
+                match usize::try_from(seq).ok().and_then(|i| starts.get_mut(i)) {
+                    Some(slot) => *slot = Some(start),
+                    None => {
+                        late.insert(seq, start);
+                    }
+                }
+            }
+            ObsEvent::Recv {
+                seq,
+                dst,
+                arrival,
+                start,
+                finish,
+                queued,
+                ..
+            } => {
+                let (arrival, start, finish) = (form.of(arrival), form.of(start), form.of(finish));
+                if let Some(c) = s.recvs.get_mut(dst as usize) {
+                    *c += 1;
+                    busy[dst as usize].1 += span::<F>(start, finish);
+                }
+                s.queued_recvs += u64::from(queued);
+                completion = completion.max(Some(finish));
+                let sent = match usize::try_from(seq).ok().and_then(|i| starts.get(i)) {
+                    Some(&slot) => slot,
+                    None => late.get(&seq).copied(),
+                };
+                if let Some(sent) = sent {
+                    let sample = form.units(sent, finish);
+                    s.latency.observe(sample);
+                    s.latency_sketch.observe(sample);
+                }
+                let delay = form.units(arrival, start);
+                s.queue_delay.observe(delay);
+                s.queue_delay_sketch.observe(delay);
+            }
+            ObsEvent::Violation { .. } => s.violations += 1,
+            ObsEvent::Drop { .. } => s.drops += 1,
+            ObsEvent::Crash { .. } => s.crashes += 1,
+            ObsEvent::Wake { .. } => s.wakes += 1,
+            ObsEvent::Truncated { .. } => s.truncated = true,
+        }
+    }
+    (s.out_busy, s.in_busy) = busy
+        .into_iter()
+        .map(|(out, inn)| (form.time(out), form.time(inn)))
+        .unzip();
+    // As `ObsLog::completion_time`: the last receive's finish.
+    s.completion = completion.map_or(Time::ZERO, |c| form.time(c.into()));
+    for p in 0..n {
+        let (out, _) = s.utilization(p);
+        s.out_utilization_sketch.observe(out);
+    }
+    s
 }
 
 #[cfg(test)]

@@ -7,14 +7,17 @@
 //! The logs cover every event kind, time-sorted and unsorted order,
 //! runs of equal timestamps between distinct ones, times on and off a
 //! tick lattice (one past the lattice cap), zero and negative times,
-//! numerators at ±(2⁶³ − 1), at `i64::MIN` and beyond `i64`, Chrome µs
-//! values on either side of 1e15 and of 2⁵³, `queued` both ways,
-//! processors past `n`, and each `RunMeta` field set and unset. On the
-//! same logs, `ObsLog::sorted` must give the exact `(time, kind, seq)`
-//! order (ties among `Wake`/`Crash`/`Truncated`, which share
-//! `seq = u64::MAX`, keep their input order), and the one-pass
-//! `MetricsSummary::from_log` must agree with `port_busy_times` over the
-//! materialized `port_spans()` of the processors in `0..n`.
+//! tick differences on either side of 2⁵³, numerators at ±(2⁶³ − 1),
+//! at `i64::MIN` and beyond `i64`, Chrome µs values on either side of
+//! 1e15 and of 2⁵³, `queued` both ways, processors past `n`, seqs
+//! repeated, missing and far past the send count, and each `RunMeta`
+//! field set and unset. On the same logs, `ObsLog::sorted` must give
+//! the exact `(time, kind, seq)` order (ties among
+//! `Wake`/`Crash`/`Truncated`, which share `seq = u64::MAX`, keep their
+//! input order), `MetricsSummary::from_log` must equal the oracle's
+//! exact-time summary field for field (every `f64` by `==`), and its
+//! busy times must agree with `port_busy_times` over the materialized
+//! `port_spans()` of the processors in `0..n`.
 
 mod oracle;
 
@@ -43,6 +46,9 @@ fn coin(rng: &mut TestRng) -> bool {
 enum Times {
     /// Ticks of `1/D` for one `D`, zero and negative included.
     Lattice(i64),
+    /// Ticks of `1/D` near 0, ±2⁵³ and 2⁶⁰, so that differences fall
+    /// just below, at and above 2⁵³ ticks and far past it.
+    Wide(i64),
     /// Small fractions over denominators whose lcm (30030) stays on a
     /// tick lattice.
     Mixed,
@@ -60,6 +66,10 @@ impl Times {
     fn draw(self, rng: &mut TestRng) -> Time {
         match self {
             Times::Lattice(den) => Time::from_ticks(below(rng, 420) as i64 - 20, den),
+            Times::Wide(den) => {
+                let base = pick(rng, &[0, 1 << 53, -(1 << 53), 1 << 60]);
+                Time::from_ticks(base + below(rng, 7) as i64 - 3, den)
+            }
             Times::Mixed => Time::new(
                 below(rng, 550) as i128 - 50,
                 pick(rng, &[1, 2, 3, 5, 7, 11, 13]),
@@ -108,11 +118,12 @@ impl Strategy for Logs {
     type Value = ObsLog;
 
     fn generate(&self, rng: &mut TestRng) -> ObsLog {
-        let times = match below(rng, 5) {
+        let times = match below(rng, 6) {
             0 => Times::Lattice(pick(rng, &[1, 2, 3, 6, 7, 14])),
             1 => Times::Mixed,
             2 => Times::OffCap(pick(rng, &[4_294_967_311, (1 << 33) + 1])),
             3 => Times::Huge,
+            4 => Times::Wide(pick(rng, &[1, 3, 6, 7])),
             // One denominator per log: several near 2⁵³ would overflow
             // the exact sums the summary forms.
             _ => Times::Chrome((1 << 53) + below(rng, 7) as i128 - 3),
@@ -233,6 +244,11 @@ proptest! {
         oracle::sort_events(&mut want);
         let got = ObsLog::sorted(log.meta().clone(), log.events().to_vec());
         prop_assert_eq!(got.events(), &want[..]);
+    }
+
+    #[test]
+    fn summary_matches_the_exact_oracle(log in Logs) {
+        prop_assert_eq!(MetricsSummary::from_log(&log), oracle::summary(&log));
     }
 
     #[test]

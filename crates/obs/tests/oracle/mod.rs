@@ -3,10 +3,16 @@
 //! exact `(time, kind, seq)` key. Kept only as a test oracle for the
 //! direct writers in `postal_obs`. Times are formatted here through
 //! `core`'s integer `Display`, not through `Ratio`'s, so the oracle
-//! does not share the writers' digit routine.
+//! does not share the writers' digit routine. The metrics summary is
+//! the one-pass fold on exact times that `MetricsSummary::from_log`
+//! was before it folded on a log's tick lattice.
 
 use postal_model::{Ratio, Time};
-use postal_obs::{Histogram, MetricsSummary, ObsEvent, ObsLog};
+use postal_obs::{
+    port_busy_times, Histogram, MetricsSummary, ObsEvent, ObsLog, PortSide, PortSpan,
+    StreamingHistogram,
+};
+use std::collections::HashMap;
 use std::fmt::{self, Write as _};
 
 /// A time's text: the numerator, then `/` and the denominator unless
@@ -324,9 +330,120 @@ fn histogram(out: &mut String, name: &str, help: &str, h: &Histogram) {
     let _ = writeln!(out, "{name}_count {}", h.count());
 }
 
-/// Prometheus text exposition of `MetricsSummary::from_log(log)`.
+/// The port busy interval an event occupies: a `Send` on its source's
+/// output port, a `Recv` on its destination's input port.
+fn port_span(e: &ObsEvent) -> Option<PortSpan> {
+    match *e {
+        ObsEvent::Send {
+            src, start, finish, ..
+        } => Some(PortSpan {
+            proc: src,
+            side: PortSide::Out,
+            start,
+            end: finish,
+        }),
+        ObsEvent::Recv {
+            dst, start, finish, ..
+        } => Some(PortSpan {
+            proc: dst,
+            side: PortSide::In,
+            start,
+            end: finish,
+        }),
+        _ => None,
+    }
+}
+
+/// Computes every counter and histogram from a log in one pass: the
+/// counters and histograms take each event as the span stream that
+/// [`port_busy_times`] sums goes by, so no span list is built.
+/// Processors outside `0..n`, which a log read from a file can
+/// name, are left out of the per-processor counts and busy times.
+pub fn summary(log: &ObsLog) -> MetricsSummary {
+    let n = log.meta().n as usize;
+    let mut s = MetricsSummary {
+        n,
+        sends: vec![0; n],
+        recvs: vec![0; n],
+        queued_recvs: 0,
+        violations: 0,
+        drops: 0,
+        crashes: 0,
+        wakes: 0,
+        out_busy: Vec::new(),
+        in_busy: Vec::new(),
+        completion: Time::ZERO,
+        latency: Histogram::default(),
+        queue_delay: Histogram::default(),
+        latency_sketch: StreamingHistogram::new(),
+        queue_delay_sketch: StreamingHistogram::new(),
+        out_utilization_sketch: StreamingHistogram::new(),
+        dropped_events: log.meta().dropped_events.unwrap_or(0),
+        truncated: false,
+        sample: log.meta().sample.clone(),
+    };
+    // One entry per send, allocated once.
+    let sends = log
+        .events()
+        .iter()
+        .filter(|e| matches!(e, ObsEvent::Send { .. }))
+        .count();
+    let mut send_starts: HashMap<u64, Time> = HashMap::with_capacity(sends);
+    let mut completion = None;
+    let spans = log.events().iter().filter_map(|e| {
+        match *e {
+            ObsEvent::Send {
+                seq, src, start, ..
+            } => {
+                if let Some(c) = s.sends.get_mut(src as usize) {
+                    *c += 1;
+                }
+                send_starts.insert(seq, start);
+            }
+            ObsEvent::Recv {
+                seq,
+                dst,
+                arrival,
+                start,
+                finish,
+                queued,
+                ..
+            } => {
+                if let Some(c) = s.recvs.get_mut(dst as usize) {
+                    *c += 1;
+                }
+                s.queued_recvs += u64::from(queued);
+                completion = completion.max(Some(finish));
+                if let Some(&sent) = send_starts.get(&seq) {
+                    let sample = (finish - sent).to_f64();
+                    s.latency.observe(sample);
+                    s.latency_sketch.observe(sample);
+                }
+                let delay = (start - arrival).to_f64();
+                s.queue_delay.observe(delay);
+                s.queue_delay_sketch.observe(delay);
+            }
+            ObsEvent::Violation { .. } => s.violations += 1,
+            ObsEvent::Drop { .. } => s.drops += 1,
+            ObsEvent::Crash { .. } => s.crashes += 1,
+            ObsEvent::Wake { .. } => s.wakes += 1,
+            ObsEvent::Truncated { .. } => s.truncated = true,
+        }
+        port_span(e).filter(|span| (span.proc as usize) < n)
+    });
+    (s.out_busy, s.in_busy) = port_busy_times(n, spans).into_iter().unzip();
+    // As `ObsLog::completion_time`: the last receive's finish.
+    s.completion = completion.unwrap_or(Time::ZERO);
+    for p in 0..n {
+        let (out, _) = s.utilization(p);
+        s.out_utilization_sketch.observe(out);
+    }
+    s
+}
+
+/// Prometheus text exposition of [`summary`]`(log)`.
 pub fn to_prometheus(log: &ObsLog) -> String {
-    let s = MetricsSummary::from_log(log);
+    let s = summary(log);
     let meta = log.meta();
     let mut out = String::new();
     let _ = writeln!(out, "# HELP postal_run_info Run metadata as labels.");

@@ -344,8 +344,8 @@ impl<'a> Simulation<'a> {
             self.recorder,
             self.faults.clone(),
             self.latency,
+            self.discard_trace,
         );
-        st.discard_trace = self.discard_trace;
         st.topology = self.topology;
         for &(p, t) in &st.faults.crashes.clone() {
             st.emit(ObsEvent::Crash { proc: p.0, at: t });
@@ -408,15 +408,16 @@ impl<'a> Simulation<'a> {
                         continue;
                     }
                     st.proc_stats[dst as usize].recvs += 1;
+                    // `time` is this receive's finish instant.
+                    st.completion = st.clock.max(st.completion, time);
                     if st.discard_trace {
                         if let Some(r) = st.recorder {
                             st.record_recv(r, seq, src, dst, arrival, recv_start);
                         }
-                        // `time` is this receive's finish instant; the
-                        // running max replaces Trace::completion_time.
-                        st.completion = st.clock.max(st.completion, time);
                     } else {
-                        let (at, start, finish) = st.clock.recv_times(arrival, recv_start);
+                        let at = st.clock.stored(arrival);
+                        let start = st.clock.stored(recv_start);
+                        let finish = st.clock.stored(time);
                         if st.recorder.is_some() {
                             st.emit(ObsEvent::Recv {
                                 seq,
@@ -428,13 +429,12 @@ impl<'a> Simulation<'a> {
                                 queued: start > at,
                             });
                         }
-                        let send_start = st.clock.time(send_start);
                         st.trace.push(Transfer {
                             seq: SendSeq(seq),
                             src: ProcId(src),
                             dst: ProcId(dst),
-                            send_start,
-                            send_finish: send_start + Time::ONE,
+                            send_start: st.clock.stored(send_start),
+                            send_finish: st.clock.stored_after(send_start),
                             arrival: at,
                             recv_start: start,
                             recv_finish: finish,
@@ -465,11 +465,7 @@ impl<'a> Simulation<'a> {
         }
 
         Ok(RunReport {
-            completion: if self.discard_trace {
-                st.clock.time(st.completion)
-            } else {
-                st.trace.completion_time()
-            },
+            completion: st.clock.time(st.completion),
             trace: st.trace,
             violations: st.violations,
             edge_violations: st.edge_violations,
@@ -870,14 +866,33 @@ struct Clock {
     exact: Vec<Time>,
     /// Where each value of `exact` sits.
     index: HashMap<Time, usize>,
+    /// The [`Time`]s of the instants a stored trace recently named:
+    /// slot `k % MEMO_SLOTS` holds tick `k` and its time. Empty when
+    /// the run discards its trace.
+    memo: Vec<(i64, Time)>,
 }
 
+/// Slots of [`Clock::memo`], as many as the calendar queue's window has
+/// ticks. A transfer's five times lie within λ plus any queueing delay
+/// of its receive's finish, and a run visits few instants (PIPELINE at
+/// n = 2001, m = 8, λ = 7/3 ends at tick 340), so the memo rarely
+/// misses.
+const MEMO_SLOTS: usize = 512;
+
 impl Clock {
-    fn new(den: i64) -> Clock {
+    /// A clock ticking at `den`, with the memo [`Clock::stored`] reads
+    /// when `memo`.
+    fn new(den: i64, memo: bool) -> Clock {
         Clock {
             den,
             exact: Vec::new(),
             index: HashMap::new(),
+            memo: if memo {
+                // Tag -1 is no tick: engine ticks are never negative.
+                vec![(-1, Time::ZERO); MEMO_SLOTS]
+            } else {
+                Vec::new()
+            },
         }
     }
 
@@ -906,6 +921,28 @@ impl Clock {
         }
     }
 
+    /// [`Clock::time`] of `t` for the stored trace: each tick's time is
+    /// built (with a gcd) once while it stays in the memo.
+    fn stored(&mut self, t: Tick) -> Time {
+        if t.0 < 0 {
+            return self.exact[!t.0 as usize];
+        }
+        let slot = &mut self.memo[t.0 as usize % MEMO_SLOTS];
+        if slot.0 != t.0 {
+            *slot = (t.0, Time::from_ticks(t.0, self.den));
+        }
+        slot.1
+    }
+
+    /// The time one unit after `t`, for the stored trace.
+    fn stored_after(&mut self, t: Tick) -> Time {
+        if t.0 >= 0 && t.0 + self.den <= TICK_LIMIT {
+            self.stored(Tick(t.0 + self.den))
+        } else {
+            self.time(t) + Time::ONE
+        }
+    }
+
     /// `t` as a queue stamp.
     fn stamp(&self, t: Tick) -> Stamp {
         if t.0 >= 0 {
@@ -922,19 +959,6 @@ impl Clock {
             Stamp::Tick(k) => Tick(k),
             Stamp::Exact(t) => self.intern(t),
         }
-    }
-
-    /// The exact arrival, start and finish of a receive, reducing each
-    /// distinct fraction once: the start is the arrival unless the port
-    /// queued it, and the finish is one unit later.
-    fn recv_times(&self, arrival: Tick, recv_start: Tick) -> (Time, Time, Time) {
-        let at = self.time(arrival);
-        let start = if recv_start == arrival {
-            at
-        } else {
-            self.time(recv_start)
-        };
-        (at, start, start + Time::ONE)
     }
 
     /// `t` plus `k ≥ 0` ticks.
@@ -1015,8 +1039,8 @@ struct FastState<'r, P> {
     /// When each processor's input port becomes free.
     in_free: Vec<Tick>,
     trace: Trace<P>,
-    /// Running max receive-finish, maintained instead of `trace` when
-    /// the run discards it.
+    /// Running max receive-finish: the run's completion, stored trace
+    /// or not.
     completion: Tick,
     discard_trace: bool,
     violations: Vec<Violation>,
@@ -1034,6 +1058,7 @@ impl<'r, P: Clone> FastState<'r, P> {
         recorder: Option<&'r dyn Recorder>,
         faults: crate::faults::FaultPlan,
         latency: &dyn LatencyModel,
+        discard_trace: bool,
     ) -> FastState<'r, P> {
         let den = latency.tick_denominator();
         let den = if (1..=MAX_TICK_DENOMINATOR).contains(&den) {
@@ -1050,14 +1075,14 @@ impl<'r, P: Clone> FastState<'r, P> {
             has_drops: !faults.drop_sends.is_empty(),
             has_crashes: !faults.crashes.is_empty(),
             faults,
-            clock: Clock::new(den),
+            clock: Clock::new(den, !discard_trace),
             uniform_flight,
             queue: CalendarQueue::new(den),
             out_free: vec![Tick(0); n],
             in_free: vec![Tick(0); n],
             trace: Trace::new(),
             completion: Tick(0),
-            discard_trace: false,
+            discard_trace,
             violations: Vec::new(),
             topology: None,
             edge_violations: Vec::new(),
@@ -1088,14 +1113,14 @@ impl<'r, P: Clone> FastState<'r, P> {
         if arrival.0 >= 0 && recv_start.0 >= 0 {
             r.record_recv_ticks(seq, src, dst, arrival.0, recv_start.0, self.clock.den);
         } else {
-            let (at, start, finish) = self.clock.recv_times(arrival, recv_start);
+            let (at, start) = (self.clock.time(arrival), self.clock.time(recv_start));
             r.record(ObsEvent::Recv {
                 seq,
                 src,
                 dst,
                 arrival: at,
                 start,
-                finish,
+                finish: start + Time::ONE,
                 queued: start > at,
             });
         }
@@ -1691,7 +1716,7 @@ mod tests {
 
     #[test]
     fn clock_keeps_off_lattice_times_exact_and_canonical() {
-        let mut clock = Clock::new(6);
+        let mut clock = Clock::new(6, false);
         let third = clock.tick(Time::new(7, 3));
         assert_eq!(third, Tick(14));
         for k in [14, 270, 0] {
@@ -1723,8 +1748,24 @@ mod tests {
     }
 
     #[test]
+    fn the_stored_memo_gives_the_clocks_times() {
+        let mut clock = Clock::new(6, true);
+        let fifth = clock.tick(Time::new(1, 5));
+        // Ticks that share a slot, revisited, and the exact table.
+        let slots = MEMO_SLOTS as i64;
+        for k in [14, 14 + slots, 14, 0, 3 * slots, 7, TICK_LIMIT] {
+            assert_eq!(clock.stored(Tick(k)), clock.time(Tick(k)), "tick {k}");
+        }
+        assert_eq!(clock.stored(fifth), Time::new(1, 5));
+        for t in [Tick(14), Tick(TICK_LIMIT - 6), Tick(TICK_LIMIT), fifth] {
+            assert_eq!(clock.stored_after(t), clock.time(t) + Time::ONE);
+        }
+        assert_eq!(clock.exact.len(), 1, "no time entered the table");
+    }
+
+    #[test]
     fn now_is_built_from_ticks_only_when_read() {
-        let clock = Clock::new(6);
+        let clock = Clock::new(6, false);
         let ctx: EngineCtx<u8> = EngineCtx {
             me: ProcId(0),
             n: 1,

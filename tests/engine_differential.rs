@@ -17,6 +17,12 @@
 //! Any future change to the fast path that shifts an event by half a
 //! tick, reorders a tie, or drops an observability record fails here
 //! with the first diverging case named in the panic message.
+//!
+//! Every case also builds the fast report's log with
+//! `log_from_report`, which sorts compact keys and writes each event
+//! once, and requires the log the seed composed: `ObsLog::sorted` over
+//! the reference trace's `Send`/`Recv` pairs ([`trace_events`]) and its
+//! violations.
 
 use postal::algos::dtree::dtree_programs;
 use postal::algos::ext::combine::{combine_programs, run_combine};
@@ -29,7 +35,8 @@ use postal::model::schedule::{Schedule, TimedSend};
 use postal::model::{runtimes, Latency, Time};
 use postal::sim::prelude::*;
 use postal::sim::SimError;
-use postal_obs::{MemoryRecorder, ObsEvent, RunMeta};
+use postal::sim::{log_from_report, Trace};
+use postal_obs::{MemoryRecorder, ObsEvent, ObsLog, RunMeta};
 
 /// Everything that configures a run besides the programs themselves.
 struct Setup<'a> {
@@ -105,6 +112,19 @@ where
                 r.trace.port_busy_times(setup.n),
                 "per-port occupancy diverged: {label}"
             );
+            let mut events = trace_events(&r.trace);
+            events.extend(r.violations.iter().map(|v| ObsEvent::Violation {
+                seq: v.seq.0,
+                dst: v.dst.0,
+                arrival: v.arrival,
+                busy_until: v.port_busy_until,
+            }));
+            let meta = RunMeta::new("event", setup.n as u32);
+            assert_eq!(
+                log_from_report(f, "event", setup.n as u32, None, None),
+                ObsLog::sorted(meta, events),
+                "log_from_report diverged from the sorted trace events: {label}"
+            );
         }
         (Err(a), Err(b)) => assert_eq!(a, b, "errors diverged: {label}"),
         (f, r) => panic!("engines disagree on success: {label}\nfast: {f:?}\nreference: {r:?}"),
@@ -118,6 +138,32 @@ where
         "observability streams diverged: {label}"
     );
     (fast_log.events().to_vec(), ref_log.events().to_vec())
+}
+
+/// Converts one trace into the equivalent event stream (one `Send` and
+/// one `Recv` per transfer, in trace order): the seed's input to
+/// `ObsLog::sorted` in `log_from_report`.
+fn trace_events<P>(trace: &Trace<P>) -> Vec<ObsEvent> {
+    let mut events = Vec::with_capacity(trace.len() * 2);
+    for t in trace.transfers() {
+        events.push(ObsEvent::Send {
+            seq: t.seq.0,
+            src: t.src.0,
+            dst: t.dst.0,
+            start: t.send_start,
+            finish: t.send_finish,
+        });
+        events.push(ObsEvent::Recv {
+            seq: t.seq.0,
+            src: t.src.0,
+            dst: t.dst.0,
+            arrival: t.arrival,
+            start: t.recv_start,
+            finish: t.recv_finish,
+            queued: t.was_queued(),
+        });
+    }
+    events
 }
 
 /// The CLI spellings of the nine paper workloads, in grid order.
