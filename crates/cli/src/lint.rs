@@ -124,6 +124,11 @@ impl Sniffed {
     }
 }
 
+/// The file reader's buffer. The JSONL reader parses the complete lines
+/// one buffer holds in parts on several threads, and needs a buffer of
+/// at least two parts, 128 KiB, to split one.
+const READ_BUFFER: usize = 1 << 20;
+
 /// Opens `path` for lint-format sniffing: skips a UTF-8 byte-order mark
 /// and any leading blank lines (editors and shell heredocs prepend
 /// both), keeping count of what it skipped so that error locations
@@ -131,7 +136,7 @@ impl Sniffed {
 fn open_sniffed(path: &str) -> Result<Sniffed, CliError> {
     let cannot = |e: &dyn std::fmt::Display| CliError::Invalid(format!("cannot read {path}: {e}"));
     let handle = File::open(path).map_err(|e| cannot(&e))?;
-    let mut rest = BufReader::new(handle);
+    let mut rest = BufReader::with_capacity(READ_BUFFER, handle);
     let mut first_line = String::new();
     let (mut lines_before, mut bytes_before) = (0, 0);
     loop {

@@ -594,7 +594,8 @@ impl<'a> Row<'_, 'a> {
 /// length. A line is decoded into one field table the parser reuses,
 /// with strings left in the line, so an event line costs no heap
 /// allocation; [`LineReader`] supplies lines from any reader the same
-/// way.
+/// way. A log can also be parsed in stretches, each by its own copy of
+/// the parser ([`JsonlParser::ahead`]), on as many threads.
 #[derive(Debug, Default)]
 pub struct JsonlParser {
     meta: Option<RunMeta>,
@@ -611,6 +612,19 @@ impl JsonlParser {
     /// The run header, once seen.
     pub fn meta(&self) -> Option<&RunMeta> {
         self.meta.as_ref()
+    }
+
+    /// A copy of this parser, run header included, that numbers the
+    /// lines it is fed as if `lines` more lines had been read first.
+    /// Once the header has been read, the stretches of a log parsed by
+    /// copies that start at their first lines give the events and errors
+    /// that one parser fed every line gives.
+    pub fn ahead(&self, lines: usize) -> JsonlParser {
+        JsonlParser {
+            meta: self.meta.clone(),
+            lineno: self.lineno + lines,
+            fields: Fields::default(),
+        }
     }
 
     /// Consumes the next line of the log. Returns `Ok(None)` for blank
@@ -725,7 +739,10 @@ impl JsonlParser {
 /// This is the line loop of every streaming JSONL reader: together with
 /// [`JsonlParser`], which borrows its fields from the line, a log is
 /// ingested without a heap allocation per line, and memory holds one
-/// line at a time, never the whole input.
+/// line at a time, never the whole input. It also hands out the
+/// complete lines its reader holds buffered as one block
+/// ([`LineReader::buffered_lines`]), whose lines [`block_lines`] reads
+/// in place, as `next_line` would.
 #[derive(Debug)]
 pub struct LineReader<R> {
     reader: R,
@@ -748,19 +765,81 @@ impl<R: BufRead> LineReader<R> {
     /// line is not valid UTF-8.
     pub fn next_line(&mut self) -> Result<Option<&str>, ObsError> {
         self.buf.clear();
-        let read = self
-            .reader
-            .read_line(&mut self.buf)
-            .map_err(|e| ObsError(format!("read error: {e}")))?;
+        let read = self.reader.read_line(&mut self.buf).map_err(read_error)?;
         if read == 0 {
             return Ok(None);
         }
-        let line = match self.buf.strip_suffix('\n') {
-            Some(line) => line.strip_suffix('\r').unwrap_or(line),
-            None => &self.buf,
-        };
-        Ok(Some(line))
+        Ok(Some(line_text(&self.buf)))
     }
+
+    /// The complete lines the reader holds buffered, borrowed as one
+    /// block: its buffer, filled first if empty, up to and including
+    /// the last `\n`. Empty when fewer than `min` bytes are buffered
+    /// (the buffer is then not searched) or none of them is `\n`. A
+    /// line the buffer cuts off, and a last line without `\n`, are left
+    /// to [`next_line`](Self::next_line).
+    ///
+    /// Every line of the block ends in `\n`, so it holds one line per
+    /// `\n`, and [`block_lines`] reads the lines of any stretch of it
+    /// cut after a `\n` as this reader would. Once the block is read,
+    /// [`consume`](Self::consume) its length.
+    ///
+    /// # Errors
+    /// [`ObsError`] reading `read error: …` when the reader fails.
+    pub fn buffered_lines(&mut self, min: usize) -> Result<&[u8], ObsError> {
+        // Retried on an interrupt, as `read_line` does; a second call
+        // then hands out what the first one filled.
+        while let Err(e) = self.reader.fill_buf() {
+            if e.kind() != std::io::ErrorKind::Interrupted {
+                return Err(read_error(e));
+            }
+        }
+        let buf = self.reader.fill_buf().map_err(read_error)?;
+        if buf.len() < min {
+            return Ok(&[]);
+        }
+        Ok(match buf.iter().rposition(|&b| b == b'\n') {
+            Some(last) => &buf[..=last],
+            None => &[],
+        })
+    }
+
+    /// Marks the first `bytes` bytes of the buffer, a block
+    /// [`buffered_lines`](Self::buffered_lines) handed out, as read.
+    pub fn consume(&mut self, bytes: usize) {
+        self.reader.consume(bytes);
+    }
+}
+
+/// The lines of `block`, complete lines such as
+/// [`LineReader::buffered_lines`] hands out, borrowed in place: each as
+/// [`LineReader::next_line`] reads it, or its error when it is not
+/// valid UTF-8.
+pub fn block_lines(block: &[u8]) -> impl Iterator<Item = Result<&str, ObsError>> {
+    block
+        .split_inclusive(|&b| b == b'\n')
+        .map(|line| match std::str::from_utf8(line) {
+            Ok(line) => Ok(line_text(line)),
+            Err(_) => Err(LineReader::new(line)
+                .next_line()
+                .expect_err("`read_line` rejects the bytes `from_utf8` rejects")),
+        })
+}
+
+/// A line's text: without its `\n`, and without a `\r` just before
+/// that `\n`.
+#[inline]
+fn line_text(line: &str) -> &str {
+    match line.strip_suffix('\n') {
+        Some(line) => line.strip_suffix('\r').unwrap_or(line),
+        None => line,
+    }
+}
+
+/// The error for a failed read, or a line that is not valid UTF-8.
+#[cold]
+fn read_error(e: std::io::Error) -> ObsError {
+    ObsError(format!("read error: {e}"))
 }
 
 /// Parses a JSONL log produced by [`to_jsonl`].
@@ -927,6 +1006,33 @@ mod tests {
             lines.next_line().unwrap_err().to_string(),
             "read error: stream did not contain valid UTF-8"
         );
+    }
+
+    #[test]
+    fn blocks_hold_the_complete_lines_the_reader_splits() {
+        let text = "a\r\n\nbc\r\r\né→\n\r\ntail";
+        let mut reader = LineReader::new(std::io::BufReader::with_capacity(9, text.as_bytes()));
+        assert_eq!(reader.buffered_lines(10).unwrap(), b"");
+        assert_eq!(reader.buffered_lines(9).unwrap(), b"a\r\n\nbc\r\r\n");
+        for want in [&["a", "", "bc\r"][..], &["é→", ""]] {
+            let block = reader.buffered_lines(0).unwrap().to_vec();
+            let lines: Vec<&str> = block_lines(&block).map(Result::unwrap).collect();
+            assert_eq!(lines, want);
+            reader.consume(block.len());
+        }
+        // The buffer holds the start of a line, which is left to
+        // `next_line`.
+        assert_eq!(reader.buffered_lines(0).unwrap(), b"");
+        assert_eq!(reader.next_line().unwrap(), Some("tail"));
+        assert_eq!(reader.next_line().unwrap(), None);
+
+        let bad = &b"ok\r\n\xe2\x86\nnext\n"[..];
+        let mut lines = block_lines(bad);
+        assert_eq!(lines.next().unwrap(), Ok("ok"));
+        let mut reader = LineReader::new(bad);
+        reader.next_line().unwrap();
+        assert_eq!(lines.next().unwrap(), Err(reader.next_line().unwrap_err()));
+        assert_eq!(lines.next().unwrap(), Ok("next"));
     }
 
     #[test]

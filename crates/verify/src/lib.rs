@@ -39,11 +39,13 @@
 #![forbid(unsafe_code)]
 
 pub mod flight;
+mod ingest;
 pub mod json;
 pub mod race;
 pub mod render;
 
 pub use flight::{flights_from_deliveries, flights_from_trace, schedule_from_trace, Flight};
+pub use ingest::jsonl_to_schedule_file;
 pub use postal_model::lint::{
     is_clean, lint_schedule, lint_schedule_with_topology, max_severity, Diagnostic, LintCode,
     LintOptions, Severity,
@@ -146,56 +148,6 @@ pub fn lint_trace<P>(
 /// When the text is not a well-formed event log or carries no uniform λ.
 pub fn schedule_from_jsonl(text: &str) -> Result<Schedule, ObsError> {
     jsonl_to_schedule_file(std::io::Cursor::new(text)).map(|f| f.schedule)
-}
-
-/// Streaming counterpart of [`schedule_from_jsonl`]: folds an
-/// observability JSONL log, line by line, directly into the schedule
-/// its send events realized — without materializing the log text or
-/// the full event list. Non-send events are parsed (so errors are still
-/// caught) and dropped; memory is O(sends), not O(events). Lines come
-/// through [`postal_obs::LineReader`], one reused buffer, and parse
-/// without a heap allocation per line.
-///
-/// Takes any [`BufRead`](std::io::BufRead), so both in-memory text
-/// (via [`std::io::Cursor`]) and buffered file readers feed it.
-///
-/// # Errors
-/// When the reader fails, a line cannot be parsed, the log has no
-/// `"run"` header, or the header carries no uniform λ.
-pub fn jsonl_to_schedule_file<R: std::io::BufRead>(
-    reader: R,
-) -> Result<json::ScheduleFile, ObsError> {
-    let mut lines = postal_obs::LineReader::new(reader);
-    let mut parser = postal_obs::JsonlParser::new();
-    let mut sends = Vec::new();
-    let mut truncated = false;
-    while let Some(line) = lines.next_line()? {
-        match parser.line(line)? {
-            Some(postal_obs::ObsEvent::Send {
-                src, dst, start, ..
-            }) => {
-                sends.push(postal_model::schedule::TimedSend {
-                    src,
-                    dst,
-                    send_start: start,
-                });
-            }
-            Some(postal_obs::ObsEvent::Truncated { .. }) => truncated = true,
-            _ => {}
-        }
-    }
-    let meta = parser.finish()?;
-    let lambda = meta
-        .lambda
-        .ok_or_else(|| ObsError("log has no uniform lambda; cannot reduce to a schedule".into()))?;
-    Ok(json::ScheduleFile {
-        schedule: Schedule::new(meta.n, lambda, sends),
-        messages: meta.messages,
-        dropped_events: meta.dropped_events,
-        sample: meta.sample,
-        truncated,
-        topology: None,
-    })
 }
 
 /// Downgrades absence-based lints on a partial trace.
