@@ -125,8 +125,8 @@ impl Sniffed {
 }
 
 /// The file reader's buffer. The JSONL reader parses the complete lines
-/// one buffer holds in parts on several threads, and needs a buffer of
-/// at least two parts, 128 KiB, to split one.
+/// a buffer holds on several threads once they fill 64 KiB, and a MiB
+/// gives each thread several chunks to claim.
 const READ_BUFFER: usize = 1 << 20;
 
 /// Opens `path` for lint-format sniffing: skips a UTF-8 byte-order mark
