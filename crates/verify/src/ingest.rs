@@ -285,8 +285,9 @@ mod tests {
     use proptest::prelude::TestRng;
     use std::io::{BufReader, Cursor};
 
-    /// The fold before logs were parsed in chunks, verbatim: every line
-    /// through one `LineReader` and one `JsonlParser`, in order.
+    /// The ingest's loop before logs were parsed in chunks, verbatim:
+    /// every line through one `LineReader` and one `JsonlParser`, in
+    /// order. It went on to build the schedule as `ingest` still does.
     fn serial<R: std::io::BufRead>(reader: R) -> Result<(RunMeta, Vec<TimedSend>, bool), ObsError> {
         let mut lines = postal_obs::LineReader::new(reader);
         let mut parser = postal_obs::JsonlParser::new();
@@ -433,7 +434,7 @@ mod tests {
 
     #[test]
     fn chunked_ingest_matches_the_serial_fold() {
-        let mut failed_in_two_chunks = 0;
+        let mut faults_in_two_chunks = 0;
         for seed in 0..48 {
             let rng = &mut TestRng::new(seed);
             let (text, faults, header_end) = log(rng);
@@ -458,14 +459,14 @@ mod tests {
                 if let [a, b] = faults[..] {
                     let chunk = |at| chunk_of(&text, header_end, threads, at);
                     if let (Some(a), Some(b)) = (chunk(a), chunk(b)) {
-                        failed_in_two_chunks += usize::from(threads > 1 && a != b);
+                        faults_in_two_chunks += usize::from(threads > 1 && a != b);
                     }
                 }
             }
         }
         assert!(
-            failed_in_two_chunks > 60,
-            "{failed_in_two_chunks} logs failed in two chunks"
+            faults_in_two_chunks > 60,
+            "{faults_in_two_chunks} cases put their two faults in two chunks"
         );
     }
 }
