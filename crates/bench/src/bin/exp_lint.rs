@@ -6,85 +6,41 @@
 //! streaming parse → every `P0001`–`P0007` pass → rendered summary —
 //! reporting a sends/sec series to `BENCH_lint.json`.
 //!
-//! Two budget gates make this a regression tripwire, not just a report:
+//! Gates make this a regression tripwire, not just a report:
 //!
 //! * the n = 10⁶ end-to-end lint must finish under
-//!   `$LINT_BUDGET_SECS` (default 10) seconds;
-//! * the epoch race detector at 10⁵ flights must allocate under
-//!   `$RACE_BUDGET_MIB` (default 64) MiB at peak — O(E + n), not the
-//!   old O(E·n) vector-clock footprint.
+//!   [`LINT_BUDGET_SECS`] seconds;
+//! * the epoch race detector at 10⁵ processors must see all 99,999
+//!   flights, find no race, and allocate under [`RACE_BUDGET_MIB`] MiB
+//!   at peak — O(E + n), not the old O(E·n) vector-clock footprint.
 //!
-//! Peak footprint is measured by a counting global allocator (the
-//! entire workspace's libraries are `#![forbid(unsafe_code)]`; this
-//! binary hosts the one `unsafe impl` the measurement needs).
+//! Peak footprint is measured by the counting allocator of
+//! [`postal_bench::probe`], which this binary installs.
 
 use postal_algos::{BroadcastTree, ToSchedule};
-use postal_bench::report::BenchReport;
+use postal_bench::probe::with_peak_delta;
+use postal_bench::report::{BenchReport, Cmp};
 use postal_bench::table::Table;
 use postal_model::Latency;
 use postal_verify::{json, lint_schedule, render, Flight, LintOptions, Severity};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
-/// System allocator wrapped with live/peak byte counters.
-struct CountingAlloc {
-    live: AtomicUsize,
-    peak: AtomicUsize,
-}
+postal_bench::install_heap_probe!();
 
-// SAFETY: delegates every operation to `System` unchanged; the wrapper
-// only maintains counters on the side.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let p = System.alloc(layout);
-        if !p.is_null() {
-            let live = self.live.fetch_add(layout.size(), Ordering::Relaxed) + layout.size();
-            self.peak.fetch_max(live, Ordering::Relaxed);
-        }
-        p
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        self.live.fetch_sub(layout.size(), Ordering::Relaxed);
-        System.dealloc(ptr, layout);
-    }
-}
-
-#[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc {
-    live: AtomicUsize::new(0),
-    peak: AtomicUsize::new(0),
-};
-
-/// Runs `f`, returning its result plus the peak allocation delta (bytes
-/// above the live heap at entry) it caused.
-fn with_peak_delta<T>(f: impl FnOnce() -> T) -> (T, usize) {
-    let baseline = ALLOC.live.load(Ordering::Relaxed);
-    ALLOC.peak.store(baseline, Ordering::Relaxed);
-    let out = f();
-    let peak = ALLOC.peak.load(Ordering::Relaxed);
-    (out, peak.saturating_sub(baseline))
-}
-
-fn env_f64(key: &str, default: f64) -> f64 {
-    std::env::var(key)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
+/// Seconds the n = 10⁶ end-to-end lint must stay under.
+const LINT_BUDGET_SECS: f64 = 10.0;
+/// MiB the race detector's peak allocation over 10⁵ processors must
+/// stay under.
+const RACE_BUDGET_MIB: f64 = 64.0;
 
 fn main() {
     let lam = Latency::from_ratio(5, 2);
-    let lint_budget_secs = env_f64("LINT_BUDGET_SECS", 10.0);
-    let race_budget_mib = env_f64("RACE_BUDGET_MIB", 64.0);
 
     let mut table = Table::new(
         "LNT: single-sweep lint throughput, BCAST tree schedules, λ = 5/2",
         &["n", "sends", "parse s", "lint s", "total s", "sends/sec"],
     );
     let mut report = BenchReport::new("lint");
-    let mut worst_total = 0.0f64;
 
     for n in [1_000u64, 10_000, 100_000, 1_000_000] {
         let schedule = BroadcastTree::build(n, lam).to_schedule();
@@ -120,7 +76,6 @@ fn main() {
         );
 
         let total = parse_secs + lint_secs;
-        worst_total = worst_total.max(total);
         let rate = sends as f64 / total;
         println!(
             "n = {n:>9}: {sends:>9} sends, parse {parse_secs:.3}s + lint {lint_secs:.3}s \
@@ -136,9 +91,7 @@ fn main() {
         ]);
         report.num(&format!("sends_per_sec_n{n}"), rate);
         if n == 1_000_000 {
-            report
-                .num("e2e_secs_n1000000", total)
-                .num("lint_budget_secs", lint_budget_secs);
+            report.gate("e2e_secs_n1000000", total, Cmp::Lt, LINT_BUDGET_SECS);
         }
     }
 
@@ -162,35 +115,16 @@ fn main() {
     let race_mib = race_peak as f64 / (1024.0 * 1024.0);
     println!(
         "race detector: {} flights, {} races, peak allocation {race_mib:.1} MiB \
-         (budget {race_budget_mib} MiB)",
+         (budget {RACE_BUDGET_MIB} MiB)",
         flights.len(),
         races.len()
     );
-    assert!(races.is_empty(), "broadcast tree flights must be race-free");
 
     println!("{table}");
     report
-        .int("race_flights", flights.len() as i128)
-        .num("race_peak_mib", race_mib)
-        .num("race_budget_mib", race_budget_mib)
+        .gate("race_flights", flights.len() as f64, Cmp::Eq, 99_999.0)
+        .gate("race_peak_mib", race_mib, Cmp::Lt, RACE_BUDGET_MIB)
+        .gate("races", races.len() as f64, Cmp::Eq, 0.0)
         .table(&table);
     postal_bench::report::emit_json(&report);
-
-    let mut failed = false;
-    if worst_total > lint_budget_secs {
-        eprintln!(
-            "error: n = 10^6 end-to-end lint took {worst_total:.3}s \
-             (budget {lint_budget_secs}s)"
-        );
-        failed = true;
-    }
-    if race_mib > race_budget_mib {
-        eprintln!(
-            "error: race detector peaked at {race_mib:.1} MiB (budget {race_budget_mib} MiB)"
-        );
-        failed = true;
-    }
-    if failed {
-        std::process::exit(1);
-    }
 }

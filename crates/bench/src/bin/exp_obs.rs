@@ -8,18 +8,20 @@
 //! Event construction happens inside every timed loop, so the Null
 //! column is a real baseline (build + dispatch), not an empty loop.
 //!
-//! Two gates make this a regression tripwire:
+//! Gates make this a regression tripwire:
 //!
 //! * at 10⁶ events the ring recorder must stay under
-//!   `$OBS_RING_OVERHEAD_BUDGET` (default 2.0) × the NullRecorder's
-//!   time — once the head fills, a record is one atomic sequence, and
-//!   that property is what makes tracing affordable at n → 10⁶;
+//!   [`RING_OVERHEAD_BUDGET_X`] × the NullRecorder's time — once the
+//!   head fills, a record is one atomic sequence, and that property is
+//!   what makes tracing affordable at n → 10⁶;
+//! * every rung's ring throughput must be positive;
 //! * the streaming percentile sketches must agree with the exact
 //!   event-vector quantiles to within one log-bucket on a real BCAST
-//!   workload (n = 64, λ = 5/2) — speed must not cost correctness.
+//!   workload (n = 64, λ = 5/2), with a positive p50 — speed must not
+//!   cost correctness.
 
 use postal_algos::bcast_programs;
-use postal_bench::report::BenchReport;
+use postal_bench::report::{BenchReport, Cmp};
 use postal_bench::table::Table;
 use postal_model::{Latency, Time};
 use postal_obs::hist::exact_quantile;
@@ -30,12 +32,9 @@ use postal_sim::{log_from_report, Simulation, Uniform};
 use std::hint::black_box;
 use std::time::Instant;
 
-fn env_f64(key: &str, default: f64) -> f64 {
-    std::env::var(key)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
+/// Multiple of the NullRecorder's time the ring recorder must stay
+/// under at 10⁶ events.
+const RING_OVERHEAD_BUDGET_X: f64 = 2.0;
 
 /// The `i`-th synthetic event: send spans sweeping across 64 source
 /// processors, so the ring's shards all see traffic.
@@ -62,14 +61,11 @@ fn drive(rec: &dyn Recorder, n: u64) -> (f64, f64) {
 }
 
 fn main() {
-    let overhead_budget = env_f64("OBS_RING_OVERHEAD_BUDGET", 2.0);
-
     let mut table = Table::new(
         "OBS: recorder throughput, synthetic send streams across 64 procs",
         &["n", "null ev/s", "memory ev/s", "ring ev/s", "ring/null ×"],
     );
     let mut report = BenchReport::new("obs");
-    let mut worst_overhead = 0.0f64;
 
     for n in [1_000u64, 10_000, 100_000, 1_000_000] {
         let (null_secs, null_rate) = drive(&NullRecorder, n);
@@ -89,11 +85,6 @@ fn main() {
             "ring lost events at n = {n}"
         );
         let overhead = ring_secs / null_secs;
-        worst_overhead = if n == 1_000_000 {
-            worst_overhead.max(overhead)
-        } else {
-            worst_overhead
-        };
 
         println!(
             "n = {n:>9}: null {null_rate:>12.0} ev/s   memory {mem_rate:>12.0} ev/s   \
@@ -107,10 +98,16 @@ fn main() {
             format!("{ring_rate:.0}"),
             format!("{overhead:.2}"),
         ]);
-        report.num(&format!("events_per_sec_null_n{n}"), null_rate);
-        report.num(&format!("events_per_sec_memory_n{n}"), mem_rate);
-        report.num(&format!("events_per_sec_ring_n{n}"), ring_rate);
-        report.num(&format!("ring_overhead_x_n{n}"), overhead);
+        let rate = |kind: &str| format!("events_per_sec_{kind}_n{n}");
+        report
+            .num(&rate("null"), null_rate)
+            .num(&rate("memory"), mem_rate)
+            .gate(&rate("ring"), ring_rate, Cmp::Gt, 0.0)
+            .num(&format!("ring_overhead_x_n{n}"), overhead);
+        if n == 1_000_000 {
+            let budget = RING_OVERHEAD_BUDGET_X;
+            report.gate("ring_overhead_x_worst_n1000000", overhead, Cmp::Lt, budget);
+        }
     }
 
     // Percentile-fidelity gate: streaming sketch vs exact quantiles on
@@ -137,23 +134,23 @@ fn main() {
             _ => None,
         })
         .collect();
+    let mut bucket_misses = 0u32;
     for q in [0.5, 0.99] {
         let exact = exact_quantile(&latencies, q);
         let (lo, hi) = s.latency_sketch.quantile_bounds(q);
-        assert!(
-            exact >= lo && exact < hi,
-            "sketch p{} bucket [{lo}, {hi}) misses exact {exact}",
-            q * 100.0
-        );
+        bucket_misses += u32::from(!(exact >= lo && exact < hi));
         report.num(
             &format!("latency_p{}_sketch", (q * 100.0) as u32),
             s.latency_quantile(q),
         );
         report.num(&format!("latency_p{}_exact", (q * 100.0) as u32), exact);
     }
+    report
+        .gate("latency_p50_sketch", s.latency_quantile(0.5), Cmp::Gt, 0.0)
+        .gate("sketch_bucket_misses", bucket_misses.into(), Cmp::Eq, 0.0);
     println!(
         "percentile fidelity: BCAST({n}, {lam}) p50 sketch {:.4} vs exact {:.4}, \
-         p99 sketch {:.4} vs exact {:.4} — within one log-bucket",
+         p99 sketch {:.4} vs exact {:.4}, {bucket_misses} outside the sketch's log-bucket",
         s.latency_quantile(0.5),
         exact_quantile(&latencies, 0.5),
         s.latency_quantile(0.99),
@@ -172,17 +169,6 @@ fn main() {
     report.int("drain_dropped_events", dropped as i128);
 
     println!("{table}");
-    report
-        .num("ring_overhead_x_worst_n1000000", worst_overhead)
-        .num("ring_overhead_budget_x", overhead_budget)
-        .table(&table);
+    report.table(&table);
     postal_bench::report::emit_json(&report);
-
-    if worst_overhead > overhead_budget {
-        eprintln!(
-            "error: ring recorder overhead {worst_overhead:.2}× null at 10⁶ events \
-             (budget {overhead_budget}×)"
-        );
-        std::process::exit(1);
-    }
 }

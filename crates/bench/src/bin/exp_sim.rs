@@ -7,21 +7,24 @@
 //! checked against the paper's closed form `f_λ(n)` by exact rational
 //! equality — the speed ladder doubles as a correctness sweep.
 //!
-//! Two gates make this a regression tripwire:
+//! Gates make this a regression tripwire:
 //!
-//! * BCAST at n = 10⁶ (two million engine events) must finish under
-//!   `$SIM_BUDGET_SECS` (default 60) — the headline "million processors
-//!   in seconds" property of the calendar-queue rewrite;
+//! * BCAST at n = 10⁶ (two million engine events, exactly 1,999,998)
+//!   must finish under [`SIM_BUDGET_SECS`] — the headline "million
+//!   processors in seconds" property of the calendar-queue rewrite —
+//!   and every rung's throughput must be positive;
+//! * every run's completion must equal `f_λ(n)`;
 //! * BCAST(20,000) at λ = 7/3 must agree with the seed reference engine
 //!   ([`Simulation::run_reference`]) on completion, event count,
 //!   message count, and per-processor statistics under two latency
 //!   models: `Uniform(7/3)`, which declares its lattice of sixths so
-//!   the run rides the integer ring (lattice parity), and a model that
-//!   returns 7/3 but keeps the default half-unit lattice, so every event
-//!   off the halves takes the exact-`Ratio` fallback heap (fallback
-//!   parity). `fallback_exact_pushes` counts that run's exact-heap
-//!   pushes; CI requires it above 0, so the gate cannot pass without
-//!   exercising the fallback. The full trace-identity pin lives in
+//!   the run rides the integer ring with no exact-heap push (lattice
+//!   parity), and a model that returns 7/3 but keeps the default
+//!   half-unit lattice, so every event off the halves takes the
+//!   exact-`Ratio` fallback heap (fallback parity).
+//!   `fallback_exact_pushes` counts that run's exact-heap pushes and
+//!   must be above 0, so the gate cannot pass without exercising the
+//!   fallback. The full trace-identity pin lives in
 //!   `tests/engine_differential.rs`; this gate keeps the release-mode
 //!   lattice and fallback paths honest in CI.
 //!
@@ -29,7 +32,7 @@
 //! at 10⁶ only the fast engine runs (the point of the rewrite).
 
 use postal_algos::bcast_programs;
-use postal_bench::report::BenchReport;
+use postal_bench::report::{BenchReport, Cmp};
 use postal_bench::table::Table;
 use postal_model::{runtimes, Latency, Time};
 use postal_sim::{LatencyModel, ProcId, Simulation, Uniform};
@@ -45,16 +48,15 @@ impl LatencyModel for HalvesOnly {
     }
 }
 
-/// One parity run: BCAST(n) at `lam` under `model` on both engines.
-struct Parity {
-    mismatches: u32,
-    fast_secs: f64,
-    ref_secs: f64,
-    exact_pushes: u64,
-    completion: Time,
-}
+/// Seconds BCAST at n = 10⁶ must stay under on the fast engine.
+const SIM_BUDGET_SECS: f64 = 60.0;
 
-fn parity(model: &dyn LatencyModel, n: usize, lam: Latency) -> Parity {
+/// One parity run, BCAST(20,000) at λ = 7/3 under `model` on both
+/// engines: records both times and gates the engines' agreement and
+/// the fast run's exact-heap pushes (`pushes` 0). Returns whether the
+/// completion missed `f_λ(n)`.
+fn parity(report: &mut BenchReport, name: &str, model: &dyn LatencyModel, pushes: Cmp) -> bool {
+    let (n, lam) = (20_000usize, Latency::from_ratio(7, 3));
     let sim = Simulation::new(n, model);
     let start = Instant::now();
     let fast = sim.run(bcast_programs(n, lam)).expect("bcast simulates");
@@ -69,25 +71,21 @@ fn parity(model: &dyn LatencyModel, n: usize, lam: Latency) -> Parity {
     mismatches += u32::from(fast.events != reference.events);
     mismatches += u32::from(fast.messages() != reference.messages());
     mismatches += u32::from(fast.proc_stats != reference.proc_stats);
-    assert_eq!(fast.completion, runtimes::bcast_time(n as u128, lam));
-    Parity {
-        mismatches,
-        fast_secs,
-        ref_secs,
-        exact_pushes: fast.exact_pushes,
-        completion: fast.completion,
-    }
-}
-
-fn env_f64(key: &str, default: f64) -> f64 {
-    std::env::var(key)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+    println!(
+        "{name} parity: BCAST({n}, {lam}) fast {fast_secs:.3} s vs ref {ref_secs:.3} s, \
+         completion {} on both engines, {} exact-heap pushes",
+        fast.completion, fast.exact_pushes
+    );
+    let (key, pushed) = (|k: &str| format!("{name}_{k}"), fast.exact_pushes as f64);
+    report
+        .num(&key("fast_secs"), fast_secs)
+        .num(&key("ref_secs"), ref_secs)
+        .gate(&key("parity_mismatches"), mismatches.into(), Cmp::Eq, 0.0)
+        .gate(&key("exact_pushes"), pushed, pushes, 0.0);
+    fast.completion != runtimes::bcast_time(n as u128, lam)
 }
 
 fn main() {
-    let budget_secs = env_f64("SIM_BUDGET_SECS", 60.0);
     let lam = Latency::from_int(2);
 
     let mut table = Table::new(
@@ -95,7 +93,7 @@ fn main() {
         &["n", "fast secs", "fast ev/s", "ref secs", "speedup ×"],
     );
     let mut report = BenchReport::new("sim");
-    let mut fast_secs_at_million = f64::NAN;
+    let mut closed_form_misses = 0u32;
 
     let uni = Uniform(lam);
     for n in [1_000usize, 10_000, 100_000, 1_000_000] {
@@ -105,11 +103,7 @@ fn main() {
         let fast = sim.run(bcast_programs(n, lam)).expect("bcast simulates");
         let fast_secs = start.elapsed().as_secs_f64().max(1e-9);
         fast.assert_model_clean();
-        assert_eq!(
-            fast.completion,
-            runtimes::bcast_time(n as u128, lam),
-            "fast engine missed the closed form at n = {n}"
-        );
+        closed_form_misses += u32::from(fast.completion != runtimes::bcast_time(n as u128, lam));
         assert_eq!(fast.messages(), n - 1);
         let rate = fast.events as f64 / fast_secs;
 
@@ -132,7 +126,6 @@ fn main() {
                 format!("{:.2}", ref_secs / fast_secs),
             )
         } else {
-            fast_secs_at_million = fast_secs;
             ("-".to_string(), "-".to_string())
         };
 
@@ -149,50 +142,29 @@ fn main() {
             speedup_cell,
         ]);
         report.num(&format!("fast_secs_n{n}"), fast_secs);
-        report.num(&format!("events_per_sec_fast_n{n}"), rate);
+        report.gate(&format!("events_per_sec_fast_n{n}"), rate, Cmp::Gt, 0.0);
         report.int(&format!("events_n{n}"), fast.events as i128);
+        if n == 1_000_000 {
+            report
+                .gate("fast_secs_n1000000", fast_secs, Cmp::Lt, SIM_BUDGET_SECS)
+                .gate("events_n1000000", fast.events as f64, Cmp::Eq, 1_999_998.0);
+        }
     }
-
-    assert!(
-        fast_secs_at_million < budget_secs,
-        "BCAST at n = 10⁶ took {fast_secs_at_million:.1} s, over the {budget_secs:.0} s budget"
-    );
 
     // Parity gates at λ = 7/3: on its declared lattice of sixths, and
     // through the exact fallback under a model that keeps the halves.
     let lam_off = Latency::from_ratio(7, 3);
-    let n_off = 20_000usize;
-    let lattice = parity(&Uniform(lam_off), n_off, lam_off);
-    let fallback = parity(&HalvesOnly(lam_off), n_off, lam_off);
-    assert_eq!(
-        lattice.mismatches, 0,
-        "BCAST on the lattice of sixths diverged from the reference engine at λ = 7/3"
-    );
-    assert_eq!(
-        lattice.exact_pushes, 0,
-        "Uniform(7/3) left its declared lattice"
-    );
-    assert_eq!(
-        fallback.mismatches, 0,
-        "exact fallback diverged from the reference engine at λ = 7/3"
-    );
-    for (name, p) in [("lattice", &lattice), ("fallback", &fallback)] {
-        println!(
-            "{name} parity: BCAST({n_off}, 7/3) fast {:.3} s vs ref {:.3} s, \
-             completion {} on both engines, {} exact-heap pushes",
-            p.fast_secs, p.ref_secs, p.completion, p.exact_pushes
-        );
+    for (name, model, pushes) in [
+        ("lattice", &Uniform(lam_off) as &dyn LatencyModel, Cmp::Eq),
+        ("fallback", &HalvesOnly(lam_off), Cmp::Gt),
+    ] {
+        closed_form_misses += u32::from(parity(&mut report, name, model, pushes));
     }
 
     println!("{table}");
-    report.num("sim_budget_secs", budget_secs);
-    report.num("lattice_fast_secs", lattice.fast_secs);
-    report.num("lattice_ref_secs", lattice.ref_secs);
-    report.int("lattice_parity_mismatches", lattice.mismatches as i128);
-    report.num("fallback_fast_secs", fallback.fast_secs);
-    report.num("fallback_ref_secs", fallback.ref_secs);
-    report.int("fallback_parity_mismatches", fallback.mismatches as i128);
-    report.int("fallback_exact_pushes", fallback.exact_pushes as i128);
-    report.table(&table);
+    let misses = closed_form_misses.into();
+    report
+        .gate("closed_form_misses", misses, Cmp::Eq, 0.0)
+        .table(&table);
     postal_bench::report::emit_json(&report);
 }

@@ -7,87 +7,47 @@
 //! where the full `P0001`–`P0007` report is produced **while the run
 //! executes** and the trace is never materialized.
 //!
-//! Two budget gates make this a regression tripwire:
+//! Two budget gates make this a regression tripwire, and a third
+//! requires a positive inline time at every rung:
 //!
 //! * at n = 10⁶ the inline-linted run must finish under
-//!   `$STREAM_LINT_OVERHEAD_X` (default 2.0) times the bare run;
+//!   [`OVERHEAD_BUDGET_X`] times the bare run;
 //! * the linter's own peak reserved memory
 //!   ([`postal_obs::LintStream::memory_bytes`])
-//!   at n = 10⁶ must stay under `$STREAM_LINT_MEM_MIB` (default 64)
-//!   MiB — O(n) state, not the O(sends) materialized trace.
+//!   at n = 10⁶ must stay under [`MEM_BUDGET_MIB`] MiB — O(n) state,
+//!   not the O(sends) materialized trace.
 //!
-//! A counting global allocator additionally reports each run's peak
-//! allocation delta, so the "no stored trace" claim is visible as a
-//! number: the inline run's peak should sit near bare + linter bytes,
-//! nowhere near the hundreds of MiB a million-send trace would cost.
+//! The counting allocator of [`postal_bench::probe`] additionally
+//! reports each run's peak allocation delta, so the "no stored trace"
+//! claim is visible as a number: the inline run's peak should sit near
+//! bare + linter bytes, nowhere near the hundreds of MiB a million-send
+//! trace would cost.
 //! At n ≤ 10⁴ the inline report is also pinned to `lint_schedule`'s
 //! report over the recorded trace — the speed ladder doubles as a
 //! correctness sweep.
 
 use postal_algos::bcast_programs;
-use postal_bench::report::BenchReport;
+use postal_bench::probe::with_peak_delta;
+use postal_bench::report::{BenchReport, Cmp};
 use postal_bench::table::Table;
 use postal_model::{runtimes, Latency};
 use postal_obs::LintSink;
 use postal_sim::{Simulation, Uniform};
 use postal_verify::{lint_schedule, render, LintOptions, Severity};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
-/// System allocator wrapped with live/peak byte counters.
-struct CountingAlloc {
-    live: AtomicUsize,
-    peak: AtomicUsize,
-}
+postal_bench::install_heap_probe!();
 
-// SAFETY: delegates every operation to `System` unchanged; the wrapper
-// only maintains counters on the side.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let p = System.alloc(layout);
-        if !p.is_null() {
-            let live = self.live.fetch_add(layout.size(), Ordering::Relaxed) + layout.size();
-            self.peak.fetch_max(live, Ordering::Relaxed);
-        }
-        p
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        self.live.fetch_sub(layout.size(), Ordering::Relaxed);
-        System.dealloc(ptr, layout);
-    }
-}
-
-#[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc {
-    live: AtomicUsize::new(0),
-    peak: AtomicUsize::new(0),
-};
-
-/// Runs `f`, returning its result plus the peak allocation delta (bytes
-/// above the live heap at entry) it caused.
-fn with_peak_delta<T>(f: impl FnOnce() -> T) -> (T, usize) {
-    let baseline = ALLOC.live.load(Ordering::Relaxed);
-    ALLOC.peak.store(baseline, Ordering::Relaxed);
-    let out = f();
-    let peak = ALLOC.peak.load(Ordering::Relaxed);
-    (out, peak.saturating_sub(baseline))
-}
-
-fn env_f64(key: &str, default: f64) -> f64 {
-    std::env::var(key)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
+/// Multiple of the bare run's time the inline-linted run must stay
+/// under at n = 10⁶.
+const OVERHEAD_BUDGET_X: f64 = 2.0;
+/// MiB of linter memory the inline-linted run must stay under at n = 10⁶.
+const MEM_BUDGET_MIB: f64 = 64.0;
 
 const MIB: f64 = 1024.0 * 1024.0;
 
 fn main() {
     let lam = Latency::from_int(2);
-    let overhead_budget = env_f64("STREAM_LINT_OVERHEAD_X", 2.0);
-    let mem_budget_mib = env_f64("STREAM_LINT_MEM_MIB", 64.0);
 
     let mut table = Table::new(
         "SLN: inline streaming lint riding BCAST, λ = 2",
@@ -101,8 +61,6 @@ fn main() {
         ],
     );
     let mut report = BenchReport::new("stream_lint");
-    let mut gate_overhead = f64::NAN;
-    let mut gate_linter_mib = f64::NAN;
 
     let uni = Uniform(lam);
     for n in [1_000usize, 10_000, 100_000, 1_000_000] {
@@ -181,40 +139,17 @@ fn main() {
         ]);
         report
             .num(&format!("bare_secs_n{n}"), bare_secs)
-            .num(&format!("inline_secs_n{n}"), inline_secs)
+            .gate(&format!("inline_secs_n{n}"), inline_secs, Cmp::Gt, 0.0)
             .num(&format!("overhead_x_n{n}"), overhead)
             .num(&format!("linter_mib_n{n}"), linter_mib);
         if n == 1_000_000 {
-            gate_overhead = overhead;
-            gate_linter_mib = linter_mib;
+            report
+                .gate("overhead_x_n1000000", overhead, Cmp::Lt, OVERHEAD_BUDGET_X)
+                .gate("linter_mib_n1000000", linter_mib, Cmp::Lt, MEM_BUDGET_MIB);
         }
     }
 
     println!("{table}");
-    report
-        .num("overhead_x_n1000000", gate_overhead)
-        .num("overhead_budget_x", overhead_budget)
-        .num("linter_mib_n1000000", gate_linter_mib)
-        .num("mem_budget_mib", mem_budget_mib)
-        .table(&table);
+    report.table(&table);
     postal_bench::report::emit_json(&report);
-
-    let mut failed = false;
-    if gate_overhead > overhead_budget {
-        eprintln!(
-            "error: inline lint at n = 10^6 cost {gate_overhead:.2}× the bare run \
-             (budget {overhead_budget}×)"
-        );
-        failed = true;
-    }
-    if gate_linter_mib > mem_budget_mib {
-        eprintln!(
-            "error: linter reserved {gate_linter_mib:.1} MiB at n = 10^6 \
-             (budget {mem_budget_mib} MiB)"
-        );
-        failed = true;
-    }
-    if failed {
-        std::process::exit(1);
-    }
 }

@@ -54,8 +54,8 @@ pub fn figure1() -> (String, Table) {
 
 /// Experiment T6 with an explicit defect count: returns the table, the
 /// number of (n, λ) cells where the simulated completion differed from
-/// `f_λ(n)` — the "gap violations" CI asserts are zero via
-/// `BENCH_theorem6.json` — and the total number of trace events the
+/// `f_λ(n)` — the "gap violations" that `exp_theorem6` and `exp_all`
+/// gate at zero — and the total number of trace events the
 /// sweep simulated (so callers can report an events/sec throughput).
 pub fn theorem6_checked() -> (Table, u64, u64) {
     let mut table = Table::new(

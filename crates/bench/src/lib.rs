@@ -8,7 +8,8 @@
 //!   (F1, T6, T7, L8, L10–L18, X1–X3 and the ablations); each asserts
 //!   the paper's claims while producing a human-readable table.
 //! * [`report`] — `BENCH_<id>.json` machine-readable summaries every
-//!   `exp_*` binary writes for CI;
+//!   `exp_*` binary writes, with the pass/fail gates CI reads;
+//! * [`probe`] — the peak-heap probe the memory-gated binaries install;
 //! * [`table`] — the minimal text-table formatter used for output.
 //!
 //! Run `cargo run -p postal-bench --bin exp_all` for the full report, or
@@ -19,5 +20,6 @@
 #![forbid(unsafe_code)]
 
 pub mod experiments;
+pub mod probe;
 pub mod report;
 pub mod table;

@@ -16,7 +16,7 @@ use postal_obs::{
     to_chrome_trace, to_jsonl, to_prometheus, LintSink, MetricsSummary, ObsLog, Recorder,
     RingRecorder, RunMeta, SampleSpec,
 };
-use postal_sim::{log_from_report, Program, RunReport, Simulation, Uniform};
+use postal_sim::{events_from_report, Program, RunReport, Simulation, Uniform};
 use postal_verify::{json, render, LintOptions, Severity};
 use std::fmt::Write as _;
 
@@ -68,15 +68,26 @@ struct Workload<'a> {
     lam: Latency,
 }
 
+/// Where a run's event log goes.
+enum LogTo {
+    /// Nothing reads it, so it is not built.
+    Nowhere,
+    /// Every event, in one [`ObsLog`].
+    Memory,
+    /// The events, offered in timeline order to the sampling ring,
+    /// whose sample becomes the log.
+    Ring(RingRecorder),
+}
+
 /// The program set of one of the paper's broadcasts, whatever its
 /// payload (`BcastPayload` for `bcast`, `MultiPacket` for the others).
 trait ProgramSet {
     /// Runs the set on `sim`: hitting the event cap is a located error.
-    fn run(self: Box<Self>, sim: &Simulation, w: Workload, log: bool) -> Result<Ran, CliError>;
+    fn run(self: Box<Self>, sim: &Simulation, w: Workload, log: LogTo) -> Result<Ran, CliError>;
 }
 
 impl<P: Clone> ProgramSet for Vec<Box<dyn Program<P>>> {
-    fn run(self: Box<Self>, sim: &Simulation, w: Workload, log: bool) -> Result<Ran, CliError> {
+    fn run(self: Box<Self>, sim: &Simulation, w: Workload, log: LogTo) -> Result<Ran, CliError> {
         let report = sim
             .run(*self)
             .map_err(|e| CliError::Invalid(format!("simulation failed: {e}")))?;
@@ -137,16 +148,16 @@ impl<'a> Workload<'a> {
         Ok(Some(set))
     }
 
-    /// Runs the workload with its trace stored; the log is built only
-    /// when `with_log`. Sends across non-edges of `topo` are counted.
-    fn run(self, with_log: bool, topo: Option<&Topology>) -> Result<Ran, CliError> {
+    /// Runs the workload with its trace stored, and builds its log as
+    /// `log` says. Sends across non-edges of `topo` are counted.
+    fn run(self, log: LogTo, topo: Option<&Topology>) -> Result<Ran, CliError> {
         let model = Uniform(self.lam);
         let mut sim = Simulation::new(self.n, &model);
         if let Some(t) = topo {
             sim = sim.restrict_to(t);
         }
         if let Some(programs) = self.programs()? {
-            return programs.run(&sim, self, with_log);
+            return programs.run(&sim, self, log);
         }
         let values: Vec<u64> = (0..self.n as u64).collect();
         Ok(match self.algo {
@@ -154,38 +165,47 @@ impl<'a> Workload<'a> {
                 let o = combine::run_combine(&values, self.lam);
                 Ran {
                     extra: Some(format!("root total: {}", o.root_total)),
-                    ..self.collective(&o.report, with_log, topo)
+                    ..self.collective(&o.report, log, topo)
                 }
             }
             "gossip" => {
                 let report = gossip::run_gossip(&values, self.lam).report;
-                self.collective(&report, with_log, topo)
+                self.collective(&report, log, topo)
             }
-            _ => self.collective(&scatter::run_scatter(&values, self.lam), with_log, topo),
+            _ => self.collective(&scatter::run_scatter(&values, self.lam), log, topo),
         })
     }
 
     /// A collective runs through its own helper, whose simulation is not
     /// restricted to `topo`: its non-edge sends are counted on the trace.
-    fn collective<P>(self, report: &RunReport<P>, with_log: bool, topo: Option<&Topology>) -> Ran {
+    fn collective<P>(self, report: &RunReport<P>, log: LogTo, topo: Option<&Topology>) -> Ran {
         let off = |t: &Topology| {
             let transfers = report.trace.transfers().iter();
             transfers.filter(|x| !t.is_edge(x.src.0, x.dst.0)).count()
         };
         Ran {
             edge_violations: topo.map_or(0, off),
-            ..self.summarize(report, with_log)
+            ..self.summarize(report, log)
         }
     }
 
-    fn summarize<P>(self, report: &RunReport<P>, with_log: bool) -> Ran {
+    fn summarize<P>(self, report: &RunReport<P>, log: LogTo) -> Ran {
         let (n, m) = (self.n as u32, u64::from(self.m));
+        let meta = || RunMeta::new("event", n).latency(self.lam).messages(m);
+        let log = match log {
+            LogTo::Nowhere => None,
+            LogTo::Memory => Some(ObsLog::new(meta(), events_from_report(report).collect())),
+            LogTo::Ring(ring) => {
+                events_from_report(report).for_each(|e| ring.record(e));
+                Some(ring.into_log(meta()))
+            }
+        };
         Ran {
             completion: report.completion,
             messages: report.messages(),
             violations: report.violations.len(),
             edge_violations: report.edge_violations.len(),
-            log: with_log.then(|| log_from_report(report, "event", n, Some(self.lam), Some(m))),
+            log,
             extra: None,
         }
     }
@@ -202,26 +222,24 @@ fn ring(a: &Args) -> Result<Option<RingRecorder>, CliError> {
 
 /// Runs the workload for `simulate` or `stats`. The log is built when
 /// `always_log`, an exporter or the ring reads it. With the ring, the
-/// log is re-recorded through it, so what the exporters see went down
-/// the same `record()` path a live sampled run would use — including
-/// honest drop accounting in the metadata. Returns one note per file
-/// written.
+/// run's events are recorded through it in timeline order, one at a
+/// time, so what the exporters see went down the same `record()` path
+/// a live sampled run would use — including honest drop accounting in
+/// the metadata — and the whole log is never held. Returns one note per
+/// file written.
 fn observe(
     a: &Args,
     w: Workload,
     always_log: bool,
     topo: Option<&Topology>,
 ) -> Result<(Ran, Vec<String>), CliError> {
-    let ring = ring(a)?;
     let exporting = EXPORTS.iter().any(|(flag, ..)| a.get(flag).is_some());
-    let mut ran = w.run(always_log || exporting || ring.is_some(), topo)?;
-    if let Some(ring) = ring {
-        let log = ran.log.take().expect("the ring reads the log");
-        for e in log.events() {
-            ring.record(e.clone());
-        }
-        ran.log = Some(ring.into_log(log.meta().clone()));
-    }
+    let log = match ring(a)? {
+        Some(ring) => LogTo::Ring(ring),
+        None if always_log || exporting => LogTo::Memory,
+        None => LogTo::Nowhere,
+    };
+    let ran = w.run(log, topo)?;
     let mut notes = Vec::new();
     for (flag, what, export) in EXPORTS {
         if let (Some(p), Some(log)) = (a.get(flag), &ran.log) {
@@ -344,7 +362,7 @@ fn lint_inline(
         if let Some(t) = topo {
             sim = sim.restrict_to(t);
         }
-        programs.run(&sim, w, false)
+        programs.run(&sim, w, LogTo::Nowhere)
     };
     let (ran, stream, dropped, sample) = match ring(a)? {
         Some(ring) => {

@@ -21,7 +21,7 @@
 //! adversarial ones), independent of the event-driven engine.
 
 use crate::latency::Latency;
-use crate::time::{tick_lattice, Time};
+use crate::time::{sort_by_time, Time};
 
 pub use crate::lint::{
     Diagnostic as LintDiagnostic, LintCode as ScheduleLintCode, Severity as LintSeverity,
@@ -71,23 +71,10 @@ pub struct Schedule {
 
 impl Schedule {
     /// Creates a schedule; sends may be in any order. They are sorted by
-    /// `(send_start, src, dst)`. When every start lies on one tick
-    /// lattice ([`tick_lattice`]) the sort key holds the `i64` tick
-    /// count, computed once per send, which orders exactly as the time
-    /// does; otherwise it holds the exact time. Sends with equal keys
-    /// are equal, so both keys give the same order.
+    /// `(send_start, src, dst)` with [`sort_by_time`], on tick counts
+    /// when the starts lie on one lattice.
     pub fn new(n: u32, latency: Latency, mut sends: Vec<TimedSend>) -> Schedule {
-        match tick_lattice(sends.iter().map(|s| s.send_start)) {
-            Some(den) => sends.sort_by_cached_key(|s| {
-                let ticks = s.send_start.to_ticks(den);
-                (
-                    ticks.expect("tick_lattice bounds every tick count"),
-                    s.src,
-                    s.dst,
-                )
-            }),
-            None => sends.sort_by_key(|s| (s.send_start, s.src, s.dst)),
-        }
+        sort_by_time(&mut sends, |s| s.send_start, |s| (s.src, s.dst));
         Schedule { n, latency, sends }
     }
 
@@ -131,7 +118,7 @@ mod tests {
     use super::*;
     use crate::latency::MAX_TICK_DENOMINATOR;
     use crate::lint::{is_clean, lint_schedule, LintCode, LintOptions, Severity};
-    use crate::time::TICK_LIMIT;
+    use crate::time::{tick_lattice, TICK_LIMIT};
     use proptest::prelude::*;
 
     fn send(src: u32, dst: u32, num: i128, den: i128) -> TimedSend {

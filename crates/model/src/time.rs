@@ -180,8 +180,8 @@ pub fn lattice_lcm(den: i64, q: i64) -> Option<i64> {
 /// `|numerator|·D ≤` [`TICK_LIMIT`], so that [`Time::to_ticks`] gives
 /// each of them a tick count. `None` otherwise, and a caller keeps the
 /// exact times. This is the one lattice finder for a finished set of
-/// times: `ObsLog::sorted` and [`crate::schedule::Schedule::new`] sort on its
-/// tick counts, which order exactly as the times do.
+/// times: [`sort_by_time`] sorts on its tick counts, which order
+/// exactly as the times do.
 ///
 /// ```
 /// use postal_model::time::tick_lattice;
@@ -197,6 +197,35 @@ pub fn tick_lattice(times: impl IntoIterator<Item = Time>) -> Option<i64> {
         den = lattice_lcm(den, i64::try_from(t.0.denom()).ok()?)?;
     }
     (max_num.checked_mul(den as u64)? <= TICK_LIMIT as u64).then_some(den)
+}
+
+/// Sorts `items` stably by `(at(item), rest(item))`, in place, computing
+/// each key once (`sort_by_cached_key`, which keeps only the keys and an
+/// index per item beside the slice). When every `at` lies on one tick
+/// lattice ([`tick_lattice`]) the key holds the `i64` tick count, which
+/// orders exactly as the time does; otherwise it holds the exact time,
+/// so both keys give the same order. This is the one lattice-keyed sort:
+/// [`crate::schedule::Schedule::new`], `ObsLog::sorted` and the
+/// simulator's `log_from_report` sort with it.
+///
+/// ```
+/// use postal_model::time::sort_by_time;
+/// use postal_model::Time;
+/// let mut sends = [(Time::new(7, 3), 'b'), (Time::ONE, 'c'), (Time::new(7, 3), 'a')];
+/// sort_by_time(&mut sends, |s| s.0, |_| ());
+/// assert_eq!(sends.map(|s| s.1), ['c', 'b', 'a']);
+/// ```
+pub fn sort_by_time<T, R: Ord>(items: &mut [T], at: impl Fn(&T) -> Time, rest: impl Fn(&T) -> R) {
+    match tick_lattice(items.iter().map(&at)) {
+        Some(den) => items.sort_by_cached_key(|x| {
+            let ticks = at(x).to_ticks(den);
+            (
+                ticks.expect("tick_lattice bounds every tick count"),
+                rest(x),
+            )
+        }),
+        None => items.sort_by_cached_key(|x| (at(x), rest(x))),
+    }
 }
 
 /// Largest tick count [`Time::to_ticks`] returns, in magnitude. The

@@ -2,7 +2,7 @@
 
 use crate::event::{ObsEvent, PortSide, PortSpan};
 use postal_model::schedule::{Schedule, TimedSend};
-use postal_model::time::tick_lattice;
+use postal_model::time::sort_by_time;
 use postal_model::{Latency, Time};
 use std::borrow::Borrow;
 use std::fmt;
@@ -116,9 +116,10 @@ impl ObsLog {
 
     /// Wraps metadata and events recorded in any order, sorting them by
     /// (timestamp, kind, seq) so logs from threaded runs are
-    /// deterministic given their timestamps. The sort is stable.
+    /// deterministic given their timestamps. The sort is stable, on tick
+    /// counts when the timestamps lie on one lattice ([`sort_by_time`]).
     pub fn sorted(meta: RunMeta, mut events: Vec<ObsEvent>) -> ObsLog {
-        sort_events(&mut events);
+        sort_by_time(&mut events, ObsEvent::at, rank);
         ObsLog { meta, events }
     }
 
@@ -257,26 +258,8 @@ where
     busy
 }
 
-/// Sorts by (timestamp, kind, seq), stably, computing each key once
-/// (`sort_by_cached_key`). When every timestamp has a tick form on one
-/// lattice (see [`tick_lattice`]) the key holds the `i64` tick count,
-/// which orders exactly as the time does, so both keys give the same
-/// order; otherwise it holds the exact time.
-fn sort_events(events: &mut [ObsEvent]) {
-    match tick_lattice(events.iter().map(ObsEvent::at)) {
-        Some(den) => events.sort_by_cached_key(|e| {
-            let ticks = e.at().to_ticks(den);
-            (
-                ticks.expect("tick_lattice bounds every tick count"),
-                rank(e),
-            )
-        }),
-        None => events.sort_by_cached_key(|e| (e.at(), rank(e))),
-    }
-}
-
-/// The key after the timestamp: the kind's rank, then the seq
-/// (`u64::MAX` for the kinds without one).
+/// The key after the timestamp in [`ObsLog::sorted`]'s order: the
+/// kind's rank, then the seq (`u64::MAX` for the kinds without one).
 fn rank(e: &ObsEvent) -> (u8, u64) {
     match *e {
         ObsEvent::Crash { .. } => (0, u64::MAX),

@@ -89,6 +89,6 @@ pub use faults::FaultPlan;
 pub use ids::{ProcId, SendSeq};
 pub use jitter::Jittered;
 pub use latency_model::{Hierarchical, LatencyModel, TimeVarying, Uniform};
-pub use obs::log_from_report;
+pub use obs::{events_from_report, log_from_report};
 pub use program::{Context, Idle, Program};
 pub use trace::{Trace, Transfer};

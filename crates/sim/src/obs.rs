@@ -2,25 +2,19 @@
 //!
 //! The engine can stream events live through a [`postal_obs::Recorder`]
 //! (see [`crate::engine::Simulation::observe`]); this module additionally
-//! converts a finished [`RunReport`] into an [`ObsLog`], so callers that
-//! only kept the report — like `postal-cli simulate` — can still export
-//! Chrome traces, Prometheus metrics and JSONL after the fact.
+//! turns a finished [`RunReport`] into its ordered events or an
+//! [`ObsLog`], so callers that only kept the report — like `postal-cli
+//! simulate` — can still export Chrome traces, Prometheus metrics and
+//! JSONL after the fact.
 
 use crate::engine::RunReport;
-use postal_model::time::tick_lattice;
+use postal_model::time::sort_by_time;
 use postal_model::{Latency, Time};
 use postal_obs::{ObsEvent, ObsLog, RunMeta};
 
-/// Builds an [`ObsLog`] from a finished run report: transfers become
-/// `Send`/`Recv` events and strict-mode violations become `Violation`
-/// events, all in timeline order.
-///
-/// The order is [`ObsLog::sorted`]'s over the transfers' `Send`/`Recv`
-/// pairs in trace order followed by the violations: by (time, kind,
-/// seq), ties in input order. Only a compact key per event is sorted,
-/// its time as a tick count when the events' times lie on one lattice
-/// (see [`tick_lattice`]) and exact otherwise, and each event is then
-/// built once, in its final place.
+/// Builds an [`ObsLog`] from a finished run report: the events of
+/// [`events_from_report`], collected into one allocation of their final
+/// length.
 pub fn log_from_report<P>(
     report: &RunReport<P>,
     engine: &str,
@@ -28,28 +22,51 @@ pub fn log_from_report<P>(
     lambda: Option<Latency>,
     messages: Option<u64>,
 ) -> ObsLog {
+    let mut meta = RunMeta::new(engine, n);
+    meta.lambda = lambda;
+    meta.messages = messages;
+    ObsLog::new(meta, events_from_report(report).collect())
+}
+
+/// The events of a finished run report in timeline order: transfers
+/// become `Send`/`Recv` events and strict-mode violations become
+/// `Violation` events.
+///
+/// The order is [`ObsLog::sorted`]'s over the transfers' `Send`/`Recv`
+/// pairs in trace order followed by the violations: by (time, kind,
+/// seq), ties in input order. Only a `u32` index per event is sorted,
+/// with [`sort_by_time`], and each event is then built once, as the
+/// iterator yields it, so a consumer that keeps a sample of the events
+/// never holds them all.
+pub fn events_from_report<P>(
+    report: &RunReport<P>,
+) -> impl ExactSizeIterator<Item = ObsEvent> + '_ {
     let transfers = report.trace.transfers();
     let violations = &report.violations;
     // Input index `i`: the `Send` (even `i`) or `Recv` (odd `i`) of
     // transfer `i / 2`, then violation `i − 2·transfers`.
     let pairs = 2 * transfers.len();
-    let count = pairs + violations.len();
-    // An event's timestamp (`ObsEvent::at`), kind rank and seq: the
-    // key of `ObsLog::sorted`, where a send ranks 1, a receive 2 and a
-    // violation 3.
-    let key = |i: usize| -> (Time, u8, u64) {
+    // An event's timestamp (`ObsEvent::at`), then its kind rank and seq:
+    // the key of `ObsLog::sorted`, where a send ranks 1, a receive 2 and
+    // a violation 3.
+    let at = |i: usize| -> Time {
         if i >= pairs {
-            let v = &violations[i - pairs];
-            return (v.arrival, 3, v.seq.0);
+            return violations[i - pairs].arrival;
         }
         let t = &transfers[i / 2];
         if i.is_multiple_of(2) {
-            (t.send_start, 1, t.seq.0)
+            t.send_start
         } else {
-            (t.recv_start, 2, t.seq.0)
+            t.recv_start
         }
     };
-    let event = |i: usize| -> ObsEvent {
+    let rank = |i: usize| -> (u8, u64) {
+        if i >= pairs {
+            return (3, violations[i - pairs].seq.0);
+        }
+        (1 + (i % 2) as u8, transfers[i / 2].seq.0)
+    };
+    let event = move |i: usize| -> ObsEvent {
         if i >= pairs {
             let v = &violations[i - pairs];
             return ObsEvent::Violation {
@@ -80,43 +97,11 @@ pub fn log_from_report<P>(
             }
         }
     };
-    let events = match tick_lattice((0..count).map(|i| key(i).0)) {
-        Some(den) => {
-            let ticks = |i| {
-                let (at, kind, seq) = key(i);
-                let at = at
-                    .to_ticks(den)
-                    .expect("tick_lattice bounds every tick count");
-                (at, kind, seq)
-            };
-            sorted_events(count, ticks, event)
-        }
-        None => sorted_events(count, key, event),
-    };
-    let mut meta = RunMeta::new(engine, n);
-    meta.lambda = lambda;
-    meta.messages = messages;
-    ObsLog::new(meta, events)
-}
-
-/// `event(i)` for each `i` in `0..count`, in the order of `(key(i), i)`:
-/// the stable order of `key`, from one unstable sort of compact entries.
-fn sorted_events<K: Ord>(
-    count: usize,
-    key: impl Fn(usize) -> (K, u8, u64),
-    event: impl Fn(usize) -> ObsEvent,
-) -> Vec<ObsEvent> {
-    // A `u32` index keeps a tick entry at 24 bytes; a trace of 2³¹
-    // transfers would not fit in memory.
-    let index = |i: usize| u32::try_from(i).expect("fewer than 2³² events");
-    let mut keys: Vec<(K, u8, u64, u32)> = (0..count)
-        .map(|i| {
-            let (at, kind, seq) = key(i);
-            (at, kind, seq, index(i))
-        })
-        .collect();
-    keys.sort_unstable();
-    keys.into_iter().map(|(.., i)| event(i as usize)).collect()
+    // A trace of 2³¹ transfers would not fit in memory.
+    let count = u32::try_from(pairs + violations.len()).expect("fewer than 2³² events");
+    let mut order: Vec<u32> = (0..count).collect();
+    sort_by_time(&mut order, |&i| at(i as usize), |&i| rank(i as usize));
+    order.into_iter().map(move |i| event(i as usize))
 }
 
 #[cfg(test)]
