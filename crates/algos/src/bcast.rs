@@ -137,7 +137,7 @@ mod tests {
 
     #[test]
     fn bcast_payload_is_eight_bytes() {
-        // The simulator's queue entry is pinned at 56 B or less for an
+        // The simulator's queue entry is pinned at 48 B or less for an
         // 8-byte payload (`postal_sim` engine tests); BCAST's is one.
         assert_eq!(std::mem::size_of::<BcastPayload>(), 8);
     }

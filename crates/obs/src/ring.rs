@@ -7,14 +7,23 @@
 //! one of `S` **shards**, each a fixed-capacity ring. A `record` costs:
 //!
 //! 1. one relaxed `fetch_add` on the shard's attempt cursor (the
-//!    rate pre-sampler and drop accounting hang off this single atomic
-//!    sequence — a rate-sampled-out event touches nothing else);
+//!    rate pre-sampler, the head-overflow test and drop accounting hang
+//!    off this single atomic sequence — a rate-sampled-out event, and
+//!    one a full head shard drops, touches nothing else);
 //! 2. for kept events only, one *per-shard* mutex acquisition around a
 //!    slot write. Threads recording for different shards never contend,
 //!    and there is no global lock anywhere on the path.
 //!
 //! Memory is `S × capacity` events, fixed at construction; overflow
 //! follows the configured [`SampleSpec`] (head-keep or tail-overwrite).
+//!
+//! A head shard keeps the kept attempts whose ordinal `k / every` (for
+//! attempt index `k`) is below `capacity`, and drops every later one
+//! before it would lock. On one thread those are the first `capacity`
+//! events the shard kept. Under contention they are still the first
+//! `capacity` kept attempt *indices*, whatever order the threads then
+//! take the mutex in: a thread that claimed an early index keeps its
+//! slot even if a later index reaches the lock first.
 //!
 //! ## Honest drop accounting
 //!
@@ -222,9 +231,11 @@ impl Recorder for RingRecorder {
     fn record(&self, event: ObsEvent) {
         let shard = &self.shards[(event.proc() & self.mask) as usize];
         // The one atomic sequence every record performs: claim an
-        // attempt index; the rate pre-sampler keys off it.
+        // attempt index; the rate pre-sampler and a full head key off it.
         let k = shard.attempted.fetch_add(1, Ordering::Relaxed);
-        if !self.spec.keeps(k) {
+        let head_full = self.spec.mode == SampleMode::Head
+            && k / self.spec.every.max(1) >= self.capacity as u64;
+        if !self.spec.keeps(k) || head_full {
             shard.dropped.fetch_add(1, Ordering::Relaxed);
             return;
         }
@@ -233,19 +244,13 @@ impl Recorder for RingRecorder {
             ring.slots.push(event);
             return;
         }
-        match self.spec.mode {
-            SampleMode::Head => {
-                drop(ring);
-                shard.dropped.fetch_add(1, Ordering::Relaxed);
-            }
-            SampleMode::Tail => {
-                let head = ring.head;
-                ring.slots[head] = event;
-                ring.head = (head + 1) % self.capacity;
-                drop(ring);
-                shard.dropped.fetch_add(1, Ordering::Relaxed);
-            }
-        }
+        // Only a tail shard gets here full: the only head attempts that
+        // lock are its first `capacity` kept ones.
+        let head = ring.head;
+        ring.slots[head] = event;
+        ring.head = (head + 1) % self.capacity;
+        drop(ring);
+        shard.dropped.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -301,6 +306,29 @@ mod tests {
             times.into_iter().map(Time::from_int).collect::<Vec<_>>()
         );
         assert_eq!(log.meta().dropped_events, Some(6));
+    }
+
+    #[test]
+    fn a_full_head_keeps_exactly_the_first_kept_attempts() {
+        for every in [1, 3] {
+            let rec = RingRecorder::with_config(4, 1, SampleSpec::head(every));
+            for i in 0..40 {
+                rec.record(wake(0, i));
+            }
+            assert_eq!(rec.attempted_events(), 40);
+            assert_eq!(rec.recorded_events(), 4, "rate {every}");
+            assert_eq!(
+                rec.recorded_events() + rec.dropped_events(),
+                rec.attempted_events()
+            );
+            let log = rec.into_log(meta());
+            let kept: Vec<Time> = (0..4).map(|j| Time::from_int(j * every as i128)).collect();
+            assert_eq!(
+                log.events().iter().map(|e| e.at()).collect::<Vec<_>>(),
+                kept,
+                "rate {every}"
+            );
+        }
     }
 
     #[test]

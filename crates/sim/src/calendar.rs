@@ -46,6 +46,18 @@
 //! counter order because a bucket only receives direct pushes while its
 //! tick is inside the window, and the overflow heap is drained into it
 //! in counter order at the moment the window first covers that tick.
+//!
+//! # Memory
+//!
+//! The queue holds buffers for its pending events, not for every event
+//! it has queued. A lane that [`CalendarQueue::pop`] empties hands its
+//! buffer to a spare list of two buffers, or frees it when that list is
+//! full, and a lane that starts filling — by a push or by the overflow
+//! flush — takes a spare before it allocates. An empty lane owns no
+//! buffer, so the ring's live memory follows the events pending in it
+//! plus at most two drained buffers. Keeping every drained buffer would
+//! pin the largest burst each of the ring's 1,536 lanes ever held;
+//! keeping none would allocate for nearly every tick a run crosses.
 
 use postal_model::time::TICK_LIMIT;
 use postal_model::Time;
@@ -55,6 +67,9 @@ use std::collections::{BinaryHeap, VecDeque};
 /// Number of one-tick buckets in the ring (a power of two): 256 time
 /// units of lookahead on the half-unit lattice, 85 at λ = 7/3's sixths.
 const WINDOW: usize = 512;
+
+/// Drained lane buffers the queue keeps for lanes that start filling.
+const SPARES: usize = 2;
 
 /// A queue timestamp: a tick count on the queue's lattice, or an exact
 /// time. [`Stamp::new`] builds the canonical form, which
@@ -108,9 +123,9 @@ impl Lane {
     }
 }
 
-/// One ring slot: three FIFO lanes, one per event class. The deques are
-/// the queue's arena — buckets are drained and refilled as the window
-/// slides, so their capacity is recycled instead of reallocated.
+/// One ring slot: three FIFO lanes, one per event class. An empty lane
+/// holds no buffer: its last pop hands the buffer on (see the module
+/// docs' memory section).
 #[derive(Debug)]
 struct Bucket<T> {
     lanes: [VecDeque<T>; 3],
@@ -182,6 +197,19 @@ pub struct CalendarQueue<T> {
     exact_pushes: u64,
     /// Pushes that went straight into `overflow`.
     overflow_pushes: u64,
+    /// Buffers of drained lanes, at most [`SPARES`], for lanes that
+    /// start filling.
+    spares: Vec<VecDeque<T>>,
+}
+
+/// Appends `item` to `lane`; a lane with no buffer takes a spare first.
+fn fill<T>(lane: &mut VecDeque<T>, spares: &mut Vec<VecDeque<T>>, item: T) {
+    if lane.capacity() == 0 {
+        if let Some(buf) = spares.pop() {
+            *lane = buf;
+        }
+    }
+    lane.push_back(item);
 }
 
 impl<T> CalendarQueue<T> {
@@ -204,6 +232,7 @@ impl<T> CalendarQueue<T> {
             frontier: Stamp::Tick(0),
             exact_pushes: 0,
             overflow_pushes: 0,
+            spares: Vec::with_capacity(SPARES),
         }
     }
 
@@ -265,8 +294,8 @@ impl<T> CalendarQueue<T> {
         match time {
             Stamp::Tick(h) if h < self.cur + WINDOW as i64 => {
                 debug_assert!(h >= self.cur, "monotone push below the window start");
-                self.buckets[(h & (WINDOW as i64 - 1)) as usize].lanes[lane.index()]
-                    .push_back(item);
+                let bucket = &mut self.buckets[(h & (WINDOW as i64 - 1)) as usize];
+                fill(&mut bucket.lanes[lane.index()], &mut self.spares, item);
                 self.ring_len += 1;
             }
             Stamp::Tick(h) => {
@@ -331,6 +360,12 @@ impl<T> CalendarQueue<T> {
             .enumerate()
         {
             if let Some(item) = bucket.lanes[i].pop_front() {
+                if bucket.lanes[i].is_empty() {
+                    let buf = std::mem::take(&mut bucket.lanes[i]);
+                    if self.spares.len() < SPARES {
+                        self.spares.push(buf);
+                    }
+                }
                 self.ring_len -= 1;
                 self.frontier = Stamp::Tick(tick);
                 return Some((self.frontier, lane, item));
@@ -350,8 +385,8 @@ impl<T> CalendarQueue<T> {
                 break;
             }
             let Reverse(k) = self.overflow.pop().expect("peeked");
-            self.buckets[(k.key & (WINDOW as i64 - 1)) as usize].lanes[k.lane.index()]
-                .push_back(k.item);
+            let bucket = &mut self.buckets[(k.key & (WINDOW as i64 - 1)) as usize];
+            fill(&mut bucket.lanes[k.lane.index()], &mut self.spares, k.item);
             self.ring_len += 1;
         }
     }
@@ -409,6 +444,71 @@ mod tests {
         assert_eq!(q.pop().unwrap().2, 3);
         // The flush is not a second overflow push.
         assert_eq!((q.overflow_pushes(), q.exact_pushes()), (2, 0));
+    }
+
+    /// Every ring lane's buffer capacity, summed.
+    fn ring_capacity<T>(q: &CalendarQueue<T>) -> usize {
+        q.buckets
+            .iter()
+            .flat_map(|b| b.lanes.iter())
+            .map(VecDeque::capacity)
+            .sum()
+    }
+
+    #[test]
+    fn a_lane_emptied_and_refilled_within_one_tick_keeps_fifo_order() {
+        // At λ = 1 an arrival lands on the tick it was sent: the lane
+        // being drained empties, hands its buffer back, and refills.
+        let mut q = CalendarQueue::new(2);
+        q.push(ft(2), Lane::Arrival, "a1");
+        q.push(ft(2), Lane::Deliver, "d1");
+        assert_eq!(q.pop().unwrap(), (ft(2), Lane::Arrival, "a1"));
+        assert_eq!(q.spares.len(), 1, "the drained lane's buffer is a spare");
+        q.push(ft(2), Lane::Arrival, "a2");
+        assert!(q.spares.is_empty(), "the refilled lane took the spare");
+        q.push(ft(2), Lane::Arrival, "a3");
+        let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, _, x)| x)).collect();
+        assert_eq!(order, vec!["a2", "a3", "d1"]);
+    }
+
+    #[test]
+    fn an_overflow_flush_into_a_spare_keeps_counter_order() {
+        let far = WINDOW as i64 + 10;
+        let mut q = CalendarQueue::new(2);
+        for x in 0..3u32 {
+            q.push(ft(far), Lane::Deliver, x);
+        }
+        q.push(ft(1), Lane::Wake, 10);
+        assert_eq!(q.pop().unwrap().2, 10);
+        assert_eq!(q.spares.len(), 1);
+        // The window slides to `far`: the flush fills that lane from the
+        // spare, in push order, and a direct push lands after it.
+        assert_eq!(q.pop().unwrap(), (ft(far), Lane::Deliver, 0));
+        assert!(q.spares.is_empty());
+        q.push(ft(far), Lane::Deliver, 3);
+        let order: Vec<u32> = std::iter::from_fn(|| q.pop().map(|(_, _, x)| x)).collect();
+        assert_eq!(order, vec![1, 2, 3]);
+    }
+
+    #[test]
+    fn drained_lanes_keep_at_most_the_spares() {
+        // A burst on each of many ticks, wrapping the window twice:
+        // once drained, the ring owns no buffer and the spare list at
+        // most two.
+        let mut q = CalendarQueue::new(2);
+        for h in 0..2 * WINDOW as i64 {
+            for x in 0..40 {
+                q.push(ft(h), Lane::Arrival, x);
+            }
+        }
+        let mut popped = 0;
+        while q.pop().is_some() {
+            popped += 1;
+            assert!(q.spares.len() <= SPARES);
+        }
+        assert_eq!(popped, 80 * WINDOW);
+        assert_eq!(ring_capacity(&q), 0);
+        assert_eq!(q.spares.len(), SPARES);
     }
 
     #[test]

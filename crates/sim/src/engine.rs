@@ -395,7 +395,6 @@ impl<'a> Simulation<'a> {
                     dst,
                     send_start,
                     arrival,
-                    recv_start,
                     payload,
                 } => {
                     if st.crashed(dst, time) {
@@ -410,6 +409,7 @@ impl<'a> Simulation<'a> {
                     st.proc_stats[dst as usize].recvs += 1;
                     // `time` is this receive's finish instant.
                     st.completion = st.clock.max(st.completion, time);
+                    let recv_start = st.clock.recv_start(time);
                     if st.discard_trace {
                         if let Some(r) = st.recorder {
                             st.record_recv(r, seq, src, dst, arrival, recv_start);
@@ -961,6 +961,18 @@ impl Clock {
         }
     }
 
+    /// The start of the receive that finishes at `finish`, one unit
+    /// earlier. A receive's start is an instant the engine has already
+    /// named, so an off-lattice start is found in the table, not added.
+    fn recv_start(&mut self, finish: Tick) -> Tick {
+        if finish.0 >= 0 {
+            // A start one unit before a lattice tick is on the lattice.
+            Tick(finish.0 - self.den)
+        } else {
+            self.tick(self.time(finish) - Time::ONE)
+        }
+    }
+
     /// `t` plus `k ≥ 0` ticks.
     fn add(&mut self, t: Tick, k: i64) -> Tick {
         // Both are at most TICK_LIMIT = i64::MAX/4: the sum cannot
@@ -1005,14 +1017,14 @@ enum FastKind<P> {
         send_start: Tick,
         payload: P,
     },
-    /// A receive completing at the event's time (`recv_start + 1`).
+    /// A receive completing at the event's time; it started one unit
+    /// earlier ([`Clock::recv_start`]).
     Deliver {
         seq: u64,
         src: u32,
         dst: u32,
         send_start: Tick,
         arrival: Tick,
-        recv_start: Tick,
         payload: P,
     },
     /// A timer callback firing on the given processor.
@@ -1273,7 +1285,6 @@ impl<'r, P: Clone> FastState<'r, P> {
                 dst,
                 send_start,
                 arrival,
-                recv_start,
                 payload,
             },
         );
@@ -1706,9 +1717,9 @@ mod tests {
         use std::mem::size_of;
         assert_eq!(size_of::<Tick>(), 8);
         // An 8-byte payload (BCAST's) keeps a `Deliver` entry — ids,
-        // three ticks and the payload — within 56 B.
+        // two ticks and the payload — within 48 B.
         assert!(
-            size_of::<FastKind<u64>>() <= 56,
+            size_of::<FastKind<u64>>() <= 48,
             "{}",
             size_of::<FastKind<u64>>()
         );
@@ -1745,6 +1756,31 @@ mod tests {
         assert_eq!(clock.stamp(over), Stamp::Exact(clock.time(over)));
         assert_eq!(clock.of_stamp(clock.stamp(over)), over);
         assert_eq!(clock.cmp(edge, over), Ordering::Less);
+    }
+
+    #[test]
+    fn a_receive_starts_one_unit_before_its_finish() {
+        // Each start goes forward through `add`, as `process_arrival`
+        // books it, and must come back from the finish unchanged.
+        let mut clock = Clock::new(6, false);
+        let fifth = clock.tick(Time::new(1, 5));
+        let starts = [
+            Tick(0),
+            Tick(14),
+            fifth,
+            Tick(TICK_LIMIT - 6),
+            Tick(TICK_LIMIT),
+        ];
+        for start in starts {
+            let finish = clock.add(start, clock.den);
+            assert_eq!(clock.time(finish), clock.time(start) + Time::ONE);
+            assert_eq!(clock.recv_start(finish), start, "{:?}", clock.time(start));
+        }
+        // The table holds 1/5, its finish 6/5 and the finish past
+        // TICK_LIMIT: no start was added.
+        assert_eq!(clock.exact.len(), 3);
+        assert!(clock.add(Tick(TICK_LIMIT - 6), 6).0 >= 0);
+        assert!(clock.add(Tick(TICK_LIMIT), 6).0 < 0);
     }
 
     #[test]

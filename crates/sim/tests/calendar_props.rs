@@ -34,13 +34,13 @@ fn lane_of(code: u8) -> Lane {
 /// fallback.
 type Op = (u8, u16, u8, u8);
 
-/// Replays `ops` against both structures on ticks of `1/den` and
-/// asserts every pop agrees.
+/// Replays `ops` against both structures on ticks of `1/den`, asserts
+/// every pop agrees, and returns the last popped time.
 ///
 /// Pushes are offsets from the pop frontier, so the calendar queue's
 /// monotonicity contract holds by construction — exactly how the
 /// engine uses it.
-fn replay(den: i64, ops: &[Op]) -> Result<(), TestCaseError> {
+fn replay(den: i64, ops: &[Op]) -> Result<Time, TestCaseError> {
     let mut queue: CalendarQueue<u64> = CalendarQueue::new(den);
     let mut oracle: BinaryHeap<Reverse<(Time, Lane, u64)>> = BinaryHeap::new();
     let mut payload_of_counter: Vec<u64> = Vec::new();
@@ -108,9 +108,10 @@ fn replay(den: i64, ops: &[Op]) -> Result<(), TestCaseError> {
             payload_of_counter[ocounter as usize],
             "drain payload diverged"
         );
+        frontier = t;
     }
     prop_assert!(queue.pop().is_none(), "queue longer than oracle");
-    Ok(())
+    Ok(frontier)
 }
 
 proptest! {
@@ -170,6 +171,37 @@ proptest! {
             .chain(deltas.iter().map(|_| (0u8, 0, 0, 0)))
             .collect();
         replay(DENS[d], &ops)?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Rounds of two same-tick bursts, one at the frontier in every
+    /// lane and one 150–599 ticks ahead (in the window or past it),
+    /// each round popped down to fewer events than its far burst. Every
+    /// round moves the frontier to its far burst, so the window wraps at
+    /// least four times while lanes drain, hand their buffers on and
+    /// refill around the events left pending.
+    #[test]
+    fn bursts_wrap_the_window_four_times(
+        d in 0usize..5,
+        rounds in proptest::collection::vec((150u16..600, 1u8..12, 0u8..3, 0u8..3), 16..24),
+    ) {
+        let mut ops: Vec<Op> = Vec::new();
+        let mut pending = 0usize;
+        for (delta, burst, lane, keep) in rounds {
+            for i in 0..burst {
+                ops.push((1, 0, lane + i, 0));
+                ops.push((2, delta, lane, 0));
+            }
+            pending += 2 * usize::from(burst);
+            let pops = pending - usize::from(keep % burst);
+            ops.extend(std::iter::repeat_n((0, 0, 0, 0), pops));
+            pending -= pops;
+        }
+        let last = replay(DENS[d], &ops)?;
+        prop_assert!(last >= Time::from_ticks(4 * 512, DENS[d]), "ended at {}", last);
     }
 }
 
