@@ -477,11 +477,13 @@ pub fn lint_schedule_with_topology(
 
 /// Feeds `schedule`'s sends, in their canonical order, through `lint`:
 /// the watermark rises to each send's start before it is observed, so
-/// every earlier send is finalized first.
+/// every earlier send is finalized first, and a well-formed send on the
+/// lattice is then finalized at once unless a send is still parked
+/// ([`StreamingLint::observe_in_order`]).
 fn fold(mut lint: StreamingLint, schedule: &Schedule) -> Vec<Diagnostic> {
     for s in schedule.sends() {
         lint.advance_watermark(s.send_start);
-        lint.observe_send(s.src, s.dst, s.send_start);
+        lint.observe_in_order(s);
     }
     lint.finish()
 }

@@ -534,6 +534,35 @@ impl StreamingLint {
         }
     }
 
+    /// [`StreamingLint::observe_send`] of the next send of a stream in
+    /// canonical order, once the watermark has been advanced to its
+    /// start. A well-formed send on the lattice, with nothing pending,
+    /// is the next send to finalize, so it is finalized at once instead
+    /// of parked. Any other send is observed as `observe_send` does.
+    ///
+    /// A send finalized at once reads its sender's first receipt before
+    /// the sends after it at the same start are recorded; finalized from
+    /// the lane, it reads it after. Those sends' receipts all come later
+    /// than the start, so only the `P0006` cursor of a sender not yet
+    /// informed can read a different value, and the `P0003` error such a
+    /// send raises suppresses `P0006`: the report is the same.
+    pub(crate) fn observe_in_order(&mut self, s: &TimedSend) {
+        if self.pending_len() == 0 {
+            if let (Some(l), Some(w)) = (self.index.lam_ticks, self.watermark_ticks) {
+                // The watermark never falls below its start at 0, so a
+                // start equal to it is not negative.
+                if s.send_start.to_ticks(self.index.den) == Some(w)
+                    && self.pair_in_range(s.src, s.dst)
+                {
+                    // Both ≤ TICK_LIMIT = i64::MAX/4: no overflow.
+                    self.index.record_ticks(s.dst, w + l);
+                    return self.finalize(s, Some(w));
+                }
+            }
+        }
+        self.observe_send(s.src, s.dst, s.send_start);
+    }
+
     /// Whether `src → dst` joins two distinct processors of the run.
     fn pair_in_range(&self, src: u32, dst: u32) -> bool {
         let n = self.index.n;
@@ -1524,6 +1553,33 @@ mod tests {
         );
         assert_eq!(codes(&reference), vec![LintCode::OutputPortOverlap]);
         assert_eq!(lint.finish(), reference);
+    }
+
+    #[test]
+    fn a_send_in_order_waits_behind_a_parked_send() {
+        // p1 -> p2 is parked at tick 0; p0 -> p2 comes before it in
+        // schedule order, so it must be parked too and finalize first
+        // (P0002 lists the pair in schedule order).
+        let sends = [send(0, 2, 0, 1), send(1, 2, 0, 1)];
+        let mut lint = StreamingLint::new(3, Latency::from_int(2), LintOptions::ports_only());
+        lint.observe_send(1, 2, Time::ZERO);
+        lint.observe_in_order(&sends[0]);
+        assert_eq!(lint.pending_len(), 2);
+        let reference = lint_schedule_reference(
+            &Schedule::new(3, Latency::from_int(2), sends.to_vec()),
+            &LintOptions::ports_only(),
+        );
+        assert_eq!(codes(&reference), vec![LintCode::InputWindowOverlap]);
+        assert_eq!(lint.finish(), reference);
+        // With nothing parked, a send at the watermark is finalized at
+        // once; one past it, or malformed, is not.
+        let mut lint = StreamingLint::new(3, Latency::from_int(2), LintOptions::default());
+        lint.observe_in_order(&sends[0]);
+        assert_eq!(lint.pending_len(), 0);
+        lint.observe_in_order(&send(2, 1, 1, 1));
+        lint.observe_in_order(&send(1, 1, 0, 1));
+        assert_eq!(lint.pending_len(), 1);
+        assert_eq!(lint.index().malformed_observed(), 1);
     }
 
     #[test]

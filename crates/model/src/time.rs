@@ -200,13 +200,25 @@ pub fn tick_lattice(times: impl IntoIterator<Item = Time>) -> Option<i64> {
 }
 
 /// Sorts `items` stably by `(at(item), rest(item))`, in place, computing
-/// each key once (`sort_by_cached_key`, which keeps only the keys and an
-/// index per item beside the slice). When every `at` lies on one tick
-/// lattice ([`tick_lattice`]) the key holds the `i64` tick count, which
-/// orders exactly as the time does; otherwise it holds the exact time,
-/// so both keys give the same order. This is the one lattice-keyed sort:
+/// each key once. This is the one lattice-keyed sort:
 /// [`crate::schedule::Schedule::new`], `ObsLog::sorted` and the
-/// simulator's `log_from_report` sort with it.
+/// simulator's `events_from_report` sort with it.
+///
+/// When every `at` lies on one tick lattice ([`tick_lattice`]) and
+/// there are fewer than 2³² items, the sort is linear in the items and
+/// the bits of their ticks' span: a stable counting sort orders a `u32`
+/// index per item by tick, one pass per 11 bits of the span; each run
+/// of equal ticks is then sorted by `(rest, index)`, and the slice is
+/// permuted in place along the cycles of that order. A postal-model run
+/// starts its sends within its completion time, a few hundred ticks, so
+/// one pass covers it. The scratch is a fixed number of buffers: each
+/// item's tick, the index order (two while the span takes more than one
+/// pass) and at most 2¹¹ counters; then, the ticks freed, a run mark and
+/// the `(rest, index)` pair of each item. At its peak that is 17 bytes
+/// per send for `Schedule::new` and 29 per event for
+/// `events_from_report`, where `sort_by_cached_key` keeps 24 and 32.
+/// Off the lattice the key holds the exact time (`sort_by_cached_key`),
+/// which orders as the ticks do.
 ///
 /// ```
 /// use postal_model::time::sort_by_time;
@@ -216,15 +228,117 @@ pub fn tick_lattice(times: impl IntoIterator<Item = Time>) -> Option<i64> {
 /// assert_eq!(sends.map(|s| s.1), ['c', 'b', 'a']);
 /// ```
 pub fn sort_by_time<T, R: Ord>(items: &mut [T], at: impl Fn(&T) -> Time, rest: impl Fn(&T) -> R) {
-    match tick_lattice(items.iter().map(&at)) {
-        Some(den) => items.sort_by_cached_key(|x| {
+    if items.len() < 2 {
+        return;
+    }
+    let lattice =
+        tick_lattice(items.iter().map(&at)).filter(|_| u32::try_from(items.len()).is_ok());
+    let Some(den) = lattice else {
+        return items.sort_by_cached_key(|x| (at(x), rest(x)));
+    };
+    let ticks: Vec<i64> = items
+        .iter()
+        .map(|x| {
             let ticks = at(x).to_ticks(den);
-            (
-                ticks.expect("tick_lattice bounds every tick count"),
-                rest(x),
-            )
-        }),
-        None => items.sort_by_cached_key(|x| (at(x), rest(x))),
+            ticks.expect("tick_lattice bounds every tick count")
+        })
+        .collect();
+    let order = order_by_tick(&ticks);
+    let starts_run: Vec<bool> = (0..order.len())
+        .map(|k| k == 0 || ticks[order[k - 1] as usize] != ticks[order[k] as usize])
+        .collect();
+    drop(ticks);
+    let mut keyed: Vec<(R, u32)> = order
+        .iter()
+        .map(|&i| (rest(&items[i as usize]), i))
+        .collect();
+    drop(order);
+    let mut run = 0;
+    for k in 1..=keyed.len() {
+        if k == keyed.len() || starts_run[k] {
+            keyed[run..k].sort_unstable();
+            run = k;
+        }
+    }
+    drop(starts_run);
+    permute(items, &mut keyed);
+}
+
+/// Bits of tick offset one counting pass of [`sort_by_time`] sorts on:
+/// a span of fewer than 2^`DIGIT_BITS` ticks takes one pass over at
+/// most that many counters (8 KiB), and the widest span of in-range
+/// ticks, 2·[`TICK_LIMIT`], takes six.
+const DIGIT_BITS: u32 = 11;
+
+/// The indices of `ticks`, at least two and fewer than 2³², ordered
+/// stably by tick: a least-significant-digit counting sort of each
+/// tick's offset from the smallest, in digits of equal width, at most
+/// [`DIGIT_BITS`] each.
+fn order_by_tick(ticks: &[i64]) -> Vec<u32> {
+    let (min, max) = ticks
+        .iter()
+        .fold((i64::MAX, i64::MIN), |(lo, hi), &k| (lo.min(k), hi.max(k)));
+    // Both within ±TICK_LIMIT = i64::MAX/4: the span cannot overflow.
+    let width = u64::BITS - ((max - min) as u64).leading_zeros();
+    let passes = width.div_ceil(DIGIT_BITS).max(1);
+    let digit = width.div_ceil(passes);
+    let mask = (1u64 << digit) - 1;
+    let mut counts = vec![0u32; 1 << digit];
+    let mut order = vec![0u32; ticks.len()];
+    let mut spare = Vec::new();
+    for pass in 0..passes {
+        let shift = pass * digit;
+        let bucket = |i: u32| ((ticks[i as usize] - min) as u64 >> shift & mask) as usize;
+        if pass == 0 {
+            scatter(&mut counts, 0..ticks.len() as u32, bucket, &mut order);
+        } else {
+            // Each later pass reads the order the pass before it left.
+            if spare.is_empty() {
+                spare = vec![0u32; ticks.len()];
+            }
+            std::mem::swap(&mut order, &mut spare);
+            scatter(&mut counts, spare.iter().copied(), bucket, &mut order);
+        }
+    }
+    order
+}
+
+/// One stable counting pass: writes the indices `source` yields into
+/// `out`, ordered by `bucket`, ties in the order `source` yields them.
+fn scatter(
+    counts: &mut [u32],
+    source: impl Iterator<Item = u32> + Clone,
+    bucket: impl Fn(u32) -> usize,
+    out: &mut [u32],
+) {
+    counts.fill(0);
+    for i in source.clone() {
+        counts[bucket(i)] += 1;
+    }
+    let mut next = 0;
+    for c in counts.iter_mut() {
+        next += std::mem::replace(c, next);
+    }
+    for i in source {
+        let slot = &mut counts[bucket(i)];
+        out[*slot as usize] = i;
+        *slot += 1;
+    }
+}
+
+/// Rearranges `items` so that position `k` holds the item that stood at
+/// index `keyed[k].1`, swapping along each cycle of those indices, which
+/// it overwrites: a placed position points at itself.
+fn permute<T, R>(items: &mut [T], keyed: &mut [(R, u32)]) {
+    for start in 0..keyed.len() {
+        let mut k = start;
+        while keyed[k].1 as usize != start {
+            let from = keyed[k].1 as usize;
+            items.swap(k, from);
+            keyed[k].1 = k as u32;
+            k = from;
+        }
+        keyed[k].1 = k as u32;
     }
 }
 

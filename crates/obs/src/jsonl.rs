@@ -815,15 +815,30 @@ impl<R: BufRead> LineReader<R> {
 /// [`LineReader::buffered_lines`] hands out, borrowed in place: each as
 /// [`LineReader::next_line`] reads it, or its error when it is not
 /// valid UTF-8.
+///
+/// The block is checked as UTF-8 once and split at each `\n`. Only from
+/// the line holding its first invalid byte on is each line checked on
+/// its own.
 pub fn block_lines(block: &[u8]) -> impl Iterator<Item = Result<&str, ObsError>> {
-    block
+    let (text, tail) = match std::str::from_utf8(block) {
+        Ok(text) => (text, &[][..]),
+        Err(e) => {
+            let valid = &block[..e.valid_up_to()];
+            let start = valid.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
+            let text = std::str::from_utf8(&block[..start]).expect("a prefix of the valid bytes");
+            (text, &block[start..])
+        }
+    };
+    let checked = text.split_inclusive('\n').map(|line| Ok(line_text(line)));
+    let tail = tail
         .split_inclusive(|&b| b == b'\n')
         .map(|line| match std::str::from_utf8(line) {
             Ok(line) => Ok(line_text(line)),
             Err(_) => Err(LineReader::new(line)
                 .next_line()
                 .expect_err("`read_line` rejects the bytes `from_utf8` rejects")),
-        })
+        });
+    checked.chain(tail)
 }
 
 /// A line's text: without its `\n`, and without a `\r` just before
@@ -1033,6 +1048,39 @@ mod tests {
         reader.next_line().unwrap();
         assert_eq!(lines.next().unwrap(), Err(reader.next_line().unwrap_err()));
         assert_eq!(lines.next().unwrap(), Ok("next"));
+
+        // An invalid byte in the first, a middle or the last line, a
+        // multi-byte character cut off at the block's end, and `\r\n`
+        // endings: every line and error is what `next_line` yields.
+        let blocks: [&[u8]; 12] = [
+            b"\xffbad\nok\nfine\n",
+            b"\xe2\x86\n\xe2\x86\x92\n",
+            b"ok\nmid \xc3(\nnext\n",
+            b"ok\r\nmid\xe2\x86\r\nnext\r\n",
+            b"\xe2\x86\x92\r\n\xf0\x9f\x98\xc3\r\n\xff\r\n\xe2\x86\x92\r\n",
+            b"ok\nnext\nlast \xc3\n",
+            b"ok\r\nnext\r\nlast\xed\xa0\x80\r\n",
+            b"ok\n\xc3",
+            b"ok\r\n\xe2\x86",
+            b"\xe2\x86\x92\n\xf0\x9f\x98",
+            b"a\r\n\r\nb\r\r\n\r\n",
+            b"\r\n",
+        ];
+        for block in blocks {
+            let mut reader = LineReader::new(block);
+            let mut want = Vec::new();
+            loop {
+                match reader.next_line() {
+                    Ok(Some(line)) => want.push(Ok(line.to_string())),
+                    Ok(None) => break,
+                    Err(e) => want.push(Err(e)),
+                }
+            }
+            let got: Vec<Result<String, ObsError>> = block_lines(block)
+                .map(|line| line.map(str::to_string))
+                .collect();
+            assert_eq!(got, want, "{:?}", String::from_utf8_lossy(block));
+        }
     }
 
     #[test]

@@ -43,41 +43,37 @@ pub fn events_from_report<P>(
 ) -> impl ExactSizeIterator<Item = ObsEvent> + '_ {
     let transfers = report.trace.transfers();
     let violations = &report.violations;
-    // Input index `i`: the `Send` (even `i`) or `Recv` (odd `i`) of
-    // transfer `i / 2`, then violation `i − 2·transfers`.
-    let pairs = 2 * transfers.len();
+    // Input index `i`: the `Send` of transfer `i`, the `Recv` of
+    // transfer `i − n`, then violation `i − 2n`. Events of one kind keep
+    // trace order, so ties fall as in `ObsLog::sorted` over the pairs.
+    // A tick's sends come before its receives, as the sort orders them,
+    // so each tick holds two runs in trace order, not the kinds
+    // interleaved.
+    let n = transfers.len();
     // An event's timestamp (`ObsEvent::at`), then its kind rank and seq:
     // the key of `ObsLog::sorted`, where a send ranks 1, a receive 2 and
     // a violation 3.
     let at = |i: usize| -> Time {
-        if i >= pairs {
-            return violations[i - pairs].arrival;
-        }
-        let t = &transfers[i / 2];
-        if i.is_multiple_of(2) {
-            t.send_start
+        if i < n {
+            transfers[i].send_start
+        } else if i < 2 * n {
+            transfers[i - n].recv_start
         } else {
-            t.recv_start
+            violations[i - 2 * n].arrival
         }
     };
     let rank = |i: usize| -> (u8, u64) {
-        if i >= pairs {
-            return (3, violations[i - pairs].seq.0);
+        if i < n {
+            (1, transfers[i].seq.0)
+        } else if i < 2 * n {
+            (2, transfers[i - n].seq.0)
+        } else {
+            (3, violations[i - 2 * n].seq.0)
         }
-        (1 + (i % 2) as u8, transfers[i / 2].seq.0)
     };
     let event = move |i: usize| -> ObsEvent {
-        if i >= pairs {
-            let v = &violations[i - pairs];
-            return ObsEvent::Violation {
-                seq: v.seq.0,
-                dst: v.dst.0,
-                arrival: v.arrival,
-                busy_until: v.port_busy_until,
-            };
-        }
-        let t = &transfers[i / 2];
-        if i.is_multiple_of(2) {
+        if i < n {
+            let t = &transfers[i];
             ObsEvent::Send {
                 seq: t.seq.0,
                 src: t.src.0,
@@ -85,7 +81,8 @@ pub fn events_from_report<P>(
                 start: t.send_start,
                 finish: t.send_finish,
             }
-        } else {
+        } else if i < 2 * n {
+            let t = &transfers[i - n];
             ObsEvent::Recv {
                 seq: t.seq.0,
                 src: t.src.0,
@@ -95,10 +92,18 @@ pub fn events_from_report<P>(
                 finish: t.recv_finish,
                 queued: t.was_queued(),
             }
+        } else {
+            let v = &violations[i - 2 * n];
+            ObsEvent::Violation {
+                seq: v.seq.0,
+                dst: v.dst.0,
+                arrival: v.arrival,
+                busy_until: v.port_busy_until,
+            }
         }
     };
     // A trace of 2³¹ transfers would not fit in memory.
-    let count = u32::try_from(pairs + violations.len()).expect("fewer than 2³² events");
+    let count = u32::try_from(2 * n + violations.len()).expect("fewer than 2³² events");
     let mut order: Vec<u32> = (0..count).collect();
     sort_by_time(&mut order, |&i| at(i as usize), |&i| rank(i as usize));
     order.into_iter().map(move |i| event(i as usize))
