@@ -191,7 +191,10 @@ fn lint_streaming(req: &Request, log: impl BufRead) -> Result<String, CliError> 
     // Built once the header line has been parsed.
     let mut stream: Option<(LintStream, Facts)> = None;
     let mut lines = LineReader::new(log);
-    while let Some(line) = lines.next_line().map_err(|e| invalid(&e))? {
+    while let Some(line) = lines
+        .next_line()
+        .map_err(|e| invalid(&parser.unreadable(e)))?
+    {
         let event = parser.line(line).map_err(|e| invalid(&e))?;
         if stream.is_none() {
             if let Some(meta) = parser.meta() {

@@ -82,6 +82,84 @@ fn a_log_with_json_dumps_separators_lints_like_the_compact_one() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
+/// The integer after `"key":` in a compact log line.
+fn int_field(line: &str, key: &str) -> u32 {
+    let name = format!("\"{key}\":");
+    let at = line.find(&name).expect("the line holds the key") + name.len();
+    let digits = line[at..].split(|c: char| !c.is_ascii_digit()).next();
+    digits.and_then(|d| d.parse().ok()).expect("an integer")
+}
+
+#[test]
+fn a_spaced_log_of_several_blocks_lints_like_the_compact_one() {
+    let root = temp_dir("dumps-blocks");
+    let (compact, spaced) = (root.join("compact"), root.join("spaced"));
+    std::fs::create_dir_all(&compact).unwrap();
+    std::fs::create_dir_all(&spaced).unwrap();
+    let (code, _, stderr) = cli(
+        &compact,
+        &[
+            "simulate",
+            "repeat",
+            "2000",
+            "4",
+            "5/2",
+            "--events-out",
+            "run.jsonl",
+        ],
+    );
+    assert_eq!(code, Some(0), "{stderr}");
+    let log = std::fs::read_to_string(compact.join("run.jsonl")).unwrap();
+    // Batch `lint` parses each block of 64 KiB or more that its 1 MiB
+    // read buffer holds on several threads.
+    assert!(log.len() > 1 << 20, "{} bytes", log.len());
+    // A few relays become self-sends (P0004), and a few are sent back
+    // by their receiver before it holds the message (P0003). Start
+    // times stay put, so the log stays in order for `--stream`.
+    let mut sends = 0;
+    let mut rewritten = String::with_capacity(log.len());
+    for line in log.lines() {
+        let mut line = line.to_string();
+        if line.starts_with(r#"{"type":"send""#) {
+            sends += 1;
+            let (src, dst) = (int_field(&line, "src"), int_field(&line, "dst"));
+            let swap = match sends % 1000 {
+                1 => Some((src, src)),
+                501 => Some((dst, src)),
+                _ => None,
+            };
+            if let Some((to_src, to_dst)) = swap.filter(|_| src != 0) {
+                line = line.replace(
+                    &format!(",\"src\":{src},\"dst\":{dst},"),
+                    &format!(",\"src\":{to_src},\"dst\":{to_dst},"),
+                );
+            }
+        }
+        rewritten.push_str(&line);
+        rewritten.push('\n');
+    }
+    std::fs::write(compact.join("run.jsonl"), &rewritten).unwrap();
+    let spaced_log: String = rewritten.lines().map(|l| dumps_style(l) + "\n").collect();
+    std::fs::write(spaced.join("run.jsonl"), spaced_log).unwrap();
+
+    let want = cli(&compact, &["lint", "run.jsonl"]);
+    assert_eq!(want.0, Some(1), "{}", want.2);
+    for code in ["P0003", "P0004"] {
+        assert!(
+            want.2.contains(&format!("error[{code}]")),
+            "{code}: {}",
+            want.2
+        );
+    }
+    for dir in [&compact, &spaced] {
+        for extra in [&[][..], &["--stream"]] {
+            let args: Vec<&str> = ["lint", "run.jsonl"].iter().chain(extra).copied().collect();
+            assert_eq!(cli(dir, &args), want, "{dir:?} {extra:?}");
+        }
+    }
+    let _ = std::fs::remove_dir_all(&root);
+}
+
 #[test]
 fn a_broken_spaced_header_gets_the_jsonl_error() {
     let dir = temp_dir("broken-header");

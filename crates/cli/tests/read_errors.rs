@@ -1,6 +1,6 @@
 //! `lint` and `lint --stream` read a JSONL log through the same line
 //! loop, so a log that cannot be read fails with the same message in
-//! both modes.
+//! both modes, located on the line that cannot be read.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -50,7 +50,7 @@ fn invalid_utf8_reads_the_same_in_both_modes() {
         (
             Some(1),
             format!(
-                "error: {}: read error: stream did not contain valid UTF-8\n",
+                "error: {}: line 3: read error: stream did not contain valid UTF-8\n",
                 path.display()
             )
         )

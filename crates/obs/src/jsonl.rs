@@ -17,7 +17,11 @@
 //! workspace free of a JSON dependency. It reads each line in one pass:
 //! the first value of every key it knows is decoded by that key's type
 //! (integer, time, text or boolean) as the scan reaches it, and a value
-//! that does not decode is kept for the error its getter raises.
+//! that does not decode is kept for the error its getter raises. A
+//! `send` or `recv` line in the writer's own form (its keys in the
+//! writer's order, no whitespace) is read by a pass that expects each of
+//! those bytes in turn; any other line, or one that differs from that
+//! form anywhere, goes through the general scan from its start.
 
 use crate::event::ObsEvent;
 use crate::log::{ObsError, ObsLog, RunMeta};
@@ -136,6 +140,42 @@ pub fn to_jsonl(log: &ObsLog) -> String {
     out
 }
 
+/// The `send` and `recv` rows [`to_jsonl`] writes, as the reader's
+/// fixed-order pass expects them: the bytes up to the closing quote of
+/// the event type, then each key in the writer's order after the bytes
+/// the writer puts before its value (a time's end in its opening quote).
+/// An integer is digits, a time the text up to its closing quote, a
+/// boolean `true` or `false`, and a row ends with `}`. The writer's code
+/// above spells the same bytes; a unit test checks that each of its
+/// rows takes this pass.
+const WRITER_ROWS: [(&str, &[(&str, Key)]); 2] = [
+    (
+        "{\"type\":\"send\"",
+        &[
+            (",\"seq\":", Key::Seq),
+            (",\"src\":", Key::Src),
+            (",\"dst\":", Key::Dst),
+            (",\"start\":\"", Key::Start),
+            (",\"finish\":\"", Key::Finish),
+        ],
+    ),
+    (
+        "{\"type\":\"recv\"",
+        &[
+            (",\"seq\":", Key::Seq),
+            (",\"src\":", Key::Src),
+            (",\"dst\":", Key::Dst),
+            (",\"arrival\":\"", Key::Arrival),
+            (",\"start\":\"", Key::Start),
+            (",\"finish\":\"", Key::Finish),
+            (",\"queued\":", Key::Queued),
+        ],
+    ),
+];
+
+/// Where the event type's text starts in a [`WRITER_ROWS`] row.
+const TYPE_AT: usize = "{\"type\":\"".len();
+
 /// Whether `line`, the first line of a file that holds more than
 /// whitespace, marks the file as a JSONL log: it holds `"type"`, `:`
 /// and `"run"` with nothing between them but the whitespace the reader
@@ -223,7 +263,7 @@ fn string(bytes: &[u8], pos: usize) -> Result<(usize, usize), Syntax> {
 }
 
 /// How a value was written.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 enum Tok {
     #[default]
     Str,
@@ -374,8 +414,113 @@ struct Fields {
 impl Fields {
     /// Reads one flat JSON object (`{"key": value, ...}`; values are
     /// strings, numbers or booleans) in one pass, decoding the first
-    /// value of each known key as it goes.
+    /// value of each known key as it goes: a row in the writer's own form
+    /// by [`writer_row`](Self::writer_row), any other line by
+    /// [`general`](Self::general).
+    #[inline]
     fn scan(&mut self, line: &str) -> Result<(), Syntax> {
+        if self.writer_row(line) {
+            return Ok(());
+        }
+        self.general(line)
+    }
+
+    /// Reads `line` if it is a `send` or `recv` row exactly as
+    /// [`to_jsonl`] writes it ([`WRITER_ROWS`]), filling the table as
+    /// [`general`](Self::general) fills it for that line. `false` at the
+    /// first byte that differs from the writer's form, or at a value
+    /// that does not decode (an integer past `u64`, a time
+    /// `Ratio::from_str` rejects), which leaves the line to the general
+    /// scan.
+    #[inline]
+    fn writer_row(&mut self, line: &str) -> bool {
+        let [(send, send_keys), (recv, recv_keys)] = WRITER_ROWS;
+        let bytes = line.as_bytes();
+        if bytes.starts_with(send.as_bytes()) {
+            self.row(line, send.len(), send_keys)
+        } else if bytes.starts_with(recv.as_bytes()) {
+            self.row(line, recv.len(), recv_keys)
+        } else {
+            false
+        }
+    }
+
+    /// [`writer_row`](Self::writer_row) for a `line` whose first `at`
+    /// bytes open the row whose keys are `keys`. Inlined at each call,
+    /// so that the loop runs over a constant table.
+    #[inline(always)]
+    fn row(&mut self, line: &str, mut at: usize, keys: &[(&str, Key)]) -> bool {
+        let bytes = line.as_bytes();
+        self.seen = Key::Type.bit();
+        self.bad = 0;
+        self.kind[Key::Type as usize] = Tok::Str;
+        self.span[Key::Type as usize] = (TYPE_AT, at - 1);
+        for &(before, key) in keys {
+            if !bytes[at..].starts_with(before.as_bytes()) {
+                return false;
+            }
+            at += before.len();
+            let k = key as usize;
+            let start = at;
+            match key.ty() {
+                Ty::Int => {
+                    let mut v = 0u64;
+                    while let Some(&b) = bytes.get(at) {
+                        let digit = b.wrapping_sub(b'0');
+                        if digit > 9 {
+                            break;
+                        }
+                        match v.checked_mul(10).and_then(|v| v.checked_add(digit.into())) {
+                            Some(next) => v = next,
+                            None => return false,
+                        }
+                        at += 1;
+                    }
+                    if at == start {
+                        return false;
+                    }
+                    self.int[k] = v;
+                    self.kind[k] = Tok::Num;
+                    self.span[k] = (start, at);
+                }
+                Ty::Time => {
+                    // `before` ends in the opening quote.
+                    let Ok((start, end)) = string(bytes, at - 1) else {
+                        return false;
+                    };
+                    let Ok(t) = line[start..end].parse() else {
+                        return false;
+                    };
+                    self.time[k] = t;
+                    self.kind[k] = Tok::Str;
+                    self.span[k] = (start, end);
+                    at = end + 1;
+                }
+                Ty::Bool => {
+                    let (v, len) = if bytes[at..].starts_with(b"true") {
+                        (1, 4)
+                    } else if bytes[at..].starts_with(b"false") {
+                        (0, 5)
+                    } else {
+                        return false;
+                    };
+                    at += len;
+                    self.int[k] = v;
+                    self.kind[k] = Tok::Bool;
+                    self.span[k] = (start, at);
+                }
+                // No writer row holds a text value after its type.
+                Ty::Text => return false,
+            }
+            self.seen |= key.bit();
+        }
+        bytes[at..] == b"}"[..]
+    }
+
+    /// The general scan: reads any flat JSON object, with whitespace
+    /// around its tokens and its keys in any order, decoding the first
+    /// value of each known key as it goes.
+    fn general(&mut self, line: &str) -> Result<(), Syntax> {
         self.seen = 0;
         self.bad = 0;
         let bytes = line.as_bytes();
@@ -640,10 +785,15 @@ impl JsonlParser {
             return Ok(None);
         }
         self.fields.scan(line).map_err(|e| e.at(lineno))?;
+        self.event(line)
+    }
+
+    /// The event of `line`, the last line fed, whose fields are scanned.
+    fn event(&mut self, line: &str) -> Result<Option<ObsEvent>, ObsError> {
         let f = Row {
             fields: &self.fields,
             line,
-            lineno,
+            lineno: self.lineno,
         };
         let kind = f.str(Key::Type)?;
         if kind == "run" {
@@ -723,6 +873,13 @@ impl JsonlParser {
         Ok(Some(event))
     }
 
+    /// `error`, met reading the line after the last one this parser was
+    /// fed (a failed read, or a line that is not valid UTF-8), located on
+    /// that line as every other error is: `line N: read error: …`.
+    pub fn unreadable(&self, error: ObsError) -> ObsError {
+        ObsError(format!("line {}: {error}", self.lineno + 1))
+    }
+
     /// Finishes the stream, yielding the run metadata.
     ///
     /// # Errors
@@ -762,7 +919,8 @@ impl<R: BufRead> LineReader<R> {
     ///
     /// # Errors
     /// [`ObsError`] reading `read error: …` when the reader fails or the
-    /// line is not valid UTF-8.
+    /// line is not valid UTF-8; the parser fed the lines before it
+    /// names the line ([`JsonlParser::unreadable`]).
     pub fn next_line(&mut self) -> Result<Option<&str>, ObsError> {
         self.buf.clear();
         let read = self.reader.read_line(&mut self.buf).map_err(read_error)?;
@@ -1017,9 +1175,17 @@ mod tests {
         }
         let mut lines = LineReader::new(&b"ok\r\n\xe2\x86\nnext\n"[..]);
         assert_eq!(lines.next_line().unwrap(), Some("ok"));
+        let error = lines.next_line().unwrap_err();
         assert_eq!(
-            lines.next_line().unwrap_err().to_string(),
+            error.to_string(),
             "read error: stream did not contain valid UTF-8"
+        );
+        // The parser that was fed the lines before it names the line.
+        let mut parser = JsonlParser::new();
+        assert_eq!(parser.line(""), Ok(None));
+        assert_eq!(
+            parser.unreadable(error).to_string(),
+            "line 2: read error: stream did not contain valid UTF-8"
         );
     }
 
@@ -1127,6 +1293,165 @@ mod tests {
         ] {
             assert!(!looks_like_log(line), "{line:?}");
         }
+    }
+
+    /// Sends and receives that cover the writer's values: `seq` 0 and
+    /// `u64::MAX`, `src` and `dst` up to `u32::MAX`, integer, half, third
+    /// and seventh times, negative times, times on and past the input
+    /// bounds, and `queued` both ways.
+    fn writer_rows() -> Vec<ObsEvent> {
+        let t = Time::new;
+        let edge = 1i128 << postal_model::time::INPUT_NUMER_BITS;
+        let send = |seq, src, dst, start: Time| ObsEvent::Send {
+            seq,
+            src,
+            dst,
+            start,
+            finish: start + Time::ONE,
+        };
+        let recv = |seq, src, dst, arrival: Time, start: Time| ObsEvent::Recv {
+            seq,
+            src,
+            dst,
+            arrival,
+            start,
+            finish: start + Time::ONE,
+            queued: start > arrival,
+        };
+        vec![
+            send(0, 0, 1, Time::ZERO),
+            send(u64::MAX, u32::MAX, u32::MAX, t(5, 2)),
+            send(12_345, 7, u32::MAX - 1, t(7, 3)),
+            send(1, 3, 4, t(22, 7)),
+            send(9, 10, 100, Time::from_int(-4)),
+            send(10, 1, 2, t(-9, 7)),
+            send(2, 0, 3, t(edge - 1, 1)),
+            send(3, 0, 3, t(edge, 3)),
+            recv(0, 0, 1, t(3, 2), t(3, 2)),
+            recv(u64::MAX, u32::MAX, 0, t(7, 3), t(8, 3)),
+            recv(99, 2, u32::MAX, t(9, 7), t(11, 7)),
+            recv(4, 1, 5, Time::from_int(4), Time::from_int(5)),
+            recv(5, 6, 7, Time::from_int(40), Time::from_int(40)),
+            recv(6, 6, 8, t(1, 3), t(edge, 1)),
+        ]
+    }
+
+    /// The header and each event line of a log of `writer_rows`.
+    fn writer_lines() -> (String, Vec<String>) {
+        let log = ObsLog::new(
+            RunMeta::new("event", 4).latency(Latency::from_ratio(5, 2)),
+            writer_rows(),
+        );
+        let text = to_jsonl(&log);
+        let mut lines = text.lines().map(str::to_string);
+        let header = lines.next().unwrap();
+        (header, lines.collect())
+    }
+
+    /// [`JsonlParser::line`] with the general scan alone: the oracle of
+    /// the fixed-order pass.
+    fn general_line(parser: &mut JsonlParser, line: &str) -> Result<Option<ObsEvent>, ObsError> {
+        parser.lineno += 1;
+        if is_blank(line) {
+            return Ok(None);
+        }
+        let lineno = parser.lineno;
+        parser.fields.general(line).map_err(|e| e.at(lineno))?;
+        parser.event(line)
+    }
+
+    /// The table of a send or receive line: for each key the line named,
+    /// whether its value decoded, its token's kind and bounds, and its
+    /// value where the key's type reads it.
+    fn entries(f: &Fields) -> Vec<(bool, Tok, (usize, usize), String)> {
+        let keys = [
+            Key::Type,
+            Key::Seq,
+            Key::Src,
+            Key::Dst,
+            Key::Arrival,
+            Key::Start,
+            Key::Finish,
+            Key::Queued,
+        ];
+        keys.into_iter()
+            .filter(|key| f.seen & key.bit() != 0)
+            .map(|key| {
+                let k = key as usize;
+                let bad = f.bad & key.bit() != 0;
+                let value = match key.ty() {
+                    _ if bad => String::new(),
+                    Ty::Int | Ty::Bool => f.int[k].to_string(),
+                    Ty::Time => f.time[k].to_string(),
+                    Ty::Text => String::new(),
+                };
+                (bad, f.kind[k], f.span[k], value)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn every_writer_row_takes_the_fixed_order_pass() {
+        let (_, lines) = writer_lines();
+        assert_eq!(lines.len(), writer_rows().len());
+        for line in &lines {
+            let mut fast = Fields::default();
+            assert!(fast.writer_row(line), "{line}");
+            let mut general = Fields::default();
+            assert!(general.general(line).is_ok(), "{line}");
+            assert_eq!(fast.seen, general.seen, "{line}");
+            assert_eq!(entries(&fast), entries(&general), "{line}");
+        }
+        // Lines in any other form take the general scan.
+        for line in [
+            r#"{"type":"run","engine":"event","n":4,"lambda":"5/2"}"#,
+            r#"{"type":"wake","proc":1,"at":"5/2"}"#,
+            r#"{"type": "send","seq":0,"src":0,"dst":1,"start":"0","finish":"1"}"#,
+            r#"{"type":"send","src":0,"seq":0,"dst":1,"start":"0","finish":"1"}"#,
+            r#"{"type":"send","seq":0,"src":0,"dst":1,"start":"0","finish":"1","x":1}"#,
+            r#"{"type":"send","seq":0,"src":0,"dst":1,"start":"0","finish":"1"} "#,
+            r#"{"type":"recv","seq":0,"src":0,"dst":1,"arrival":"1","start":"1","finish":"2","queued":0}"#,
+        ] {
+            assert!(!Fields::default().writer_row(line), "{line}");
+        }
+    }
+
+    #[test]
+    fn the_fixed_order_pass_reads_every_variant_as_the_general_scan() {
+        let (header, lines) = writer_lines();
+        let (mut fast, mut general) = (JsonlParser::new(), JsonlParser::new());
+        assert_eq!(fast.line(&header), Ok(None));
+        assert_eq!(general_line(&mut general, &header), Ok(None));
+        let mut variants = 0;
+        let mut errors = 0;
+        for line in &lines {
+            let mut check = |variant: &[u8]| {
+                let variant = std::str::from_utf8(variant).expect("ASCII rows stay ASCII");
+                let want = general_line(&mut general, variant);
+                assert_eq!(fast.line(variant), want, "{variant}");
+                variants += 1;
+                errors += usize::from(want.is_err());
+            };
+            check(line.as_bytes());
+            let bytes = line.as_bytes();
+            for at in 0..=bytes.len() {
+                if at < bytes.len() {
+                    check(&[&bytes[..at], &bytes[at + 1..]].concat());
+                }
+                for &b in b" \"\\,0-.}" {
+                    check(&[&bytes[..at], &[b], &bytes[at..]].concat());
+                    if at < bytes.len() {
+                        check(&[&bytes[..at], &[b], &bytes[at + 1..]].concat());
+                    }
+                }
+            }
+        }
+        // The two parsers numbered every line alike.
+        assert_eq!(fast.lineno, general.lineno);
+        assert!(
+            variants > 20_000 && errors > variants / 2,
+            "{errors} errors in {variants} variants"
+        );
     }
 
     #[test]

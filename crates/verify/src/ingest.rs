@@ -100,7 +100,9 @@ fn fold<R: BufRead>(
     let mut available = None;
     loop {
         if parser.meta().is_some() && available != Some(1) {
-            let block = lines.buffered_lines(2 * min_chunk)?;
+            let block = lines
+                .buffered_lines(2 * min_chunk)
+                .map_err(|e| parser.unreadable(e))?;
             if !block.is_empty() {
                 let threads = *available.get_or_insert_with(&max_threads);
                 let chunks = (block.len() / min_chunk).min(CHUNKS_PER_THREAD * threads);
@@ -112,7 +114,7 @@ fn fold<R: BufRead>(
                 }
             }
         }
-        let Some(line) = lines.next_line()? else {
+        let Some(line) = lines.next_line().map_err(|e| parser.unreadable(e))? else {
             break;
         };
         kept.event(parser.line(line)?);
@@ -154,7 +156,8 @@ impl Kept {
     /// Parses every line of `chunk`, complete lines, with `parser`.
     fn chunk(&mut self, parser: &mut JsonlParser, chunk: &[u8]) -> Result<(), ObsError> {
         for line in block_lines(chunk) {
-            self.event(parser.line(line?)?);
+            let line = line.map_err(|e| parser.unreadable(e))?;
+            self.event(parser.line(line)?);
         }
         Ok(())
     }
@@ -285,15 +288,16 @@ mod tests {
     use proptest::prelude::TestRng;
     use std::io::{BufReader, Cursor};
 
-    /// The ingest's loop before logs were parsed in chunks, verbatim:
-    /// every line through one `LineReader` and one `JsonlParser`, in
-    /// order. It went on to build the schedule as `ingest` still does.
+    /// The ingest's loop before logs were parsed in chunks, verbatim but
+    /// for the line a read error names: every line through one
+    /// `LineReader` and one `JsonlParser`, in order. It went on to build
+    /// the schedule as `ingest` still does.
     fn serial<R: std::io::BufRead>(reader: R) -> Result<(RunMeta, Vec<TimedSend>, bool), ObsError> {
         let mut lines = postal_obs::LineReader::new(reader);
         let mut parser = postal_obs::JsonlParser::new();
         let mut sends = Vec::new();
         let mut truncated = false;
-        while let Some(line) = lines.next_line()? {
+        while let Some(line) = lines.next_line().map_err(|e| parser.unreadable(e))? {
             match parser.line(line)? {
                 Some(postal_obs::ObsEvent::Send {
                     src, dst, start, ..
