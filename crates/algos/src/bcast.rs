@@ -140,6 +140,10 @@ mod tests {
         // The simulator's queue entry is pinned at 48 B or less for an
         // 8-byte payload (`postal_sim` engine tests); BCAST's is one.
         assert_eq!(std::mem::size_of::<BcastPayload>(), 8);
+        // A stored transfer of it, its three times, ids and payload,
+        // stays within the 128 B of a `Transfer<u32>`.
+        let stored = std::mem::size_of::<postal_sim::Transfer<BcastPayload>>();
+        assert!(stored <= 128, "{stored}");
     }
 
     #[test]

@@ -168,7 +168,7 @@ mod tests {
                 .report
                 .trace
                 .received_by(ProcId(i))
-                .map(|t| t.recv_finish)
+                .map(|t| t.recv_finish())
                 .collect();
             finishes.sort();
             // Receives at λ, λ+1, …, λ+n−2: perfectly back-to-back.

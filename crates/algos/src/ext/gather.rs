@@ -113,7 +113,7 @@ mod tests {
             .report
             .trace
             .received_by(ProcId::ROOT)
-            .map(|t| t.recv_finish)
+            .map(|t| t.recv_finish())
             .collect();
         finishes.sort();
         let expected: Vec<Time> = (0..5).map(|k| lam.as_time() + Time::from_int(k)).collect();

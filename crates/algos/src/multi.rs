@@ -138,6 +138,15 @@ mod tests {
     use super::*;
     use postal_model::Latency;
 
+    #[test]
+    fn a_stored_multi_message_transfer_is_small() {
+        // Sixteen bytes of packet keep a stored transfer, its three
+        // times and ids, within the 128 B of a `Transfer<u32>`.
+        assert_eq!(std::mem::size_of::<MultiPacket>(), 16);
+        let stored = std::mem::size_of::<postal_sim::Transfer<MultiPacket>>();
+        assert!(stored <= 128, "{stored}");
+    }
+
     /// Root sends each message once to p1 (n = 2 broadcast).
     struct Pair {
         m: u32,

@@ -169,7 +169,7 @@ mod tests {
                 .report
                 .trace
                 .received_by(ProcId::from(i))
-                .map(|t| t.recv_finish)
+                .map(|t| t.recv_finish())
                 .collect();
             assert_eq!(times.len(), 3);
             for w in times.windows(2) {

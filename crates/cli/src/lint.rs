@@ -132,16 +132,23 @@ const READ_BUFFER: usize = 1 << 20;
 /// Opens `path` for lint-format sniffing: skips a UTF-8 byte-order mark
 /// and any leading blank lines (editors and shell heredocs prepend
 /// both), keeping count of what it skipped so that error locations
-/// still count from the start of the file.
+/// still count from the start of the file. A line it cannot read is
+/// located as the JSONL reader locates one, `<path>: line N: read
+/// error: …`; `cannot read <path>` is a file that does not open.
 fn open_sniffed(path: &str) -> Result<Sniffed, CliError> {
-    let cannot = |e: &dyn std::fmt::Display| CliError::Invalid(format!("cannot read {path}: {e}"));
-    let handle = File::open(path).map_err(|e| cannot(&e))?;
+    let handle =
+        File::open(path).map_err(|e| CliError::Invalid(format!("cannot read {path}: {e}")))?;
     let mut rest = BufReader::with_capacity(READ_BUFFER, handle);
     let mut first_line = String::new();
     let (mut lines_before, mut bytes_before) = (0, 0);
     loop {
         first_line.clear();
-        let read = rest.read_line(&mut first_line).map_err(|e| cannot(&e))?;
+        // Located as the JSONL reader locates a read error on any later
+        // line, counting the lines skipped so far.
+        let read = rest.read_line(&mut first_line).map_err(|e| {
+            let line = lines_before + 1;
+            CliError::Invalid(format!("{path}: line {line}: read error: {e}"))
+        })?;
         if read == 0 {
             break; // EOF: hand the (blank) line to the parser for its error.
         }

@@ -288,6 +288,11 @@ const CASES: &[(&str, i32, &str)] = &[
         1,
         "error: cannot read /nonexistent/x.json: No such file or directory (os error 2)",
     ),
+    (
+        "lint /nonexistent/x.jsonl --stream",
+        1,
+        "error: cannot read /nonexistent/x.jsonl: No such file or directory (os error 2)",
+    ),
 ];
 
 /// Each subcommand, a valid invocation of it, and the flags it declares

@@ -1,6 +1,7 @@
 //! `lint` and `lint --stream` read a JSONL log through the same line
 //! loop, so a log that cannot be read fails with the same message in
-//! both modes, located on the line that cannot be read.
+//! both modes, located on the line that cannot be read — the first
+//! content line too, which the CLI reads itself to tell the format.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -56,4 +57,30 @@ fn invalid_utf8_reads_the_same_in_both_modes() {
         )
     );
     assert_eq!(stream, batch);
+}
+
+#[test]
+fn an_unreadable_first_content_line_is_located_in_both_modes() {
+    // The header holds a 0xFF byte. Line numbers count the blank and
+    // byte-order-mark lines skipped before it.
+    let header = b"{\"type\":\"run\",\"engine\":\"event\",\"n\":3,\"lambda\":\"\xff\"}\n";
+    let send =
+        b"{\"type\":\"send\",\"seq\":0,\"src\":0,\"dst\":1,\"start\":\"0\",\"finish\":\"1\"}\n";
+    for (name, before, line) in [
+        ("blank", &b"\n"[..], 2),
+        ("bom", &b"\xef\xbb\xbf\n \r\n"[..], 3),
+        ("first", &b""[..], 1),
+    ] {
+        let log = [before, &header[..], &send[..]].concat();
+        let path = temp_file(&format!("bad-header-{name}.jsonl"), &log);
+        let batch = lint(&path, &[]);
+        let stream = lint(&path, &["--stream"]);
+        let _ = std::fs::remove_file(&path);
+        let want = format!(
+            "error: {}: line {line}: read error: stream did not contain valid UTF-8\n",
+            path.display()
+        );
+        assert_eq!(batch, (Some(1), want), "{name}");
+        assert_eq!(stream, batch, "{name}");
+    }
 }

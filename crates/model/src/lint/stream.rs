@@ -74,6 +74,14 @@
 //! * `P0006` tracks one port cursor and the first idle gap per
 //!   processor online, and resolves the gap against the coverage
 //!   horizon at `finish`.
+//!
+//! `P0005` and `P0006` visit every processor at `finish`, so they read
+//! the first-receipt and cursor lanes as `i64` ticks and build a
+//! [`Time`] only for a finding's text. `P0006` is one fold generic over
+//! the time form: on ticks while no processor holds a slot in an exact
+//! side table ([`StreamingLint::exact_slots`]), on exact times once one
+//! does. Its first idle gaps are sorted by processor once and walked
+//! with the processors, with no lookup per port.
 //! * `P0017` checks each finalized send against the topology online;
 //!   `P0018`/`P0019` are `finish`-time checks against one BFS of the
 //!   graph from the originator.
@@ -89,7 +97,7 @@ use super::{diag_order, Diagnostic, LintCode, LintOptions, Severity};
 use crate::fib::GenFib;
 use crate::latency::Latency;
 use crate::runtimes;
-use crate::schedule::TimedSend;
+use crate::schedule::{Schedule, TimedSend};
 use crate::time::{Time, TICK_LIMIT};
 use crate::topology::{eccentricity_of, Topology, UNREACHABLE};
 use std::cmp::{Ordering, Reverse};
@@ -121,6 +129,11 @@ impl TimeSlots {
             ticks: vec![EMPTY; n],
             exact: HashMap::new(),
         }
+    }
+
+    /// Whether slot `p` holds a value.
+    fn is_set(&self, p: u32) -> bool {
+        self.ticks[p as usize] != EMPTY
     }
 
     fn get(&self, p: u32) -> Option<Time> {
@@ -534,6 +547,20 @@ impl StreamingLint {
         }
     }
 
+    /// Observes a materialized schedule's sends, in their canonical
+    /// order, as [`lint_schedule`](super::lint_schedule) does: the
+    /// watermark rises to each send's start before it is observed, so
+    /// every earlier send is finalized first, and a well-formed send on
+    /// the lattice is then finalized at once unless a send is still
+    /// parked. A send observed afterwards must not start before the
+    /// schedule's last send.
+    pub fn observe_schedule(&mut self, schedule: &Schedule) {
+        for s in schedule.sends() {
+            self.advance_watermark(s.send_start);
+            self.observe_in_order(s);
+        }
+    }
+
     /// [`StreamingLint::observe_send`] of the next send of a stream in
     /// canonical order, once the watermark has been advanced to its
     /// start. A well-formed send on the lattice, with nothing pending,
@@ -546,7 +573,7 @@ impl StreamingLint {
     /// than the start, so only the `P0006` cursor of a sender not yet
     /// informed can read a different value, and the `P0003` error such a
     /// send raises suppresses `P0006`: the report is the same.
-    pub(crate) fn observe_in_order(&mut self, s: &TimedSend) {
+    fn observe_in_order(&mut self, s: &TimedSend) {
         if self.pending_len() == 0 {
             if let (Some(l), Some(w)) = (self.index.lam_ticks, self.watermark_ticks) {
                 // The watermark never falls below its start at 0, so a
@@ -828,6 +855,17 @@ impl StreamingLint {
         self.exact_sends
     }
 
+    /// Processors whose first receipt or `P0006` idle cursor lies off
+    /// the stream's lattice, and so is held in an exact side table. While
+    /// there are none, [`StreamingLint::finish`] reads every
+    /// per-processor lane as ticks and builds a [`Time`] only for a
+    /// finding's text (unless an idle gap lies past [`TICK_LIMIT`]); one
+    /// such processor sends its `P0006` pass to exact times. The
+    /// workspace's algorithms read 0 under a uniform λ.
+    pub fn exact_slots(&self) -> usize {
+        self.index.first_receipt.exact.len() + self.idle_cursor.exact.len()
+    }
+
     /// The stream's tick denominator `D = λ.lattice_lcm(2)`: the tick
     /// entries [`StreamingLint::observe_send_ticks`] and
     /// [`StreamingLint::advance_watermark_ticks`] count ticks of `1/D`.
@@ -966,10 +1004,11 @@ impl StreamingLint {
         }
     }
 
-    /// `P0005`: every processor but the originator that never receives.
+    /// `P0005`: every processor but the originator that never receives,
+    /// read off the first-receipt lane without building a time.
     fn coverage_findings(&self, out: &mut Vec<Diagnostic>) {
         for p in 0..self.index.n {
-            if p != self.opts.originator && self.index.first_receipt(p).is_none() {
+            if p != self.opts.originator && !self.index.first_receipt.is_set(p) {
                 out.push(Diagnostic {
                     code: LintCode::UninformedProcessor,
                     severity: Severity::Error,
@@ -1043,72 +1082,21 @@ impl StreamingLint {
     /// final (causality holds, so the informing receipt precedes the
     /// first send, and later receipts finish strictly later); in a run
     /// with errors this stage never runs.
+    ///
+    /// The pass reads the first-receipt and cursor lanes as ticks when
+    /// neither holds a slot in its exact side table and every gap has a
+    /// tick count, and exactly otherwise: one fold, [`idle_fold`], over
+    /// either [`Form`].
     fn idle_findings(&self, out: &mut Vec<Diagnostic>) {
         let idx = &self.index;
-        let lam = idx.latency.as_time();
-
-        // The coverage horizon and the two latest first-receipts
-        // (distinct processors): enough to answer "does any processor
-        // other than `src` first receive after time x?" in O(1).
-        let mut completion_of_coverage = Time::ZERO;
-        let mut latest: Option<(Time, u32)> = None;
-        let mut second: Option<(Time, u32)> = None;
-        for p in 0..idx.n {
-            let Some(t) = idx.first_receipt(p) else {
-                continue;
-            };
-            completion_of_coverage = completion_of_coverage.max(t);
-            if latest.is_none_or(|(lt, lp)| (t, p) > (lt, lp)) {
-                second = latest;
-                latest = Some((t, p));
-            } else if second.is_none_or(|(st, sp)| (t, p) > (st, sp)) {
-                second = Some((t, p));
+        if let (0, Some(lam)) = (self.exact_slots(), idx.lam_ticks) {
+            let ticks = |(&p, g): (&u32, &Time)| Some((p, g.to_ticks(idx.den)?));
+            if let Some(gaps) = self.first_gap.iter().map(ticks).collect() {
+                return idle_fold(self, Ticks { den: idx.den, lam }, gaps, out);
             }
         }
-        let receipt_after = |x: Time, src: u32| -> Option<(Time, u32)> {
-            match latest {
-                Some((t, q)) if q != src && t > x => Some((t, q)),
-                Some((_, q)) if q == src => second.filter(|&(t, _)| t > x),
-                _ => None,
-            }
-        };
-
-        for src in 0..idx.n {
-            let Some(informed_at) = self.informed_at(src) else {
-                continue;
-            };
-            // The candidate gap: the first recorded idle gap, else the
-            // open-ended gap after the last send (the port's whole
-            // informed life, for a port that never sent).
-            let gap = match self.idle_cursor.get(src) {
-                None => (informed_at < completion_of_coverage).then_some(informed_at),
-                Some(c) => match self.first_gap.get(&src) {
-                    Some(&g) => Some(g),
-                    None => (c < completion_of_coverage).then_some(c),
-                },
-            };
-            let Some(g) = gap else {
-                continue;
-            };
-            let hypothetical = g + lam;
-            // An uninformed-at-g processor whose eventual receipt
-            // is strictly later than the hypothetical delivery.
-            if let Some((t, q)) = receipt_after(hypothetical, src) {
-                out.push(Diagnostic {
-                    code: LintCode::IdlePortWaste,
-                    severity: Severity::Warn,
-                    witness: None,
-                    proc: Some(src),
-                    sends: Vec::new(),
-                    related_time: Some(g),
-                    message: format!(
-                        "p{src} is informed and idle from t = {g} although a send then \
-                         would reach p{q} at t = {hypothetical}, earlier than its actual \
-                         receipt at t = {t}"
-                    ),
-                });
-            }
-        }
+        let gaps = self.first_gap.iter().map(|(&p, &g)| (p, g)).collect();
+        idle_fold(self, Exact(idx.latency.as_time()), gaps, out);
     }
 
     /// `P0007`: the completion time against `f_λ(n)` / the Lemma 8
@@ -1220,6 +1208,162 @@ impl StreamingLint {
                     "completes at t = {completion}; the {spec} topology lower \
                      bound (m-1) + lambda*ecc(p{orig}) is {bound} (gap {} units)",
                     completion - bound
+                ),
+            });
+        }
+    }
+}
+
+/// How [`idle_fold`] reads a per-processor lane: as its tick count or
+/// exactly.
+trait Form: Copy {
+    /// A point in time.
+    type T: Copy + Ord;
+    /// Slot `p`'s value, if set.
+    fn slot(self, slots: &TimeSlots, p: u32) -> Option<Self::T>;
+    /// Time zero.
+    fn zero(self) -> Self::T;
+    /// `t + λ`.
+    fn plus_lam(self, t: Self::T) -> Self::T;
+    /// `t` as a time, for a finding's text.
+    fn time(self, t: Self::T) -> Time;
+}
+
+/// Ticks of the stream's lattice, `den` per unit, with λ worth `lam`
+/// of them, for lanes with no slot in an exact side table.
+#[derive(Clone, Copy)]
+struct Ticks {
+    den: i64,
+    lam: i64,
+}
+
+impl Form for Ticks {
+    type T = i64;
+
+    #[inline]
+    fn slot(self, slots: &TimeSlots, p: u32) -> Option<i64> {
+        let k = slots.ticks[p as usize];
+        debug_assert!(k != EXACT, "p{p} is held in the exact side table");
+        (k != EMPTY).then_some(k)
+    }
+
+    fn zero(self) -> i64 {
+        0
+    }
+
+    #[inline]
+    fn plus_lam(self, t: i64) -> i64 {
+        // A lane value is at most 2·TICK_LIMIT + den (a receipt sums two
+        // counts within TICK_LIMIT; a cursor is one unit past a start or
+        // holds a receipt) and λ at most TICK_LIMIT: below i64::MAX.
+        t + self.lam
+    }
+
+    fn time(self, t: i64) -> Time {
+        Time::from_ticks(t, self.den)
+    }
+}
+
+/// Exact times, with λ, for lanes that hold an off-lattice slot.
+#[derive(Clone, Copy)]
+struct Exact(Time);
+
+impl Form for Exact {
+    type T = Time;
+
+    fn slot(self, slots: &TimeSlots, p: u32) -> Option<Time> {
+        slots.get(p)
+    }
+
+    fn zero(self) -> Time {
+        Time::ZERO
+    }
+
+    fn plus_lam(self, t: Time) -> Time {
+        t + self.0
+    }
+
+    fn time(self, t: Time) -> Time {
+        t
+    }
+}
+
+/// The one pass of `P0006` ([`StreamingLint::idle_findings`]) on times
+/// of `form`; `gaps` holds each port's first idle gap.
+fn idle_fold<F: Form>(
+    lint: &StreamingLint,
+    form: F,
+    mut gaps: Vec<(u32, F::T)>,
+    out: &mut Vec<Diagnostic>,
+) {
+    let n = lint.index.n;
+    let receipts = &lint.index.first_receipt;
+
+    // The coverage horizon and the two latest first-receipts (distinct
+    // processors): enough to answer "does any processor other than
+    // `src` first receive after time x?" in O(1).
+    let mut completion_of_coverage = form.zero();
+    let mut latest: Option<(F::T, u32)> = None;
+    let mut second: Option<(F::T, u32)> = None;
+    for p in 0..n {
+        let Some(t) = form.slot(receipts, p) else {
+            continue;
+        };
+        completion_of_coverage = completion_of_coverage.max(t);
+        if latest.is_none_or(|(lt, lp)| (t, p) > (lt, lp)) {
+            second = latest;
+            latest = Some((t, p));
+        } else if second.is_none_or(|(st, sp)| (t, p) > (st, sp)) {
+            second = Some((t, p));
+        }
+    }
+    let receipt_after = |x: F::T, src: u32| -> Option<(F::T, u32)> {
+        match latest {
+            Some((t, q)) if q != src && t > x => Some((t, q)),
+            Some((_, q)) if q == src => second.filter(|&(t, _)| t > x),
+            _ => None,
+        }
+    };
+
+    // Walked with the processors, in their order: no lookup per port.
+    gaps.sort_unstable_by_key(|&(p, _)| p);
+    let mut gaps = gaps.into_iter().peekable();
+    for src in 0..n {
+        let first_gap = gaps.next_if(|&(p, _)| p == src).map(|(_, g)| g);
+        let informed_at = if src == lint.opts.originator {
+            Some(form.zero())
+        } else {
+            form.slot(receipts, src)
+        };
+        let Some(informed_at) = informed_at else {
+            continue;
+        };
+        // The candidate gap: the first recorded idle gap, else the
+        // open-ended gap after the last send (the port's whole informed
+        // life, for a port that never sent).
+        let gap = match form.slot(&lint.idle_cursor, src) {
+            None => (informed_at < completion_of_coverage).then_some(informed_at),
+            Some(c) => first_gap.or((c < completion_of_coverage).then_some(c)),
+        };
+        let Some(g) = gap else {
+            continue;
+        };
+        let hypothetical = form.plus_lam(g);
+        // An uninformed-at-g processor whose eventual receipt is
+        // strictly later than the hypothetical delivery.
+        if let Some((t, q)) = receipt_after(hypothetical, src) {
+            let (g, hypothetical, t) = (form.time(g), form.time(hypothetical), form.time(t));
+            out.push(Diagnostic {
+                code: LintCode::IdlePortWaste,
+                severity: Severity::Warn,
+                witness: None,
+                proc: Some(src),
+                sends: Vec::new(),
+                related_time: Some(g),
+                message: format!(
+                    "p{src} is informed and idle from t = {g} although a send then \
+                     would reach p{q} at t = {hypothetical}, earlier than its actual \
+                     receipt at t = {t}"
                 ),
             });
         }
@@ -1343,7 +1487,6 @@ mod tests {
     use super::super::reference::lint_schedule_reference;
     use super::super::{lint_schedule, lint_schedule_with_topology};
     use super::*;
-    use crate::schedule::Schedule;
     use crate::topology::TopologySpec;
 
     fn send(src: u32, dst: u32, num: i128, den: i128) -> TimedSend {

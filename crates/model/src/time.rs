@@ -67,6 +67,20 @@ impl Time {
         Time(self.0.min(other.0))
     }
 
+    /// One unit later, `self + Time::ONE`, without a gcd: the numerator
+    /// plus the denominator over the same denominator is still reduced.
+    /// A port holds one message for one unit, so this is how a send's
+    /// or a receive's finish is read from its start.
+    ///
+    /// # Panics
+    /// Panics on `i128` overflow, exactly where `self + Time::ONE` does.
+    #[inline]
+    pub fn plus_one(self) -> Time {
+        let (num, den) = (self.0.numer(), self.0.denom());
+        let next = num.checked_add(den).expect("Ratio overflow in add");
+        Time(Ratio::from_reduced(next, den))
+    }
+
     /// Multiplies this time by an integer factor.
     pub fn mul_int(self, k: i128) -> Time {
         Time(self.0.mul_int(k))
@@ -465,6 +479,28 @@ mod tests {
     fn display() {
         assert_eq!(Time::new(15, 2).to_string(), "15/2");
         assert_eq!(format!("{:?}", Time::from_int(4)), "t=4");
+    }
+
+    #[test]
+    fn plus_one_keeps_the_denominator() {
+        assert_eq!(Time::new(7, 3).plus_one(), Time::new(10, 3));
+        assert_eq!(Time::new(-7, 2).plus_one(), Time::new(-5, 2));
+        assert_eq!(Time::new(-1, 2).plus_one(), Time::new(1, 2));
+        assert_eq!(Time::from_int(-1).plus_one(), Time::ZERO);
+        let edge = Time::from_int(i128::MAX - 1);
+        assert_eq!(edge.plus_one(), edge + Time::ONE);
+    }
+
+    #[test]
+    #[should_panic(expected = "Ratio overflow in add")]
+    fn plus_one_overflows_where_adding_one_does() {
+        let _ = Time::new(i128::MAX, 2).plus_one();
+    }
+
+    #[test]
+    #[should_panic(expected = "Ratio overflow in add")]
+    fn adding_one_overflows_at_the_same_edge() {
+        let _ = Time::new(i128::MAX, 2) + Time::ONE;
     }
 
     #[test]

@@ -22,7 +22,10 @@
 //!   ±2⁵³, ±(2⁶³ − 1), `i64::MIN` and beyond `i64` up to ±2¹⁰⁰,
 //!   `Ratio::new` reduces exactly, `+`/`-` equal the sum over the
 //!   common denominator, `cmp` is the sign of the cross-difference and
-//!   `Display` matches the `i128` formatting.
+//!   `Display` matches the `i128` formatting;
+//! * [`Time::plus_one`] is `t + Time::ONE` for reduced times over 1,
+//!   small primes and primes up to 2⁸⁹ − 1, negative or positive, up to
+//!   the `i128` edge, wherever that sum does not overflow.
 
 use postal_model::lint::reference::lint_schedule_reference;
 use postal_model::lint::{lint_schedule, LintOptions};
@@ -241,6 +244,21 @@ proptest! {
     }
 
     #[test]
+    fn plus_one_is_adding_one_unit(n in arb_step_numer(), d in 0usize..PRIMES.len()) {
+        let t = Time::new(n, PRIMES[d]);
+        let (num, den) = (t.as_ratio().numer(), t.as_ratio().denom());
+        // Where the sum overflows, both panic (the unit tests pin that).
+        if let Some(next) = num.checked_add(den) {
+            let stepped = t.plus_one();
+            prop_assert_eq!(stepped, t + Time::ONE);
+            // The same reduced fraction, denominator kept.
+            prop_assert_eq!(stepped.as_ratio().numer(), next);
+            prop_assert_eq!(stepped.as_ratio().denom(), den);
+            prop_assert_eq!(stepped - Time::ONE, t);
+        }
+    }
+
+    #[test]
     fn ratio_display_is_the_i128_formatting(n in arb_band(), d in arb_band()) {
         let r = Ratio::new(n, nonzero(d));
         let want = if r.denom() == 1 {
@@ -345,6 +363,44 @@ fn reduced_cmp_fits(a: Ratio, b: Ratio) -> bool {
     let lhs = (a.numer() / g_num).checked_mul(b.denom() / g_den);
     let rhs = (b.numer() / g_num).checked_mul(a.denom() / g_den);
     lhs.is_some() && rhs.is_some()
+}
+
+/// Denominators for [`Time::plus_one`]: 1, small primes, and the primes
+/// 2¹⁶ + 1, 2³¹ − 1, 2⁶¹ − 1 and 2⁸⁹ − 1, so a time keeps its
+/// denominator unless the numerator is a multiple of it.
+const PRIMES: [i128; 10] = [
+    1,
+    2,
+    3,
+    7,
+    13,
+    97,
+    65_537,
+    (1 << 31) - 1,
+    (1 << 61) - 1,
+    (1 << 89) - 1,
+];
+
+/// A numerator for [`Time::plus_one`]: from [`arb_band`] (zero, the
+/// `i64` edges and beyond), or within 64 or within 2⁹⁰ of `i128::MAX`,
+/// where adding a denominator may overflow, or of `i128::MIN + 1` (the
+/// most negative numerator whose magnitude `Ratio::new` can take).
+fn arb_step_numer() -> impl Strategy<Value = i128> {
+    (
+        arb_band(),
+        0u8..3,
+        any::<bool>(),
+        0i128..=64,
+        0i128..=1 << 90,
+    )
+        .prop_map(|(band, edge, near, small, wide)| {
+            let offset = if near { small } else { wide };
+            match edge {
+                0 => band,
+                1 => i128::MAX - offset,
+                _ => i128::MIN + 1 + offset,
+            }
+        })
 }
 
 /// A numerator near zero or near ±[`TICK_LIMIT`], so comparisons cover

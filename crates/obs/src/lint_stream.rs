@@ -165,6 +165,12 @@ impl LintStream {
         self.inner.exact_sends()
     }
 
+    /// Processors whose first receipt or idle cursor lies off the
+    /// stream's tick lattice (see [`StreamingLint::exact_slots`]).
+    pub fn exact_slots(&self) -> usize {
+        self.inner.exact_slots()
+    }
+
     /// Peak reserved linter heap bytes, by container capacity (see
     /// [`StreamingLint::memory_bytes`]).
     pub fn memory_bytes(&self) -> usize {

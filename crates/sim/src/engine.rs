@@ -415,31 +415,27 @@ impl<'a> Simulation<'a> {
                             st.record_recv(r, seq, src, dst, arrival, recv_start);
                         }
                     } else {
-                        let at = st.clock.stored(arrival);
-                        let start = st.clock.stored(recv_start);
-                        let finish = st.clock.stored(time);
+                        let transfer = Transfer {
+                            seq: SendSeq(seq),
+                            src: ProcId(src),
+                            dst: ProcId(dst),
+                            send_start: st.clock.stored(send_start),
+                            arrival: st.clock.stored(arrival),
+                            recv_start: st.clock.stored(recv_start),
+                            payload: payload.clone(),
+                        };
                         if st.recorder.is_some() {
                             st.emit(ObsEvent::Recv {
                                 seq,
                                 src,
                                 dst,
-                                arrival: at,
-                                start,
-                                finish,
-                                queued: start > at,
+                                arrival: transfer.arrival,
+                                start: transfer.recv_start,
+                                finish: transfer.recv_finish(),
+                                queued: transfer.was_queued(),
                             });
                         }
-                        st.trace.push(Transfer {
-                            seq: SendSeq(seq),
-                            src: ProcId(src),
-                            dst: ProcId(dst),
-                            send_start: st.clock.stored(send_start),
-                            send_finish: st.clock.stored_after(send_start),
-                            arrival: at,
-                            recv_start: start,
-                            recv_finish: finish,
-                            payload: payload.clone(),
-                        });
+                        st.trace.push(transfer);
                     }
                     ctx.me = ProcId(dst);
                     ctx.now = st.clock.stamp(time);
@@ -551,11 +547,11 @@ impl<'a> Simulation<'a> {
                         dst: dst.0,
                         arrival: d.transfer.arrival,
                         start: d.transfer.recv_start,
-                        finish: d.transfer.recv_finish,
+                        // `entry.time` is this receive's finish instant.
+                        finish: entry.time,
                         queued: d.transfer.was_queued(),
                     });
                     if engine.discard_trace {
-                        // `entry.time` is this receive's finish instant.
                         engine.completion = engine.completion.max(entry.time);
                     } else {
                         engine.trace.push(d.transfer);
@@ -837,10 +833,8 @@ impl<'r, P: Clone> EngineState<'r, P> {
                     src: a.src,
                     dst: a.dst,
                     send_start: a.send_start,
-                    send_finish: a.send_start + Time::ONE,
                     arrival,
                     recv_start,
-                    recv_finish,
                     payload: a.payload,
                 },
             }),
@@ -873,10 +867,10 @@ struct Clock {
 }
 
 /// Slots of [`Clock::memo`], as many as the calendar queue's window has
-/// ticks. A transfer's five times lie within λ plus any queueing delay
-/// of its receive's finish, and a run visits few instants (PIPELINE at
-/// n = 2001, m = 8, λ = 7/3 ends at tick 340), so the memo rarely
-/// misses.
+/// ticks. A transfer's three stored times lie within λ plus any
+/// queueing delay of its receive's finish, and a run visits few
+/// instants (PIPELINE at n = 2001, m = 8, λ = 7/3 ends at tick 340), so
+/// the memo rarely misses.
 const MEMO_SLOTS: usize = 512;
 
 impl Clock {
@@ -932,15 +926,6 @@ impl Clock {
             *slot = (t.0, Time::from_ticks(t.0, self.den));
         }
         slot.1
-    }
-
-    /// The time one unit after `t`, for the stored trace.
-    fn stored_after(&mut self, t: Tick) -> Time {
-        if t.0 >= 0 && t.0 + self.den <= TICK_LIMIT {
-            self.stored(Tick(t.0 + self.den))
-        } else {
-            self.time(t) + Time::ONE
-        }
     }
 
     /// `t` as a queue stamp.
@@ -1382,10 +1367,10 @@ mod tests {
         assert_eq!(report.messages(), 1);
         let t = &report.trace.transfers()[0];
         assert_eq!(t.send_start, Time::ZERO);
-        assert_eq!(t.send_finish, Time::ONE);
+        assert_eq!(t.send_finish(), Time::ONE);
         assert_eq!(t.arrival, Time::new(3, 2)); // λ − 1
         assert_eq!(t.recv_start, Time::new(3, 2));
-        assert_eq!(t.recv_finish, Time::new(5, 2)); // λ
+        assert_eq!(t.recv_finish(), Time::new(5, 2)); // λ
         assert_eq!(report.completion, Time::new(5, 2));
     }
 
@@ -1704,7 +1689,7 @@ mod tests {
                     .trace
                     .transfers()
                     .iter()
-                    .map(|t| (t.dst, t.recv_finish))
+                    .map(|t| (t.dst, t.recv_finish()))
                     .collect()
             })
             .collect();
@@ -1723,6 +1708,10 @@ mod tests {
             "{}",
             size_of::<FastKind<u64>>()
         );
+        // A stored transfer keeps its three independent times (32 B
+        // each), its ids and the payload: 128 B with a `u32` payload.
+        assert_eq!(size_of::<Transfer<u32>>(), 128);
+        assert_eq!(size_of::<Transfer<[u64; 2]>>(), 128);
     }
 
     #[test]
@@ -1793,9 +1782,6 @@ mod tests {
             assert_eq!(clock.stored(Tick(k)), clock.time(Tick(k)), "tick {k}");
         }
         assert_eq!(clock.stored(fifth), Time::new(1, 5));
-        for t in [Tick(14), Tick(TICK_LIMIT - 6), Tick(TICK_LIMIT), fifth] {
-            assert_eq!(clock.stored_after(t), clock.time(t) + Time::ONE);
-        }
         assert_eq!(clock.exact.len(), 1, "no time entered the table");
     }
 

@@ -50,10 +50,8 @@ mod tests {
             src: ProcId(src),
             dst: ProcId(dst),
             send_start,
-            send_finish: send_start + Time::ONE,
             arrival: send_start + lam - Time::ONE,
             recv_start: send_start + lam - Time::ONE,
-            recv_finish: send_start + lam,
             payload: (),
         }
     }

@@ -79,7 +79,7 @@ pub fn events_from_report<P>(
                 src: t.src.0,
                 dst: t.dst.0,
                 start: t.send_start,
-                finish: t.send_finish,
+                finish: t.send_finish(),
             }
         } else if i < 2 * n {
             let t = &transfers[i - n];
@@ -89,7 +89,7 @@ pub fn events_from_report<P>(
                 dst: t.dst.0,
                 arrival: t.arrival,
                 start: t.recv_start,
-                finish: t.recv_finish,
+                finish: t.recv_finish(),
                 queued: t.was_queued(),
             }
         } else {

@@ -11,6 +11,11 @@ use postal_obs::{PortSide, PortSpan};
 /// `[s, s+1]` and the receiver during `[s+λ−1, s+λ]`. In queued-port mode
 /// the receive interval may start later than `s+λ−1`; both the model
 /// arrival time and the actual receive interval are recorded.
+///
+/// Only the three independent times are stored. Each port holds the
+/// message for exactly one unit, so the two finishes are read from
+/// their starts ([`Transfer::send_finish`], [`Transfer::recv_finish`]),
+/// and a transfer with a payload of up to 16 bytes takes 128 bytes.
 #[derive(Debug, Clone)]
 pub struct Transfer<P> {
     /// Global issue-order sequence number.
@@ -21,19 +26,27 @@ pub struct Transfer<P> {
     pub dst: ProcId,
     /// When the sender's output port started transmitting (the model `t`).
     pub send_start: Time,
-    /// `send_start + 1`: when the sender's port became free again.
-    pub send_finish: Time,
     /// `send_start + λ − 1`: when the message was ready at the receiver.
     pub arrival: Time,
     /// When the receiver's input port actually started receiving.
     pub recv_start: Time,
-    /// `recv_start + 1`: when the payload was delivered to the program.
-    pub recv_finish: Time,
     /// The payload carried.
     pub payload: P,
 }
 
 impl<P> Transfer<P> {
+    /// `send_start + 1`: when the sender's port became free again.
+    #[inline]
+    pub fn send_finish(&self) -> Time {
+        self.send_start.plus_one()
+    }
+
+    /// `recv_start + 1`: when the payload was delivered to the program.
+    #[inline]
+    pub fn recv_finish(&self) -> Time {
+        self.recv_start.plus_one()
+    }
+
     /// Whether the receive was delayed past the model arrival time by
     /// input-port contention (only possible in queued-port mode).
     pub fn was_queued(&self) -> bool {
@@ -79,11 +92,12 @@ impl<P> Trace<P> {
     /// message flowed). This is the paper's running time: "the arrival
     /// time of the last message to the last processor".
     pub fn completion_time(&self) -> Time {
+        // The latest finish is one unit after the latest start.
         self.transfers
             .iter()
-            .map(|t| t.recv_finish)
+            .map(|t| t.recv_start)
             .max()
-            .unwrap_or(Time::ZERO)
+            .map_or(Time::ZERO, Time::plus_one)
     }
 
     /// Extracts the static [`Schedule`] this trace realized, so the
@@ -122,10 +136,9 @@ impl<P> Trace<P> {
         let mut v = vec![None; n];
         for t in &self.transfers {
             let slot = &mut v[t.dst.index()];
-            match slot {
-                None => *slot = Some(t.recv_finish),
-                Some(existing) if t.recv_finish < *existing => *slot = Some(t.recv_finish),
-                _ => {}
+            let finish = t.recv_finish();
+            if slot.is_none_or(|existing| finish < existing) {
+                *slot = Some(finish);
             }
         }
         v
@@ -141,13 +154,13 @@ impl<P> Trace<P> {
                 proc: t.src.0,
                 side: PortSide::Out,
                 start: t.send_start,
-                end: t.send_finish,
+                end: t.send_finish(),
             });
             spans.push(PortSpan {
                 proc: t.dst.0,
                 side: PortSide::In,
                 start: t.recv_start,
-                end: t.recv_finish,
+                end: t.recv_finish(),
             });
         }
         spans
@@ -176,6 +189,7 @@ impl<P> Trace<P> {
             "seq,src,dst,send_start,arrival,recv_start,recv_finish,recv_finish_f64,queued,payload\n",
         );
         for t in &self.transfers {
+            let recv_finish = t.recv_finish();
             out.push_str(&format!(
                 "{},{},{},{},{},{},{},{:.6},{},{}\n",
                 t.seq.0,
@@ -184,8 +198,8 @@ impl<P> Trace<P> {
                 t.send_start,
                 t.arrival,
                 t.recv_start,
-                t.recv_finish,
-                t.recv_finish.to_f64(),
+                recv_finish,
+                recv_finish.to_f64(),
                 t.was_queued(),
                 payload_fmt(&t.payload),
             ));
@@ -235,10 +249,8 @@ mod tests {
             src: ProcId(src),
             dst: ProcId(dst),
             send_start,
-            send_finish: send_start + Time::ONE,
             arrival,
             recv_start: arrival,
-            recv_finish: arrival + Time::ONE,
             payload: seq as u32,
         }
     }

@@ -104,9 +104,9 @@ proptest! {
 
         // Every transfer satisfies the uniform-λ timing identities.
         for t in report.trace.transfers() {
-            prop_assert_eq!(t.send_finish, t.send_start + Time::ONE);
+            prop_assert_eq!(t.send_finish(), t.send_start + Time::ONE);
             prop_assert_eq!(t.arrival, t.send_start + lam.as_time() - Time::ONE);
-            prop_assert_eq!(t.recv_finish, t.recv_start + Time::ONE);
+            prop_assert_eq!(t.recv_finish(), t.recv_start + Time::ONE);
             prop_assert!(t.recv_start >= t.arrival);
             if !queued {
                 // Strict mode never shifts timing.
@@ -121,7 +121,7 @@ proptest! {
                 let mut finishes: Vec<Time> = report
                     .trace
                     .received_by(ProcId::from(p))
-                    .map(|t| t.recv_finish)
+                    .map(|t| t.recv_finish())
                     .collect();
                 finishes.sort();
                 for pair in finishes.windows(2) {
@@ -138,7 +138,7 @@ proptest! {
                 let mut finishes: Vec<Time> = report
                     .trace
                     .received_by(ProcId::from(p))
-                    .map(|t| t.recv_finish)
+                    .map(|t| t.recv_finish())
                     .collect();
                 finishes.sort();
                 let overlaps = finishes
@@ -163,7 +163,7 @@ proptest! {
             r.trace
                 .transfers()
                 .iter()
-                .map(|t| (t.src.0, t.dst.0, t.send_start, t.recv_finish))
+                .map(|t| (t.src.0, t.dst.0, t.send_start, t.recv_finish()))
                 .collect::<Vec<_>>()
         };
         prop_assert_eq!(run(), run());

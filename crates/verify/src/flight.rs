@@ -37,7 +37,7 @@ pub fn flights_from_trace<P>(trace: &Trace<P>) -> Vec<Flight> {
             src: t.src.0,
             dst: t.dst.0,
             send_at: t.send_start.to_f64(),
-            recv_at: t.recv_finish.to_f64(),
+            recv_at: t.recv_finish().to_f64(),
             label: format!("#{}", t.seq.0),
         })
         .collect()

@@ -151,7 +151,7 @@ fn trace_events<P>(trace: &Trace<P>) -> Vec<ObsEvent> {
             src: t.src.0,
             dst: t.dst.0,
             start: t.send_start,
-            finish: t.send_finish,
+            finish: t.send_finish(),
         });
         events.push(ObsEvent::Recv {
             seq: t.seq.0,
@@ -159,7 +159,7 @@ fn trace_events<P>(trace: &Trace<P>) -> Vec<ObsEvent> {
             dst: t.dst.0,
             arrival: t.arrival,
             start: t.recv_start,
-            finish: t.recv_finish,
+            finish: t.recv_finish(),
             queued: t.was_queued(),
         });
     }
